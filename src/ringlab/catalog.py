@@ -3,25 +3,17 @@
 The periodic strips and the twelve exceptional seed patches ship as data
 files; this module loads them, stacks strips into finite windows, rebuilds
 the special puzzles by propagation, and decides label-preserving
-isomorphism and sub-window embedding.
+isomorphism and catalog embedding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .configio import parse_config
-from .engine import (
-    Configuration,
-    VALID,
-    check,
-    enumerate_completions,
-    make_config,
-    propagate,
-)
+from .configio import data_text, parse_config
+from .engine import Configuration, VALID, check, make_config, propagate
 from .lattice import (
     A1,
     A2,
@@ -29,9 +21,7 @@ from .lattice import (
     Isometry,
     LABEL_POINT_GROUP,
     POINT_GROUP,
-    Vertex,
     ball,
-    compose,
     up,
 )
 
@@ -94,12 +84,8 @@ INTERFACE_DELTAS: Dict[int, Dict[Tuple[str, str], Tuple[int, ...]]] = {
 }
 
 
-def _data_text(name: str) -> str:
-    return (resources.files("ringlab") / "data" / name).read_text()
-
-
 def _load_rows(name: str, height: int):
-    cfg = parse_config(_data_text(name))
+    cfg = parse_config(data_text(name))
     rows = []
     for j in range(height):
         y = -j
@@ -224,6 +210,8 @@ def derive_interface_table(height: int) -> Dict[Tuple[str, str], Tuple[int, ...]
 
 def compatible_words(height: int, rows: int) -> List[StackingWord]:
     """All stacking words of the given length with top-row shift in {0, 3}."""
+    if rows < 1:
+        raise ValueError("rows must be at least 1")
     variants = [s.key for s in strip_variants(height)]
     table = INTERFACE_DELTAS[height]
 
@@ -255,7 +243,7 @@ def compatible_words(height: int, rows: int) -> List[StackingWord]:
 def special_seed(index: int) -> Configuration:
     if not 1 <= index <= 12:
         raise ValueError("seed index must be in 1..12")
-    return parse_config(_data_text("seed_%02d.txt" % index))
+    return parse_config(data_text("seed_%02d.txt" % index))
 
 
 @lru_cache(maxsize=None)
@@ -267,20 +255,26 @@ def special_puzzle(index: int, radius: int) -> Configuration:
     cfg = make_config(dict(seed.marks), window=ball(up(0, 0), radius))
     out = propagate(cfg)
     if len(out.marks) != len(out.window):
-        # plain propagation is expected to finish; fall back to search
-        comps = enumerate_completions(out, stop_at=2)
-        if len(comps) != 1:
-            raise ValueError(
-                f"seed {index} does not determine the radius-{radius} ball"
-            )
-        out = comps[0]
+        raise ValueError(f"seed {index} does not determine the radius-{radius} ball")
     return out
 
 
 def transform_config(config: Configuration, g: Isometry) -> Configuration:
-    marks = {g.apply_face(f): l for f, l in config.marks.items()}
-    window = {g.apply_face(f) for f in config.window}
-    return make_config(marks, window=window, period=config.period)
+    image = {f: g.apply_face(f) for f in config.window}
+    marks = {image[f]: l for f, l in config.marks.items()}
+    return make_config(marks, window=image.values(), period=config.period)
+
+
+def _image(marks: Dict[Face, int], g: Isometry) -> Dict[Face, int]:
+    """The marks moved by g."""
+    return {g.apply_face(f): l for f, l in marks.items()}
+
+
+def _reads_at(image: Dict[Face, int], target: Dict[Face, int], tx: int, ty: int) -> bool:
+    """Whether image translated by (tx, ty) reads the same labels in target."""
+    return all(
+        target.get(Face(f.x + tx, f.y + ty, f.up)) == l for f, l in image.items()
+    )
 
 
 def isomorphic(a: Configuration, b: Configuration) -> Optional[Isometry]:
@@ -291,84 +285,22 @@ def isomorphic(a: Configuration, b: Configuration) -> Optional[Isometry]:
     if len(a.marks) != len(a.window) or len(b.marks) != len(b.window):
         raise ValueError("isomorphism needs configurations total on their windows")
     congruent = False
-    wa = sorted(a.window)
-    wb = set(b.window)
     mb = min(b.window)
-    witness: Optional[Isometry] = None
     for g0 in POINT_GROUP:
-        image = [g0.apply_face(f) for f in wa]
+        image = _image(a.marks, g0)
         m0 = min(image)
         if m0.up != mb.up:
             continue
         tx, ty = mb.x - m0.x, mb.y - m0.y
-        if {Face(f.x + tx, f.y + ty, f.up) for f in image} != wb:
+        if {Face(f.x + tx, f.y + ty, f.up) for f in image} != b.window:
             continue
         congruent = True
         g = Isometry(g0.rot, g0.ref, tx, ty)
-        if not g.label_preserving():
-            continue
-        if all(
-            b.marks[g.apply_face(f)] == a.marks[f] for f in wa
-        ):
-            witness = g
-            break
-    if witness is not None:
-        return witness
+        if g.label_preserving() and _reads_at(image, b.marks, tx, ty):
+            return g
     if not congruent:
         raise ValueError("incongruent windows")
     return None
-
-
-def embeds_as_subwindow(small: Configuration, big: Configuration) -> Optional[Isometry]:
-    """A label-preserving isometry mapping small into big's marked window."""
-    faces = sorted(small.marks)
-    for g0 in LABEL_POINT_GROUP:
-        image = [(g0.apply_face(f), small.marks[f]) for f in faces]
-        m0 = min(p for p, _ in image)
-        for h in big.marks:
-            if h.up != m0.up:
-                continue
-            tx, ty = h.x - m0.x, h.y - m0.y
-            if (tx - ty) % 3 != 0:
-                continue
-            if all(
-                big.marks.get(Face(p.x + tx, p.y + ty, p.up)) == l
-                for p, l in image
-            ):
-                return Isometry(g0.rot, g0.ref, tx, ty)
-    return None
-
-
-def _band_label(spec: StripSpec, f: Face) -> Optional[int]:
-    j = -f.y
-    if not 0 <= j < spec.height:
-        return None
-    ups, downs = spec.rows[j]
-    return ups[f.x % 6] if f.up else downs[f.x % 6]
-
-
-def strips_isomorphic(a: StripSpec, b: StripSpec) -> bool:
-    """Whether the bi-infinite strips agree under a label-preserving isometry."""
-    if a.height != b.height:
-        return False
-    sample = [
-        Face(x, -j, orient)
-        for x in range(6)
-        for j in range(a.height)
-        for orient in (True, False)
-    ]
-    for ref in (False, True):
-        for ty in range(-2, 3):
-            for tx in range(6):
-                if (tx - ty) % 3 != 0:
-                    continue
-                g = Isometry(0, ref, tx, ty)
-                if all(
-                    _band_label(b, g.apply_face(f)) == _band_label(a, f)
-                    for f in sample
-                ):
-                    return True
-    return False
 
 
 def mirror_strip_rows(spec: StripSpec):
@@ -392,16 +324,6 @@ def mirror_strip_rows(spec: StripSpec):
     new_u1 = tuple(d0[(x - 1) % 6] for x in range(6))
     new_d1 = tuple(u0[x % 6] for x in range(6))
     return ((new_u0, new_d0), (new_u1, new_d1))
-
-
-def _rows_shift(rows, t: int):
-    return tuple(
-        (
-            tuple(ups[(x - t) % 6] for x in range(6)),
-            tuple(downs[(x - t) % 6] for x in range(6)),
-        )
-        for ups, downs in rows
-    )
 
 
 def strip_dedup_classes(height: int = 1) -> List[List[str]]:
@@ -446,18 +368,12 @@ def strip_readings() -> List[Tuple[str, int, str]]:
     return out
 
 
-def _row_faces(config: Configuration, y: int) -> List[Face]:
-    return [f for f in config.marks if f.y == y]
-
-
 def _slot_candidates(
-    config: Configuration, spec_list, height: int, y_top: int
+    marks: Dict[Face, int], spec_list, height: int, y_top: int
 ) -> List[RowChoice]:
     """Variant/shift pairs whose strip rows agree with every marked face
     of the slot at rows y_top .. y_top-height+1."""
-    present = [
-        f for f in config.marks if y_top - height < f.y <= y_top
-    ]
+    present = [f for f in marks if y_top - height < f.y <= y_top]
     out = []
     for spec in spec_list:
         for shift in range(6):
@@ -467,7 +383,7 @@ def _slot_candidates(
             for f in present:
                 ups, downs = spec.rows[y_top - f.y]
                 want = ups[(f.x - shift) % 6] if f.up else downs[(f.x - shift) % 6]
-                if config.marks[f] != want:
+                if marks[f] != want:
                     ok = False
                     break
             if ok:
@@ -475,16 +391,16 @@ def _slot_candidates(
     return out
 
 
-def _match_stack(config: Configuration, height: int) -> Optional[StackingWord]:
-    """A compatible stacking word agreeing with the (normalized) config."""
-    ys = {f.y for f in config.marks}
+def _match_stack(marks: Dict[Face, int], height: int) -> Optional[StackingWord]:
+    """A compatible stacking word agreeing with the (normalized) marks."""
+    ys = {f.y for f in marks}
     if not -height < max(ys) <= 0:
-        raise ValueError("config must be normalized with top face row in the first slot")
+        raise ValueError("marks must be normalized with top face row in the first slot")
     slots = (-min(ys)) // height + 1
     spec_list = strip_variants(height)
     table = INTERFACE_DELTAS[height]
     options = [
-        _slot_candidates(config, spec_list, height, -r * height)
+        _slot_candidates(marks, spec_list, height, -r * height)
         for r in range(slots)
     ]
     if any(not opts for opts in options):
@@ -511,30 +427,29 @@ def _match_stack(config: Configuration, height: int) -> Optional[StackingWord]:
     return tuple(word) if rec(0) else None
 
 
-def _normalizations(config: Configuration, height: int) -> Iterator[Configuration]:
-    """Label-preserving translates putting the top face row at 0 or, for
-    height 2, also at -1 (strip slots have two vertical phases)."""
-    y_max = max(f.y for f in config.marks)
-    x_min = min(f.x for f in config.marks)
-    for y_target in range(0, -height, -1):
-        ty = y_target - y_max
-        tx = 3 - x_min
-        tx += (ty - tx) % 3
-        yield transform_config(config, Isometry(0, False, tx, ty))
-
-
 def embeds_in_strips(config: Configuration, height: int) -> Optional[dict]:
     """Evidence that config occurs inside a strip-stack puzzle: the matched
-    stacking word is assembled wide enough and the inclusion re-verified."""
+    stacking word is assembled wide enough and the inclusion re-verified.
+
+    Each image of config is translated, label-preservingly, to put its top
+    face row at 0 or, for height 2, also at -1 (strip slots have two
+    vertical phases).
+    """
     for g in LABEL_POINT_GROUP:
-        img0 = transform_config(config, g)
-        for img in _normalizations(img0, height):
-            word = _match_stack(img, height)
+        image = _image(config.marks, g)
+        y_max = max(f.y for f in image)
+        x_min = min(f.x for f in image)
+        for y_target in range(0, -height, -1):
+            ty = y_target - y_max
+            tx = 3 - x_min
+            tx += (ty - tx) % 3
+            placed = {Face(f.x + tx, f.y + ty, f.up): l for f, l in image.items()}
+            word = _match_stack(placed, height)
             if word is None:
                 continue
-            x_max = max(f.x for f in img.marks)
+            x_max = max(f.x for f in placed)
             big = assemble(word, width_periods=max(2, (x_max + 6) // 6 + 1))
-            if all(big.marks.get(f) == l for f, l in img.marks.items()):
+            if _reads_at(image, big.marks, tx, ty):
                 return {"kind": f"strip-h{height}", "word": list(word)}
     return None
 
@@ -558,24 +473,19 @@ def _special_signature_index(index: int) -> Dict[tuple, Tuple[Face, ...]]:
 def embeds_in_special(config: Configuration, center: Face = up(0, 0)) -> Optional[dict]:
     """Evidence that config occurs inside one of the twelve special puzzles."""
     for g in LABEL_POINT_GROUP:
-        img = transform_config(config, g)
+        image = _image(config.marks, g)
         c_img = g.apply_face(center)
         ring1 = sorted(ball(c_img, 1))
-        if not all(f in img.marks for f in ring1):
+        if not all(f in image for f in ring1):
             raise ValueError("config must cover the radius-1 ball of the center")
-        sig = tuple(img.marks[f] for f in ring1)
+        sig = tuple(image[f] for f in ring1)
         for index in range(1, 13):
             patch = special_puzzle(index, _SPECIAL_PATCH_RADIUS)
             for h in _special_signature_index(index).get(sig, ()):
                 if h.up != c_img.up:
                     continue
                 tx, ty = h.x - c_img.x, h.y - c_img.y
-                if (tx - ty) % 3 != 0:
-                    continue
-                if all(
-                    patch.marks.get(Face(f.x + tx, f.y + ty, f.up)) == l
-                    for f, l in img.marks.items()
-                ):
+                if (tx - ty) % 3 == 0 and _reads_at(image, patch.marks, tx, ty):
                     return {"kind": "special", "index": index}
     return None
 

@@ -1,7 +1,7 @@
 """Command line interface for table queries, checking, enumeration, rendering.
 
 Exit codes: 0 success (Valid / true), 1 Contradiction or negative answer,
-2 usage or input error.
+2 for usage, input or internal errors.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .engine import (
     check,
     dead_end_report,
     enumerate_completions,
-    make_config,
 )
 from .labeling import derive_edge_labels, square_window
 from .lattice import AXIS_NAMES, ball, up
@@ -476,6 +475,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # an internal error must not pass for a negative answer (exit 1)
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from importlib import resources
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .labeling import edge_label
 from .lattice import (

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .lattice import (
     A0,
@@ -19,11 +19,9 @@ from .lattice import (
     AXES,
     AXIS_STEPS,
     Face,
-    Isometry,
     POINT_GROUP,
     Vertex,
     face_vertices,
-    hex_distance,
     link_faces,
     opposite_axis_at_vertex,
     vertices_within,

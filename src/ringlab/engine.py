@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import (
@@ -38,9 +38,6 @@ class Configuration:
         bad = set(self.marks) - self.window
         if bad:
             raise ValueError(f"marks outside window: {sorted(bad)[:3]}")
-
-    def key(self) -> Tuple:
-        return tuple(sorted(self.marks.items()))
 
 
 def make_config(

@@ -8,7 +8,7 @@ edge labels alternate between exactly two values s and s+1.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List
 
 from .lattice import (
     A0,

@@ -7,7 +7,7 @@ core; squared lengths use the quadratic form a^2 + a*b + b^2.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Set, Tuple
+from typing import Iterable, NamedTuple, Set, Tuple
 
 Vertex = Tuple[int, int]
 
@@ -57,19 +57,6 @@ def face_vertices(f: Face) -> Tuple[Vertex, Vertex, Vertex]:
     if f.up:
         return ((x, y), (x + 1, y), (x, y + 1))
     return ((x + 1, y), (x, y + 1), (x + 1, y + 1))
-
-
-def face_from_vertices(vs: Iterable[Vertex]) -> Face:
-    """Inverse of face_vertices for an unordered vertex triple."""
-    s = frozenset(vs)
-    if len(s) != 3:
-        raise ValueError(f"not a face vertex set: {sorted(s)}")
-    x = min(v[0] for v in s)
-    y = min(v[1] for v in s)
-    for f in (Face(x, y, True), Face(x, y, False)):
-        if frozenset(face_vertices(f)) == s:
-            return f
-    raise ValueError(f"not a face vertex set: {sorted(s)}")
 
 
 def face_edges(f: Face) -> Tuple[Edge, Edge, Edge]:
@@ -160,18 +147,6 @@ def opposite_axis_at_vertex(f: Face, v: Vertex) -> int:
     raise AssertionError("unreachable")
 
 
-def hex_distance(u: Vertex, v: Vertex) -> int:
-    dx, dy = v[0] - u[0], v[1] - u[1]
-    return (abs(dx) + abs(dy) + abs(dx + dy)) // 2
-
-
-def face_distance(f: Face, g: Face) -> int:
-    """Minimum hex distance between the vertex sets of two faces."""
-    return min(
-        hex_distance(u, v) for u in face_vertices(f) for v in face_vertices(g)
-    )
-
-
 def vertices_within(seeds: Iterable[Vertex], d: int) -> Set[Vertex]:
     """All vertices at hex distance <= d from some seed vertex."""
     frontier = set(seeds)
@@ -221,16 +196,29 @@ class Isometry(NamedTuple):
     tx: int
     ty: int
 
-    def apply_vertex(self, v: Vertex) -> Vertex:
-        a, b = v
+    def _linear(self, a: int, b: int) -> Vertex:
         if self.ref:
             a, b = a + b, -b
         for _ in range(self.rot % 6):
             a, b = -b, a + b
+        return (a, b)
+
+    def apply_vertex(self, v: Vertex) -> Vertex:
+        a, b = self._linear(*v)
         return (a + self.tx, b + self.ty)
 
     def apply_face(self, f: Face) -> Face:
-        return face_from_vertices(self.apply_vertex(v) for v in face_vertices(f))
+        """Map three times the centroid; its residue mod 3 gives the orientation.
+
+        Three times the centroid of Up(x, y) is (3x+1, 3y+1) and of
+        Down(x, y) is (3x+2, 3y+2), so the image face is read off directly.
+        """
+        k = 1 if f.up else 2
+        a, b = self._linear(3 * f.x + k, 3 * f.y + k)
+        a += 3 * self.tx
+        b += 3 * self.ty
+        r = a % 3
+        return Face((a - r) // 3, (b - r) // 3, r == 1)
 
     def apply_edge(self, e: Edge) -> Edge:
         p, q = edge_vertices(e)

@@ -58,11 +58,6 @@ class Embedding(NamedTuple):
     start: int
     direction: int
 
-    def covered_arcs(self) -> frozenset:
-        if self.direction > 0:
-            return frozenset((self.start + i) % 6 for i in range(3))
-        return frozenset((self.start - 1 - i) % 6 for i in range(3))
-
 
 class RootRecord(NamedTuple):
     domain: RootDomain

@@ -1,7 +1,12 @@
 """Strip catalog, special puzzles, isomorphism, catalog embedding."""
 
-import pytest
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ringlab import catalog
 from ringlab.catalog import (
     INTERFACE_DELTAS,
     assemble,
@@ -52,6 +57,12 @@ def test_get_strip_rejects_unknown_index():
 def test_interface_table_matches_frozen_data():
     for height in (1, 2):
         assert derive_interface_table(height) == INTERFACE_DELTAS[height]
+
+
+def test_compatible_words_need_a_row():
+    for rows in (0, -1):
+        with pytest.raises(ValueError):
+            compatible_words(1, rows)
 
 
 def test_no_strip_stacks_on_itself():
@@ -136,6 +147,17 @@ def test_special_puzzle_rejects_bad_arguments():
         special_puzzle(1, 0)
 
 
+def test_special_puzzle_rejects_an_undetermined_ball(monkeypatch):
+    # a propagation that forces nothing leaves the ball open
+    special_puzzle.cache_clear()
+    monkeypatch.setattr(catalog, "propagate", lambda cfg: cfg)
+    try:
+        with pytest.raises(ValueError, match="does not determine"):
+            special_puzzle(2, 2)
+    finally:
+        special_puzzle.cache_clear()
+
+
 def test_isomorphic_finds_label_preserving_transforms():
     cfg = special_puzzle(5, 2)
     g = Isometry(2, False, 3, 0)
@@ -184,3 +206,40 @@ def test_catalog_embedding_kinds():
             assert set(found) <= {"kind", "word", "index"}
     assert kinds <= {"strip-h1", "strip-h2", "special"}
     assert kinds
+
+
+@lru_cache(maxsize=None)
+def _radius2_completions():
+    return enumerate_completions(make_config({up(0, 0): 0}, window=ball(up(0, 0), 2)))
+
+
+label_isometries = st.builds(
+    lambda rot, ref, ty, k: Isometry(rot, ref, ty + 3 * k, ty),
+    rot=st.sampled_from((0, 2, 4)),
+    ref=st.booleans(),
+    ty=st.integers(-4, 4),
+    k=st.integers(-2, 2),
+)
+patches = st.one_of(
+    st.integers(1, 12).map(lambda i: special_puzzle(i, 2)),
+    st.integers(0, 195).map(lambda i: _radius2_completions()[i]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(patches, label_isometries)
+def test_isomorphic_recovers_any_label_preserving_move(c, g):
+    moved = transform_config(c, g)
+    h = isomorphic(c, moved)
+    assert h is not None
+    assert transform_config(c, h).marks == moved.marks
+
+
+@settings(max_examples=60, deadline=None)
+@given(patches, label_isometries)
+def test_catalog_embedding_is_isometry_invariant(c, g):
+    before = embeds_in_catalog(c)
+    after = embeds_in_catalog(transform_config(c, g), center=g.apply_face(up(0, 0)))
+    assert (after is None) == (before is None)
+    if before is not None:
+        assert after["kind"] == before["kind"]

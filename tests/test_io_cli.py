@@ -244,6 +244,24 @@ def test_cli_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("rows", ["0", "-1"])
+def test_cli_strip_without_rows_exits_two(capsys, rows):
+    rc = cli.main(["strip", "--height", "1", "--index", "1", "--rows", rows])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_internal_error_exits_two(monkeypatch, capsys):
+    def broken(*args):
+        raise IndexError("boom")
+
+    monkeypatch.setattr(cli, "get_strip", broken)
+    rc = cli.main(["strip", "--height", "1", "--index", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: IndexError: boom\n"
+
+
 def test_cli_report_matches_library(capsys):
     rc, out = run_cli(capsys, "report", "2")
     assert rc == 0

@@ -17,7 +17,6 @@ from ringlab.lattice import (
     edge_from_vertices,
     edge_vertices,
     face_edges,
-    face_from_vertices,
     face_neighbors,
     face_vertices,
     incident_edges,
@@ -57,11 +56,6 @@ def test_face_vertices_and_edges():
     assert all(e in face_edges(f) for e in (Edge(0, 0, 0), Edge(0, 0, 1), Edge(0, 0, 2)))
     g = down(0, 0)
     assert set(face_vertices(g)) == {(1, 0), (0, 1), (1, 1)}
-
-
-@given(faces)
-def test_face_from_vertices_round_trip(f):
-    assert face_from_vertices(face_vertices(f)) == f
 
 
 @given(edges)
