@@ -1,9 +1,31 @@
-"""Partial configurations: checking, propagation, enumeration, dead ends."""
+"""Partial configurations: checking, propagation, enumeration, dead ends.
+
+`propagate`, `enumerate_completions` and `has_completion` share one private
+kernel, `_Kernel`, built per call over the window at hand:
+
+- faces and vertices get integer indices; each face lists its three
+  (vertex, sector) sites and each vertex its link faces in the window;
+- each vertex keeps its link word as a base-4 code (3 = unmarked), updated
+  in place, and that code's per-sector label bitmasks, read from a table
+  per (mode, s) that `rings.sector_options` fills on first use;
+- propagation is a worklist (AC-3 style): after an assignment only the
+  unassigned faces around the vertices whose code changed are re-examined,
+  and a face is forced when exactly one label keeps all three of its
+  vertices matched;
+- depth-first search assigns on a trail and undoes back to a trail mark,
+  so a search node copies nothing.
+
+The forcing rule does not depend on the order faces are examined in, so
+the propagated fixed point and every completion set are the same as a
+full-sweep propagation would give; only which contradiction is reported
+first may differ.
+"""
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import (
@@ -13,12 +35,13 @@ from .lattice import (
     centroid3,
     face_vertices,
     link_faces,
+    link_sector,
     norm2,
     up,
     window_vertices,
 )
 from .labeling import vertex_s
-from .rings import DEFAULT_MODE, match_link
+from .rings import DEFAULT_MODE, match_link, sector_options
 
 VALID = "Valid"
 CONTRADICTION = "Contradiction"
@@ -83,22 +106,177 @@ def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
     return Verdict(VALID, (), ())
 
 
-def _admissible(
-    marks: Dict[Face, int], f: Face, mode: str
-) -> frozenset:
-    """Labels for f compatible with some ring match at each of its vertices."""
-    allowed = frozenset((0, 1, 2))
-    for v in face_vertices(f):
-        faces = link_faces(v)
-        word = tuple(marks.get(g) for g in faces)
-        k = faces.index(f)
-        opts = frozenset(
-            m.ring.faces[m.arc(k)] for m in match_link(word, vertex_s(v), mode)
-        )
-        allowed &= opts
-        if not allowed:
-            break
-    return allowed
+class _MaskTable(dict):
+    """Per-sector label bitmasks of every link code of one (mode, s), filled on use.
+
+    A link code packs a link word in base 4, sector k in bits 2k and 2k+1,
+    with 3 for an unmarked sector.  Its value holds, per sector, a bitmask
+    of the labels some surviving ring match realizes there (bit l for label
+    l), or None when no ring matches the word.
+    """
+
+    def __init__(self, mode: str, s: int):
+        super().__init__()
+        self.mode = mode
+        self.s = s
+
+    def __missing__(self, code: int) -> Optional[Tuple[int, ...]]:
+        digits = [(code >> (2 * k)) & 3 for k in range(6)]
+        word = tuple(None if d == 3 else d for d in digits)
+        opts = sector_options(word, self.s, self.mode)
+        masks = tuple(sum(1 << l for l in o) for o in opts) if opts[0] else None
+        self[code] = masks
+        return masks
+
+
+@lru_cache(maxsize=None)
+def _mask_table(mode: str, s: int) -> _MaskTable:
+    return _MaskTable(mode, s)
+
+
+_UNMARKED_LINK = 4**6 - 1
+_FORCED = {1: 0, 2: 1, 4: 2}  # single-label bitmask -> label
+
+
+class _Kernel:
+    """Propagation and depth-first search over one indexed window.
+
+    See the module docstring for the design.  The search assigns free faces
+    in the order the faces are given.  Construction propagates the given
+    marks; `failure` is then None or the (vertex, reason) witness of the
+    contradiction found.
+    """
+
+    def __init__(self, faces: Sequence[Face], marks: Dict[Face, int], mode: str):
+        index = {f: i for i, f in enumerate(faces)}
+        vertex_index: Dict[Vertex, int] = {}
+        sites = []
+        for f in faces:
+            row = []
+            for v in face_vertices(f):
+                w = vertex_index.setdefault(v, len(vertex_index))
+                row.append((w, link_sector(v, f)))
+            sites.append(tuple(row))
+        self.faces = tuple(faces)
+        self.vertices = tuple(vertex_index)
+        self.sites = sites
+        self.around = [
+            tuple(index[g] for g in link_faces(v) if g in index) for v in self.vertices
+        ]
+        self.tables = [_mask_table(mode, vertex_s(v)) for v in self.vertices]
+        self.code = [_UNMARKED_LINK] * len(self.vertices)
+        self.label = [-1] * len(faces)
+        for f, l in marks.items():
+            g = index[f]
+            self.label[g] = l
+            for w, k in sites[g]:
+                self.code[w] -= (3 - l) << 2 * k
+        self.masks = [t[c] for t, c in zip(self.tables, self.code)]
+        self.trail: List[int] = []
+        self.failure: Optional[Tuple[Vertex, str]] = None
+        dead = next((w for w, m in enumerate(self.masks) if m is None), None)
+        if dead is not None:
+            v = self.vertices[dead]
+            self.failure = (v, f"no ring matches the link at {v}")
+            return
+        g = self._fixpoint(list(range(len(self.vertices))))
+        if g is not None:
+            f = self.faces[g]
+            self.failure = (face_vertices(f)[0], f"no admissible label for {f}")
+
+    def marks(self) -> Dict[Face, int]:
+        return {f: l for f, l in zip(self.faces, self.label) if l >= 0}
+
+    def _allowed(self, g: int) -> int:
+        masks = self.masks
+        (a, ka), (b, kb), (c, kc) = self.sites[g]
+        return masks[a][ka] & masks[b][kb] & masks[c][kc]
+
+    def _assign(self, g: int, l: int, queue: List[int]) -> None:
+        """Mark face g with l and queue its vertices.
+
+        l must be an admissible label of g, so each vertex of g keeps a
+        ring match and no mask becomes None.
+        """
+        code, masks, tables = self.code, self.masks, self.tables
+        self.label[g] = l
+        self.trail.append(g)
+        for w, k in self.sites[g]:
+            c = code[w] = code[w] - ((3 - l) << 2 * k)
+            masks[w] = tables[w][c]
+            queue.append(w)
+
+    def _fixpoint(self, queue: List[int]) -> Optional[int]:
+        """Force faces around the queued vertices until nothing moves.
+
+        Returns a face left with no admissible label, or None.
+        """
+        label, masks, sites, around = self.label, self.masks, self.sites, self.around
+        while queue:
+            for g in around[queue.pop()]:
+                if label[g] >= 0:
+                    continue
+                (a, ka), (b, kb), (c, kc) = sites[g]
+                allowed = masks[a][ka] & masks[b][kb] & masks[c][kc]
+                if allowed not in _FORCED:
+                    if allowed:
+                        continue
+                    return g
+                self._assign(g, _FORCED[allowed], queue)
+        return None
+
+    def _undo(self, mark: int) -> None:
+        code, masks, tables, label, trail = (
+            self.code, self.masks, self.tables, self.label, self.trail)
+        while len(trail) > mark:
+            g = trail.pop()
+            l = label[g]
+            label[g] = -1
+            for w, k in self.sites[g]:
+                c = code[w] = code[w] + ((3 - l) << 2 * k)
+                masks[w] = tables[w][c]
+
+    def search(self, stop_at: Optional[int] = None) -> List[Dict[Face, int]]:
+        """Total markings of the faces, at most stop_at of them."""
+        found: List[Tuple[int, ...]] = []
+        if self.failure is None:
+            self._search(0, found, stop_at)
+        return [dict(zip(self.faces, labels)) for labels in found]
+
+    def _next_free(self, pos: int) -> int:
+        label = self.label
+        while pos < len(label) and label[pos] >= 0:
+            pos += 1
+        return pos
+
+    def _search(self, pos: int, found: list, stop_at: Optional[int]) -> None:
+        pos = self._next_free(pos)
+        if pos == len(self.label):
+            found.append(tuple(self.label))
+            return
+        allowed = self._allowed(pos)
+        for l in (0, 1, 2):
+            if stop_at is not None and len(found) >= stop_at:
+                return
+            if not allowed >> l & 1:
+                continue
+            mark = len(self.trail)
+            queue: List[int] = []
+            self._assign(pos, l, queue)
+            if self._fixpoint(queue) is None:
+                self._search(pos + 1, found, stop_at)
+            self._undo(mark)
+
+    def branches(self) -> List[Dict[Face, int]]:
+        """The root's marks with each admissible label of its first free face."""
+        if self.failure is not None:
+            return []
+        root = self.marks()
+        pos = self._next_free(0)
+        if pos == len(self.label):
+            return [root]
+        allowed = self._allowed(pos)
+        return [{**root, self.faces[pos]: l} for l in (0, 1, 2) if allowed >> l & 1]
 
 
 def propagate(
@@ -113,31 +291,11 @@ def propagate(
     or a face loses all labels.
     """
     scope = frozenset(within) if within is not None else config.window
-    marks = dict(config.marks)
-    _propagate_marks(marks, scope, mode)
-    return Configuration(scope | config.window, marks, config.period)
-
-
-def _propagate_marks(marks: Dict[Face, int], scope: frozenset, mode: str) -> None:
-    """In-place fixed point of the forcing rule; raises Contradiction."""
-    while True:
-        for v in window_vertices(marks):
-            if not match_link(link_word(marks, v), vertex_s(v), mode):
-                raise Contradiction([(v, f"no ring matches the link at {v}")])
-        changed = False
-        for f in sorted(scope):
-            if f in marks:
-                continue
-            allowed = _admissible(marks, f, mode)
-            if not allowed:
-                raise Contradiction(
-                    [(face_vertices(f)[0], f"no admissible label for {f}")]
-                )
-            if len(allowed) == 1:
-                marks[f] = next(iter(allowed))
-                changed = True
-        if not changed:
-            return
+    faces = sorted(scope) + sorted(set(config.marks) - scope)
+    kernel = _Kernel(faces, config.marks, mode)
+    if kernel.failure is not None:
+        raise Contradiction([kernel.failure])
+    return Configuration(scope | config.window, kernel.marks(), config.period)
 
 
 def _search_order(target: frozenset) -> Tuple[Face, ...]:
@@ -153,30 +311,13 @@ def _search_order(target: frozenset) -> Tuple[Face, ...]:
     return tuple(sorted(target, key=key))
 
 
-def _dfs(
-    marks: Dict[Face, int],
-    order: Tuple[Face, ...],
-    scope: frozenset,
-    mode: str,
-    out: List[Dict[Face, int]],
-    stop_at: Optional[int] = None,
-) -> None:
-    try:
-        _propagate_marks(marks, scope, mode)
-    except Contradiction:
-        return
-    nxt = next((f for f in order if f not in marks), None)
-    if nxt is None:
-        out.append(marks)
-        return
-    for label in (0, 1, 2):
-        if stop_at is not None and len(out) >= stop_at:
-            return
-        if label not in _admissible(marks, nxt, mode):
-            continue
-        child = dict(marks)
-        child[nxt] = label
-        _dfs(child, order, scope, mode, out, stop_at)
+def _target(config: Configuration, target_window: Optional[Iterable[Face]]) -> frozenset:
+    target = (
+        frozenset(target_window) if target_window is not None else config.window
+    )
+    if not target >= config.window:
+        raise ValueError("target window must contain the configuration window")
+    return target
 
 
 def enumerate_completions(
@@ -188,44 +329,18 @@ def enumerate_completions(
     """All total markings of the target window extending the configuration.
 
     The result is sorted by the marking itself, so it does not depend on
-    search order or thread count.
+    search order or thread count.  With threads > 1, each branch of the
+    root's first free face is searched by its own kernel in a thread pool.
     """
-    target = (
-        frozenset(target_window) if target_window is not None else config.window
-    )
-    if not target >= config.window:
-        raise ValueError("target window must contain the configuration window")
+    target = _target(config, target_window)
     order = _search_order(target)
-    found: List[Dict[Face, int]] = []
     if threads <= 1:
-        _dfs(dict(config.marks), order, target, mode, found)
+        found = _Kernel(order, config.marks, mode).search()
     else:
-        root = dict(config.marks)
-        try:
-            _propagate_marks(root, target, mode)
-        except Contradiction:
-            root = None
-        if root is not None:
-            nxt = next((f for f in order if f not in root), None)
-            if nxt is None:
-                found.append(root)
-            else:
-                branches = []
-                for label in (0, 1, 2):
-                    if label in _admissible(root, nxt, mode):
-                        child = dict(root)
-                        child[nxt] = label
-                        branches.append(child)
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    parts: List[List[Dict[Face, int]]] = [[] for _ in branches]
-                    futures = [
-                        pool.submit(_dfs, b, order, target, mode, parts[i])
-                        for i, b in enumerate(branches)
-                    ]
-                    for fut in futures:
-                        fut.result()
-                for part in parts:
-                    found.extend(part)
+        branches = _Kernel(order, config.marks, mode).branches()
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda b: _Kernel(order, b, mode).search(), branches))
+        found = [m for part in parts for m in part]
     ordered_faces = tuple(sorted(target))
     found.sort(key=lambda m: tuple(m[f] for f in ordered_faces))
     return [
@@ -239,13 +354,8 @@ def has_completion(
     mode: str = DEFAULT_MODE,
 ) -> bool:
     """Whether at least one completion of the target window exists."""
-    target = frozenset(target_window)
-    if not target >= config.window:
-        raise ValueError("target window must contain the configuration window")
-    order = _search_order(target)
-    found: List[Dict[Face, int]] = []
-    _dfs(dict(config.marks), order, target, mode, found, stop_at=1)
-    return bool(found)
+    target = _target(config, target_window)
+    return bool(_Kernel(_search_order(target), config.marks, mode).search(stop_at=1))
 
 
 def dead_end_report(

@@ -1,14 +1,21 @@
 """Constraint engine: checking, propagation, enumeration, dead ends."""
 
+import gc
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab.configio import data_text, parse_config
+from ringlab import engine
+from ringlab.catalog import special_puzzle
+from ringlab.configio import data_text, parse_config, serialize_config
 from ringlab.engine import (
     CONTRADICTION,
     INCOMPLETE,
     VALID,
+    Contradiction,
     check,
     dead_end_report,
     enumerate_completions,
@@ -17,7 +24,15 @@ from ringlab.engine import (
     make_config,
     propagate,
 )
-from ringlab.lattice import ball, down, up
+from ringlab.lattice import (
+    ball,
+    down,
+    face_neighbors,
+    face_vertices,
+    up,
+    window_vertices,
+)
+from ringlab.rings import MODE_ROT, MODE_ROT_REF
 
 INITIAL_WINDOW = frozenset({up(0, 0), down(0, -1), down(-1, 0), down(0, 0)})
 
@@ -142,3 +157,97 @@ def test_completions_of_one_mark_are_valid(label, pick):
     c = comps[pick % len(comps)]
     assert check(c).status == VALID
     assert c.marks[up(0, 0)] == label
+
+
+def test_propagate_names_a_dead_vertex():
+    # the all-zero trio around Up(0,0) leaves no ring at one of its vertices
+    marks = {up(0, 0): 0, down(0, -1): 0, down(-1, 0): 0, down(0, 0): 0}
+    with pytest.raises(Contradiction) as info:
+        propagate(make_config(marks))
+    [(v, reason)] = info.value.witnesses
+    assert v in window_vertices(marks)
+    assert reason == f"no ring matches the link at {v}"
+
+
+def test_propagate_names_a_face_without_labels():
+    # every vertex still matches a ring, but no label of Up(0,0) suits all three
+    marks = {down(-1, 0): 2, down(0, -1): 1, down(0, 0): 0}
+    assert check(make_config(marks)).status == VALID
+    with pytest.raises(Contradiction) as info:
+        propagate(make_config(marks), within=[up(0, 0)])
+    [(v, reason)] = info.value.witnesses
+    assert v == face_vertices(up(0, 0))[0]
+    assert v in window_vertices(marks)
+    assert reason == f"no admissible label for {up(0, 0)}"
+
+
+# SHA-256 of the twelve radius-9 special puzzles, serialized and concatenated,
+# as the full-sweep propagation of earlier versions produced them.
+SPECIAL_PUZZLES_R9_SHA256 = (
+    "3b02be2c4241f5c5749df82406cfeb3d30a87a528611530c0dab455db5ebb390"
+)
+
+
+def test_propagated_special_puzzles_are_byte_stable():
+    text = "".join(serialize_config(special_puzzle(i, 9)) for i in range(1, 13))
+    assert hashlib.sha256(text.encode()).hexdigest() == SPECIAL_PUZZLES_R9_SHA256
+
+
+def test_no_kernel_outlives_its_call():
+    seed = make_config({up(0, 0): 0}, window=INITIAL_WINDOW)
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_completions(seed, ball(up(0, 0), 1))
+        enumerate_completions(seed, ball(up(0, 0), 1), threads=2)
+        has_completion(seed, ball(up(0, 0), 2))
+        propagate(seed)
+        with pytest.raises(Contradiction):
+            propagate(make_config({up(0, 0): 0, down(0, -1): 0, down(-1, 0): 0,
+                                   down(0, 0): 0}))
+        alive = [o for o in gc.get_objects() if isinstance(o, engine._Kernel)]
+    finally:
+        gc.enable()
+    assert alive == []
+
+
+BALL2 = frozenset(ball(up(0, 0), 2))
+
+
+@st.composite
+def small_windows(draw):
+    """An edge-connected window of at most 8 faces of the radius-2 ball,
+    partially marked."""
+    size = draw(st.integers(1, 8))
+    window = [draw(st.sampled_from(sorted(BALL2)))]
+    while len(window) < size:
+        grow = {g for f in window for g in face_neighbors(f)} & BALL2
+        window.append(draw(st.sampled_from(sorted(grow - set(window)))))
+    labels = draw(st.lists(st.sampled_from((None, None, 0, 1, 2)),
+                           min_size=len(window), max_size=len(window)))
+    marks = {f: l for f, l in zip(window, labels) if l is not None}
+    return make_config(marks, window=window)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_windows(), st.sampled_from((MODE_ROT, MODE_ROT_REF)), st.sampled_from((1, 2)))
+def test_search_and_propagation_agree_with_brute_force(cfg, mode, threads):
+    free = sorted(cfg.window - set(cfg.marks))
+    brute = []
+    for labels in itertools.product((0, 1, 2), repeat=len(free)):
+        total = make_config({**cfg.marks, **dict(zip(free, labels))}, window=cfg.window)
+        if check(total, mode).status == VALID:
+            brute.append(total.marks)
+    comps = enumerate_completions(cfg, mode=mode, threads=threads)
+    assert sorted(sorted(c.marks.items()) for c in comps) == sorted(
+        sorted(m.items()) for m in brute
+    )
+    assert has_completion(cfg, cfg.window, mode=mode) == bool(brute)
+    try:
+        forced = propagate(cfg, mode=mode)
+    except Contradiction:
+        assert brute == []
+        return
+    assert forced.window == cfg.window
+    for f, l in forced.marks.items():
+        assert all(m[f] == l for m in brute)
