@@ -7,7 +7,6 @@ Exit codes: 0 success (Valid / true), 1 Contradiction or negative answer,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections import Counter
 from typing import Optional
@@ -360,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads for enumeration (default: all cores)",
+        default=1,
+        help="worker threads for enumeration (default: %(default)s)",
     )
     parser.add_argument(
         "--json", action="store_true", help="machine-readable output"

@@ -26,6 +26,7 @@ from .lattice import (
     opposite_axis_at_vertex,
     vertices_within,
 )
+from .kernel import Kernel, Table
 from .labeling import vertex_s
 from .rings import DEFAULT_MODE, rank_axis
 
@@ -114,26 +115,28 @@ def induced_distribution(config, mode: str = DEFAULT_MODE) -> Distribution:
     return make_distribution(axis)
 
 
-def _allowed_axes(
-    axis: Dict[Vertex, int], v: Vertex, faces_at: Dict[Vertex, List[Face]]
-) -> Tuple[Set[int], Optional[Face]]:
-    """Admissible axes at v plus the face that emptied the set, if any."""
-    allowed = set(AXES)
-    for f in faces_at[v]:
-        others = [u for u in face_vertices(f) if u != v]
-        if any(u not in axis for u in others):
-            continue
-        count = sum(
-            1 for u in others if axis[u] != opposite_axis_at_vertex(f, u)
-        )
-        opp = opposite_axis_at_vertex(f, v)
-        if count % 2 == 1:
-            allowed &= {opp}
-        else:
-            allowed -= {opp}
-        if not allowed:
-            return allowed, f
-    return allowed, None
+@lru_cache(maxsize=None)
+def _parity_table(opposite: Tuple[int, int, int]) -> Table:
+    """The table of a face whose corners have these opposite-side axes:
+    it accepts the axis triples with an odd number of rank-2 corners."""
+    return Table(3, lambda axes: sum(a != o for a, o in zip(axes, opposite)) % 2 == 1)
+
+
+def _parity_kernel(
+    window: Iterable[Vertex], axis: Dict[Vertex, int]
+) -> Tuple[List[Vertex], List[Face], Kernel]:
+    """The window's vertices as kernel variables over its interior faces'
+    parity constraints, with the given axes propagated."""
+    vertices = sorted(window)
+    index = {v: g for g, v in enumerate(vertices)}
+    faces = interior_faces(vertices)
+    scopes = [[index[v] for v in face_vertices(f)] for f in faces]
+    tables = [
+        _parity_table(tuple(opposite_axis_at_vertex(f, v) for v in face_vertices(f)))
+        for f in faces
+    ]
+    given = {index[v]: a for v, a in axis.items()}
+    return vertices, faces, Kernel(len(vertices), scopes, tables, given)
 
 
 def dist_propagate(
@@ -142,59 +145,34 @@ def dist_propagate(
     """Assign every vertex whose axis is forced by keeping all faces Odd.
 
     With refute=True, a stalled propagation additionally rules out candidate
-    axes whose one-step consequences contradict, which is enough to rebuild
-    the special distribution from its seed.
+    axes whose consequences under propagation contradict, which is enough
+    to rebuild the special distribution from its seed.  Raises
+    DistContradiction when a given face is Even or a vertex is left with
+    no admissible axis.
     """
-    window = dist.window
-    faces = interior_faces(window)
-    faces_at: Dict[Vertex, List[Face]] = {v: [] for v in window}
-    for f in faces:
-        for v in face_vertices(f):
-            faces_at[v].append(f)
-    axis = dict(dist.axis)
-
-    def sweep(ax: Dict[Vertex, int]) -> bool:
-        changed = False
-        for v in sorted(window):
-            if v in ax:
+    vertices, faces, kernel = _parity_kernel(dist.window, dist.axis)
+    if kernel.failure is not None:
+        c, g = kernel.failure
+        f = faces[c]
+        if g is None:
+            raise DistContradiction(face_vertices(f)[0], f"face {f} is {EVEN}", f)
+        v = vertices[g]
+        raise DistContradiction(v, f"no admissible axis at {v} (face {f})", f)
+    progress = refute
+    while progress:
+        progress = False
+        for g, v in enumerate(vertices):
+            if kernel.label[g] >= 0:
                 continue
-            allowed, witness = _allowed_axes(ax, v, faces_at)
-            if not allowed:
-                raise DistContradiction(
-                    v, f"no admissible axis at {v} (face {witness})", witness
-                )
-            if len(allowed) == 1:
-                ax[v] = allowed.pop()
-                changed = True
-        return changed
-
-    while sweep(axis):
-        pass
-    if refute:
-        progress = True
-        while progress:
-            progress = False
-            for v in sorted(window):
-                if v in axis:
-                    continue
-                survivors = []
-                for a in sorted(_allowed_axes(axis, v, faces_at)[0]):
-                    trial = dict(axis)
-                    trial[v] = a
-                    try:
-                        while sweep(trial):
-                            pass
-                    except DistContradiction:
-                        continue
-                    survivors.append(a)
-                if not survivors:
-                    raise DistContradiction(v, f"no admissible axis at {v}")
-                if len(survivors) == 1:
-                    axis[v] = survivors[0]
-                    while sweep(axis):
-                        pass
-                    progress = True
-    return Distribution(window, axis)
+            allowed = kernel.allowed(g)
+            survivors = [a for a in AXES if allowed >> a & 1 and kernel.probe(g, a)]
+            if not survivors:
+                raise DistContradiction(v, f"no admissible axis at {v}")
+            if len(survivors) == 1:
+                kernel.assign(g, survivors[0])
+                progress = True
+    axis = {v: a for v, a in zip(vertices, kernel.label) if a >= 0}
+    return Distribution(dist.window, axis)
 
 
 def build_D0(window: Iterable[Vertex]) -> Distribution:
@@ -390,14 +368,6 @@ def verify_lemma_L3(n: int = 4) -> dict:
     length-3 segment, either inside the window or forced on a one-ring
     enlargement."""
     grid = {(x, y) for x in range(n) for y in range(n)}
-    faces = interior_faces(grid)
-    order = sorted(grid)
-    faces_done_at: List[List[Face]] = [[] for _ in order]
-    idx = {v: i for i, v in enumerate(order)}
-    for f in faces:
-        last = max(idx[v] for v in face_vertices(f))
-        faces_done_at[last].append(f)
-
     results = {
         "assignments": 0,
         "with_segment": 0,
@@ -407,41 +377,20 @@ def verify_lemma_L3(n: int = 4) -> dict:
     }
     enlarged = frozenset(vertices_within(grid, 1))
 
-    def handle(axis: Dict[Vertex, int]) -> None:
+    vertices, _, kernel = _parity_kernel(grid, {})
+    for axes in kernel.search():
+        axis = dict(zip(vertices, axes))
         results["assignments"] += 1
         if _has_rank32_segment(axis, grid):
             results["with_segment"] += 1
-            return
+            continue
         try:
-            bigger = dist_propagate(Distribution(enlarged, dict(axis)))
+            bigger = dist_propagate(Distribution(enlarged, axis))
         except DistContradiction:
             results["unextendable"] += 1
-            return
+            continue
         if _has_rank32_segment(bigger.axis, set(enlarged)):
             results["forced_on_enlargement"] += 1
         else:
             results["counterexamples"].append(sorted(axis.items()))
-
-    def rec(i: int, axis: Dict[Vertex, int]) -> None:
-        if i == len(order):
-            handle(dict(axis))
-            return
-        v = order[i]
-        for a in AXES:
-            axis[v] = a
-            ok = True
-            for f in faces_done_at[i]:
-                cnt = sum(
-                    1
-                    for u in face_vertices(f)
-                    if axis[u] != opposite_axis_at_vertex(f, u)
-                )
-                if cnt % 2 == 0:
-                    ok = False
-                    break
-            if ok:
-                rec(i + 1, axis)
-        del axis[v]
-
-    rec(0, {})
     return results

@@ -1,24 +1,10 @@
 """Partial configurations: checking, propagation, enumeration, dead ends.
 
-`propagate`, `enumerate_completions` and `has_completion` share one private
-kernel, `_Kernel`, built per call over the window at hand:
-
-- faces and vertices get integer indices; each face lists its three
-  (vertex, sector) sites and each vertex its link faces in the window;
-- each vertex keeps its link word as a base-4 code (3 = unmarked), updated
-  in place, and that code's per-sector label bitmasks, read from a table
-  per (mode, s) that `rings.sector_options` fills on first use;
-- propagation is a worklist (AC-3 style): after an assignment only the
-  unassigned faces around the vertices whose code changed are re-examined,
-  and a face is forced when exactly one label keeps all three of its
-  vertices matched;
-- depth-first search assigns on a trail and undoes back to a trail mark,
-  so a search node copies nothing.
-
-The forcing rule does not depend on the order faces are examined in, so
-the propagated fixed point and every completion set are the same as a
-full-sweep propagation would give; only which contradiction is reported
-first may differ.
+`propagate`, `enumerate_completions` and `has_completion` run on
+`kernel.Kernel` (see that module for the design), built per call over the
+window at hand: faces are its variables, and every vertex is one ring
+constraint whose table accepts the legal words of its family s.  `check`
+reads the same tables through each vertex's link code.
 """
 
 from __future__ import annotations
@@ -35,13 +21,13 @@ from .lattice import (
     centroid3,
     face_vertices,
     link_faces,
-    link_sector,
     norm2,
     up,
     window_vertices,
 )
+from .kernel import Kernel, Table, pack
 from .labeling import vertex_s
-from .rings import DEFAULT_MODE, match_link, sector_options
+from .rings import DEFAULT_MODE, legal_words
 
 VALID = "Valid"
 CONTRADICTION = "Contradiction"
@@ -95,8 +81,7 @@ def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
     """Ring-match every vertex touched by a mark; partial links use wildcards."""
     witnesses = []
     for v in sorted(window_vertices(config.marks)):
-        word = link_word(config.marks, v)
-        if not match_link(word, vertex_s(v), mode):
+        if _ring_table(mode, vertex_s(v))[pack(link_word(config.marks, v))] is None:
             witnesses.append((v, f"no ring matches the link at {v}"))
     if witnesses:
         return Verdict(CONTRADICTION, tuple(witnesses), ())
@@ -106,177 +91,21 @@ def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
     return Verdict(VALID, (), ())
 
 
-class _MaskTable(dict):
-    """Per-sector label bitmasks of every link code of one (mode, s), filled on use.
-
-    A link code packs a link word in base 4, sector k in bits 2k and 2k+1,
-    with 3 for an unmarked sector.  Its value holds, per sector, a bitmask
-    of the labels some surviving ring match realizes there (bit l for label
-    l), or None when no ring matches the word.
-    """
-
-    def __init__(self, mode: str, s: int):
-        super().__init__()
-        self.mode = mode
-        self.s = s
-
-    def __missing__(self, code: int) -> Optional[Tuple[int, ...]]:
-        digits = [(code >> (2 * k)) & 3 for k in range(6)]
-        word = tuple(None if d == 3 else d for d in digits)
-        opts = sector_options(word, self.s, self.mode)
-        masks = tuple(sum(1 << l for l in o) for o in opts) if opts[0] else None
-        self[code] = masks
-        return masks
-
-
 @lru_cache(maxsize=None)
-def _mask_table(mode: str, s: int) -> _MaskTable:
-    return _MaskTable(mode, s)
+def _ring_table(mode: str, s: int) -> Table:
+    """The link table of family s: it accepts the words some ring map matches."""
+    words = frozenset(w for t, w in legal_words(mode) if t == s)
+    return Table(6, words.__contains__)
 
 
-_UNMARKED_LINK = 4**6 - 1
-_FORCED = {1: 0, 2: 1, 4: 2}  # single-label bitmask -> label
-
-
-class _Kernel:
-    """Propagation and depth-first search over one indexed window.
-
-    See the module docstring for the design.  The search assigns free faces
-    in the order the faces are given.  Construction propagates the given
-    marks; `failure` is then None or the (vertex, reason) witness of the
-    contradiction found.
-    """
-
-    def __init__(self, faces: Sequence[Face], marks: Dict[Face, int], mode: str):
-        index = {f: i for i, f in enumerate(faces)}
-        vertex_index: Dict[Vertex, int] = {}
-        sites = []
-        for f in faces:
-            row = []
-            for v in face_vertices(f):
-                w = vertex_index.setdefault(v, len(vertex_index))
-                row.append((w, link_sector(v, f)))
-            sites.append(tuple(row))
-        self.faces = tuple(faces)
-        self.vertices = tuple(vertex_index)
-        self.sites = sites
-        self.around = [
-            tuple(index[g] for g in link_faces(v) if g in index) for v in self.vertices
-        ]
-        self.tables = [_mask_table(mode, vertex_s(v)) for v in self.vertices]
-        self.code = [_UNMARKED_LINK] * len(self.vertices)
-        self.label = [-1] * len(faces)
-        for f, l in marks.items():
-            g = index[f]
-            self.label[g] = l
-            for w, k in sites[g]:
-                self.code[w] -= (3 - l) << 2 * k
-        self.masks = [t[c] for t, c in zip(self.tables, self.code)]
-        self.trail: List[int] = []
-        self.failure: Optional[Tuple[Vertex, str]] = None
-        dead = next((w for w, m in enumerate(self.masks) if m is None), None)
-        if dead is not None:
-            v = self.vertices[dead]
-            self.failure = (v, f"no ring matches the link at {v}")
-            return
-        g = self._fixpoint(list(range(len(self.vertices))))
-        if g is not None:
-            f = self.faces[g]
-            self.failure = (face_vertices(f)[0], f"no admissible label for {f}")
-
-    def marks(self) -> Dict[Face, int]:
-        return {f: l for f, l in zip(self.faces, self.label) if l >= 0}
-
-    def _allowed(self, g: int) -> int:
-        masks = self.masks
-        (a, ka), (b, kb), (c, kc) = self.sites[g]
-        return masks[a][ka] & masks[b][kb] & masks[c][kc]
-
-    def _assign(self, g: int, l: int, queue: List[int]) -> None:
-        """Mark face g with l and queue its vertices.
-
-        l must be an admissible label of g, so each vertex of g keeps a
-        ring match and no mask becomes None.
-        """
-        code, masks, tables = self.code, self.masks, self.tables
-        self.label[g] = l
-        self.trail.append(g)
-        for w, k in self.sites[g]:
-            c = code[w] = code[w] - ((3 - l) << 2 * k)
-            masks[w] = tables[w][c]
-            queue.append(w)
-
-    def _fixpoint(self, queue: List[int]) -> Optional[int]:
-        """Force faces around the queued vertices until nothing moves.
-
-        Returns a face left with no admissible label, or None.
-        """
-        label, masks, sites, around = self.label, self.masks, self.sites, self.around
-        while queue:
-            for g in around[queue.pop()]:
-                if label[g] >= 0:
-                    continue
-                (a, ka), (b, kb), (c, kc) = sites[g]
-                allowed = masks[a][ka] & masks[b][kb] & masks[c][kc]
-                if allowed not in _FORCED:
-                    if allowed:
-                        continue
-                    return g
-                self._assign(g, _FORCED[allowed], queue)
-        return None
-
-    def _undo(self, mark: int) -> None:
-        code, masks, tables, label, trail = (
-            self.code, self.masks, self.tables, self.label, self.trail)
-        while len(trail) > mark:
-            g = trail.pop()
-            l = label[g]
-            label[g] = -1
-            for w, k in self.sites[g]:
-                c = code[w] = code[w] + ((3 - l) << 2 * k)
-                masks[w] = tables[w][c]
-
-    def search(self, stop_at: Optional[int] = None) -> List[Dict[Face, int]]:
-        """Total markings of the faces, at most stop_at of them."""
-        found: List[Tuple[int, ...]] = []
-        if self.failure is None:
-            self._search(0, found, stop_at)
-        return [dict(zip(self.faces, labels)) for labels in found]
-
-    def _next_free(self, pos: int) -> int:
-        label = self.label
-        while pos < len(label) and label[pos] >= 0:
-            pos += 1
-        return pos
-
-    def _search(self, pos: int, found: list, stop_at: Optional[int]) -> None:
-        pos = self._next_free(pos)
-        if pos == len(self.label):
-            found.append(tuple(self.label))
-            return
-        allowed = self._allowed(pos)
-        for l in (0, 1, 2):
-            if stop_at is not None and len(found) >= stop_at:
-                return
-            if not allowed >> l & 1:
-                continue
-            mark = len(self.trail)
-            queue: List[int] = []
-            self._assign(pos, l, queue)
-            if self._fixpoint(queue) is None:
-                self._search(pos + 1, found, stop_at)
-            self._undo(mark)
-
-    def branches(self) -> List[Dict[Face, int]]:
-        """The root's marks with each admissible label of its first free face."""
-        if self.failure is not None:
-            return []
-        root = self.marks()
-        pos = self._next_free(0)
-        if pos == len(self.label):
-            return [root]
-        allowed = self._allowed(pos)
-        return [{**root, self.faces[pos]: l} for l in (0, 1, 2) if allowed >> l & 1]
+def _kernel(faces: Sequence[Face], marks: Dict[Face, int], mode: str) -> Kernel:
+    """The faces as kernel variables under one ring constraint per vertex,
+    the vertices in sorted order."""
+    index = {f: g for g, f in enumerate(faces)}
+    vertices = sorted(window_vertices(faces))
+    scopes = [[index.get(f) for f in link_faces(v)] for v in vertices]
+    tables = [_ring_table(mode, vertex_s(v)) for v in vertices]
+    return Kernel(len(faces), scopes, tables, {index[f]: l for f, l in marks.items()})
 
 
 def propagate(
@@ -292,10 +121,16 @@ def propagate(
     """
     scope = frozenset(within) if within is not None else config.window
     faces = sorted(scope) + sorted(set(config.marks) - scope)
-    kernel = _Kernel(faces, config.marks, mode)
+    kernel = _kernel(faces, config.marks, mode)
     if kernel.failure is not None:
-        raise Contradiction([kernel.failure])
-    return Configuration(scope | config.window, kernel.marks(), config.period)
+        c, g = kernel.failure
+        if g is None:
+            v = sorted(window_vertices(faces))[c]
+            raise Contradiction([(v, f"no ring matches the link at {v}")])
+        f = faces[g]
+        raise Contradiction([(face_vertices(f)[0], f"no admissible label for {f}")])
+    marks = {f: l for f, l in zip(faces, kernel.label) if l >= 0}
+    return Configuration(scope | config.window, marks, config.period)
 
 
 def _search_order(target: frozenset) -> Tuple[Face, ...]:
@@ -334,17 +169,18 @@ def enumerate_completions(
     """
     target = _target(config, target_window)
     order = _search_order(target)
+    root = _kernel(order, config.marks, mode)
     if threads <= 1:
-        found = _Kernel(order, config.marks, mode).search()
+        found = root.search()
     else:
-        branches = _Kernel(order, config.marks, mode).branches()
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _Kernel(order, b, mode).search(), branches))
-        found = [m for part in parts for m in part]
+            parts = list(pool.map(Kernel.search, root.branches()))
+        found = [labels for part in parts for labels in part]
+    completions = [dict(zip(order, labels)) for labels in found]
     ordered_faces = tuple(sorted(target))
-    found.sort(key=lambda m: tuple(m[f] for f in ordered_faces))
+    completions.sort(key=lambda m: tuple(m[f] for f in ordered_faces))
     return [
-        Configuration(target, m, config.period) for m in found
+        Configuration(target, m, config.period) for m in completions
     ]
 
 
@@ -355,7 +191,7 @@ def has_completion(
 ) -> bool:
     """Whether at least one completion of the target window exists."""
     target = _target(config, target_window)
-    return bool(_Kernel(_search_order(target), config.marks, mode).search(stop_at=1))
+    return bool(_kernel(_search_order(target), config.marks, mode).search(stop_at=1))
 
 
 def dead_end_report(

@@ -1,0 +1,253 @@
+"""One propagation kernel for table constraints over the labels 0, 1, 2.
+
+The package's three local-constraint systems all run on `Kernel`:
+
+- `engine` (`propagate`, `enumerate_completions`, `has_completion`): faces
+  carry marks, and every vertex's link must read as a legal ring word;
+- `distributions.dist_propagate` and `verify_lemma_L3`: vertices carry
+  axes, and every interior face must stay Odd;
+- `labeling.derive_edge_labels`: edges carry labels, every face sees all
+  three labels, and the six edge labels around a vertex alternate between
+  two values.
+
+A client numbers its variables and constraints and gives, per constraint,
+its variables by position and a `Table`; each variable then lists its
+(constraint, position) sites, flat in one tuple, so a large window costs
+no object per site:
+
+- each constraint keeps its labels as a base-4 code (position k in bits 2k
+  and 2k+1, `UNSET` = 3 for a free position), updated in place, and the
+  code's per-position label bitmasks, read from its table;
+- a table fills a code on first use by testing the code's at most
+  3^arity completions against an accept predicate; None marks a dead code,
+  one no completion of which is accepted;
+- propagation is a worklist (AC-3 style, after Mackworth 1977): after an
+  assignment only the free variables of the constraints whose code changed
+  are re-examined, and a variable is forced when exactly one label is
+  allowed at all of its sites;
+- assignments go on a trail and are undone back to a trail mark (after the
+  MiniSat design, Een and Sorensson 2003), so a search node or a trial
+  probe copies nothing.
+
+The forcing rule does not depend on the order variables are examined in,
+so the propagated fixed point and every completion set are the same as a
+full-sweep propagation would give; only which contradiction is reported
+first may differ.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+UNSET = 3
+_FORCED = {1: 0, 2: 1, 4: 2}  # single-label bitmask -> label
+
+
+def pack(labels: Sequence[Optional[int]]) -> int:
+    """The code of a constraint's labels, None where a position is free."""
+    return sum((UNSET if l is None else l) << 2 * k for k, l in enumerate(labels))
+
+
+class Table(dict):
+    """Per-position label bitmasks of every code of one constraint, filled on use.
+
+    The value of a code holds, per position, a bitmask of the labels some
+    accepted completion has there (bit l for label l), or None when no
+    completion is accepted.
+    """
+
+    def __init__(self, arity: int, accept: Callable[[Tuple[int, ...]], bool]):
+        super().__init__()
+        self.arity = arity
+        self.accept = accept
+
+    def __missing__(self, code: int) -> Optional[Tuple[int, ...]]:
+        choices = []
+        for k in range(self.arity):
+            d = (code >> 2 * k) & 3
+            choices.append((0, 1, 2) if d == UNSET else (d,))
+        masks = [0] * self.arity
+        for word in filter(self.accept, product(*choices)):
+            for k, l in enumerate(word):
+                masks[k] |= 1 << l
+        value = tuple(masks) if masks[0] else None
+        self[code] = value
+        return value
+
+
+class Kernel:
+    """Propagation, probes and depth-first search over one indexed problem.
+
+    There are n variables; scopes[c] lists constraint c's variable at each
+    position, None where a position has none (it stays free), tables[c] is
+    its table, and given maps variables to their labels.  Construction
+    propagates the given labels.  `failure` is then None, or (c, None) when
+    constraint c accepts no completion of the given labels, or (c, g) when
+    constraint c left variable g without a label.  The search assigns free
+    variables in index order.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        scopes: Sequence[Sequence[Optional[int]]],
+        tables: Sequence[Table],
+        given: Dict[int, int],
+    ):
+        sites: List[Tuple[int, ...]] = [()] * n
+        for c, scope in enumerate(scopes):
+            for k, g in enumerate(scope):
+                if g is not None:
+                    sites[g] += (c, k)
+        self.scopes = scopes
+        self.sites = sites
+        self.around = [
+            scope if None not in scope else [g for g in scope if g is not None]
+            for scope in scopes
+        ]
+        self.tables = tables
+        self.code = [4**t.arity - 1 for t in tables]  # every position UNSET
+        self.label = [-1] * n
+        for g, l in given.items():
+            self.label[g] = l
+            it = iter(self.sites[g])
+            for c in it:
+                self.code[c] -= (UNSET - l) << 2 * next(it)
+        self.masks = [t[c] for t, c in zip(tables, self.code)]
+        self.trail: List[int] = []
+        self.failure: Optional[Tuple[int, Optional[int]]] = None
+        dead = next((c for c, m in enumerate(self.masks) if m is None), None)
+        if dead is not None:
+            self.failure = (dead, None)
+            return
+        g = self._fixpoint(list(range(len(tables))))
+        if g is not None:
+            self.failure = (self.blame(g)[0], g)
+
+    def allowed(self, g: int) -> int:
+        """Bitmask of the labels all of g's sites allow."""
+        masks = self.masks
+        allowed = 7
+        it = iter(self.sites[g])
+        for c in it:
+            allowed &= masks[c][next(it)]
+        return allowed
+
+    def blame(self, g: int) -> Tuple[int, int, int]:
+        """For a variable left without a label: the first of its sites'
+        constraints that empties its labels, the labels its earlier sites
+        allow, and the labels that constraint allows."""
+        masks = self.masks
+        allowed = 7
+        it = iter(self.sites[g])
+        for c in it:
+            k = next(it)
+            if not allowed & masks[c][k]:
+                return c, allowed, masks[c][k]
+            allowed &= masks[c][k]
+        raise ValueError(f"variable {g} has labels left")
+
+    def assign(self, g: int, l: int) -> bool:
+        """Assign an allowed label and propagate; False on a contradiction,
+        which leaves the state to be undone."""
+        queue: List[int] = []
+        self._assign(g, l, queue)
+        return self._fixpoint(queue) is None
+
+    def probe(self, g: int, l: int) -> bool:
+        """Whether assigning an allowed label propagates without contradiction;
+        the state is left as it was."""
+        mark = len(self.trail)
+        ok = self.assign(g, l)
+        self._undo(mark)
+        return ok
+
+    def _assign(self, g: int, l: int, queue: List[int]) -> None:
+        """Label g with l and queue its constraints.
+
+        l must be allowed at g, so each constraint of g keeps an accepted
+        completion and no mask becomes None.
+        """
+        code, masks, tables = self.code, self.masks, self.tables
+        self.label[g] = l
+        self.trail.append(g)
+        it = iter(self.sites[g])
+        for c in it:
+            x = code[c] = code[c] - ((UNSET - l) << 2 * next(it))
+            masks[c] = tables[c][x]
+            queue.append(c)
+
+    def _fixpoint(self, queue: List[int]) -> Optional[int]:
+        """Force variables around the queued constraints until nothing moves.
+
+        Returns a variable left with no allowed label, or None.
+        """
+        label, masks, sites, around = self.label, self.masks, self.sites, self.around
+        while queue:
+            for g in around[queue.pop()]:
+                if label[g] >= 0:
+                    continue
+                allowed = 7
+                it = iter(sites[g])
+                for c in it:
+                    allowed &= masks[c][next(it)]
+                if allowed not in _FORCED:
+                    if allowed:
+                        continue
+                    return g
+                self._assign(g, _FORCED[allowed], queue)
+        return None
+
+    def _undo(self, mark: int) -> None:
+        code, masks, tables, label, trail = (
+            self.code, self.masks, self.tables, self.label, self.trail)
+        while len(trail) > mark:
+            g = trail.pop()
+            l = label[g]
+            label[g] = -1
+            it = iter(self.sites[g])
+            for c in it:
+                x = code[c] = code[c] + ((UNSET - l) << 2 * next(it))
+                masks[c] = tables[c][x]
+
+    def search(self, stop_at: Optional[int] = None) -> List[Tuple[int, ...]]:
+        """Total labelings of the variables, at most stop_at of them."""
+        found: List[Tuple[int, ...]] = []
+        if self.failure is None:
+            self._search(0, found, stop_at)
+        return found
+
+    def _next_free(self, pos: int) -> int:
+        label = self.label
+        while pos < len(label) and label[pos] >= 0:
+            pos += 1
+        return pos
+
+    def _search(self, pos: int, found: list, stop_at: Optional[int]) -> None:
+        pos = self._next_free(pos)
+        if pos == len(self.label):
+            found.append(tuple(self.label))
+            return
+        allowed = self.allowed(pos)
+        for l in (0, 1, 2):
+            if stop_at is not None and len(found) >= stop_at:
+                return
+            if allowed >> l & 1:
+                mark = len(self.trail)
+                if self.assign(pos, l):
+                    self._search(pos + 1, found, stop_at)
+                self._undo(mark)
+
+    def branches(self) -> List["Kernel"]:
+        """One propagated kernel per allowed label of the first free variable;
+        their searches together make this kernel's search."""
+        if self.failure is not None:
+            return []
+        pos = self._next_free(0)
+        if pos == len(self.label):
+            return [self]
+        root = {g: l for g, l in enumerate(self.label) if l >= 0}
+        allowed = self.allowed(pos)
+        return [Kernel(len(self.label), self.scopes, self.tables, {**root, pos: l})
+                for l in (0, 1, 2) if allowed >> l & 1]

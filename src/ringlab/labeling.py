@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
+from .kernel import Kernel, Table
 from .lattice import (
     A0,
     A1,
@@ -56,70 +57,39 @@ class LabelContradiction(Exception):
         super().__init__(f"edge {edge}: {have} vs {want} ({why})")
 
 
+# The two marking rules as kernel tables: a face's three edges carry three
+# different labels, and the six edges around a vertex, in angular order,
+# alternate between two different labels.
+_FACE_RULE = Table(3, lambda labels: len(set(labels)) == 3)
+_VERTEX_RULE = Table(
+    6, lambda labels: labels[0] != labels[1] and labels == labels[:2] * 3
+)
+
+
 def derive_edge_labels(window: Iterable[Face]) -> Dict[Edge, int]:
     """Fixed-point propagation of the two marking rules from the anchor.
 
     Independent of edge_label; serves as its oracle.  The window must be a
     connected face set containing the anchor triangle.
     """
-    faces = set(window)
+    faces = sorted(set(window))
     if ANCHOR_FACE not in faces:
         raise ValueError("window must contain the initial up triangle")
-    labels: Dict[Edge, int] = {}
-    edges = {e for f in faces for e in face_edges(f)}
-    vertices = window_vertices(faces)
-
-    def put(e: Edge, value: int, why: str) -> bool:
-        old = labels.get(e)
-        if old is None:
-            labels[e] = value
-            return True
-        if old != value:
-            raise LabelContradiction(e, old, value, why)
-        return False
-
-    for e, value in ANCHOR_LABELS.items():
-        put(e, value, "anchor")
-
-    changed = True
-    while changed:
-        changed = False
-        # rule: each face carries all three labels
-        for f in faces:
-            es = face_edges(f)
-            known = [labels[e] for e in es if e in labels]
-            if len(known) == 2:
-                missing = ({0, 1, 2} - set(known)).pop()
-                for e in es:
-                    if e not in labels:
-                        changed |= put(e, missing, f"face {f}")
-            elif len(known) == 3 and len(set(known)) != 3:
-                raise LabelContradiction(es[0], known[0], known[1], f"face {f}")
-        # rule: around a vertex, same-parity angular positions share a label
-        for v in vertices:
-            ring = incident_edges(v)
-            for parity in (0, 1):
-                vals = {
-                    labels[ring[k]]
-                    for k in range(parity, 6, 2)
-                    if ring[k] in labels
-                }
-                if len(vals) == 1:
-                    val = vals.pop()
-                    for k in range(parity, 6, 2):
-                        e = ring[k]
-                        if e in edges and e not in labels:
-                            changed |= put(e, val, f"vertex {v}")
-                elif len(vals) > 1:
-                    a, b = sorted(vals)[:2]
-                    raise LabelContradiction(ring[parity], a, b, f"vertex {v}")
-        # rule: the two parity classes at a vertex differ
-        for v in vertices:
-            ring = incident_edges(v)
-            known = {k % 2: labels[e] for k, e in enumerate(ring) if e in labels}
-            if len(known) == 2 and known[0] == known[1]:
-                raise LabelContradiction(ring[0], known[0], known[1], f"vertex {v}")
-    return labels
+    index: Dict[Edge, int] = {}
+    scopes = [[index.setdefault(e, len(index)) for e in face_edges(f)] for f in faces]
+    vertices = sorted(window_vertices(faces))
+    scopes += [[index.get(e) for e in incident_edges(v)] for v in vertices]
+    tables = [_FACE_RULE] * len(faces) + [_VERTEX_RULE] * len(vertices)
+    given = {index[e]: l for e, l in ANCHOR_LABELS.items()}
+    kernel = Kernel(len(index), scopes, tables, given)
+    if kernel.failure is not None:
+        # the anchor labels keep both rules, so the failure is an edge two
+        # rules give different labels: name the lowest label of each
+        c, g = kernel.failure
+        have, want = ((m & -m).bit_length() - 1 for m in kernel.blame(g)[1:])
+        why = f"face {faces[c]}" if c < len(faces) else f"vertex {vertices[c - len(faces)]}"
+        raise LabelContradiction(list(index)[g], have, want, why)
+    return {e: kernel.label[g] for e, g in index.items() if kernel.label[g] >= 0}
 
 
 def square_window(n: int) -> List[Face]:

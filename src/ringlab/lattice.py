@@ -110,14 +110,6 @@ def link_faces(v: Vertex) -> Tuple[Face, ...]:
     )
 
 
-def link_sector(v: Vertex, f: Face) -> int:
-    """Index of f in link_faces(v); raises if f is not incident to v."""
-    try:
-        return link_faces(v).index(f)
-    except ValueError:
-        raise ValueError(f"face {f} not incident to vertex {v}") from None
-
-
 def incident_edges(v: Vertex) -> Tuple[Edge, ...]:
     """The six edges at v, counterclockwise from the east edge (0 degrees)."""
     x, y = v

@@ -1,8 +1,13 @@
 """Rank-axis distributions: parity, propagation, D0, classification."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringlab.catalog import special_puzzle, transform_config
+from ringlab.configio import serialize_distribution
 from ringlab.distributions import (
     EVEN,
     ODD,
@@ -21,7 +26,14 @@ from ringlab.distributions import (
     verify_lemma_L3,
 )
 from ringlab.engine import enumerate_completions, make_config
-from ringlab.lattice import LABEL_POINT_GROUP, ball, up
+from ringlab.lattice import (
+    AXES,
+    LABEL_POINT_GROUP,
+    ball,
+    face_vertices,
+    opposite_axis_at_vertex,
+    up,
+)
 
 
 def test_hex_window_sizes():
@@ -103,6 +115,87 @@ def test_dist_propagate_raises_on_contradiction():
     axis = {v: 0 for v in window if v != (0, 0)}
     with pytest.raises(DistContradiction):
         dist_propagate(make_distribution(axis, window=window), refute=True)
+
+
+@pytest.mark.parametrize("refute", [False, True])
+def test_dist_propagate_rejects_a_given_even_face(refute):
+    # each corner of Up(0,0) on its opposite-side axis: no rank-2 corner
+    window = hex_window(1)
+    axis = {v: opposite_axis_at_vertex(up(0, 0), v) for v in face_vertices(up(0, 0))}
+    with pytest.raises(DistContradiction) as info:
+        dist_propagate(make_distribution(axis, window=window), refute=refute)
+    assert info.value.face == up(0, 0)
+    assert str(info.value) == "face Up(0,0) is Even"
+
+
+# SHA-256 of the serialized D0 on the radius-16 hexagon, as the full-sweep
+# propagation of earlier versions built it.
+D0_R16_SHA256 = "500dcc0f364a27528abe8901154c088ee34b125289a34c42641785a8506078c4"
+
+
+def test_d0_is_byte_stable():
+    text = serialize_distribution(build_D0(hex_window(16)))
+    assert hashlib.sha256(text.encode()).hexdigest() == D0_R16_SHA256
+
+
+def _odd_completions(window, axis):
+    """Every all-odd total assignment of the window extending axis, by
+    backtracking over the vertices in order and testing each interior face
+    once its last corner is set."""
+    order = sorted(window)
+    position = {v: i for i, v in enumerate(order)}
+    closing = [[] for _ in order]
+    for f in interior_faces(window):
+        closing[max(position[v] for v in face_vertices(f))].append(f)
+    out = []
+    current = dict(axis)
+
+    def rec(i):
+        if i == len(order):
+            out.append(dict(current))
+            return
+        v = order[i]
+        for a in [axis[v]] if v in axis else AXES:
+            current[v] = a
+            if all(
+                sum(current[u] != opposite_axis_at_vertex(f, u)
+                    for u in face_vertices(f)) % 2 == 1
+                for f in closing[i]
+            ):
+                rec(i + 1)
+        if v not in axis:
+            del current[v]
+
+    rec(0)
+    return out
+
+
+@st.composite
+def partial_axes(draw):
+    """A partial assignment of a radius-1 or radius-2 hexagon, its axes
+    copied from D0 or drawn at random."""
+    window = hex_window(draw(st.sampled_from((1, 2))))
+    d0 = build_D0(hex_window(3)).axis if draw(st.booleans()) else None
+    axis = {}
+    for v in sorted(window):
+        if draw(st.sampled_from((False, False, True))):
+            axis[v] = d0[v] if d0 is not None else draw(st.sampled_from(AXES))
+    return make_distribution(axis, window=window)
+
+
+@settings(max_examples=80, deadline=None)
+@given(partial_axes(), st.booleans())
+def test_dist_propagate_agrees_with_brute_force(dist, refute):
+    brute = _odd_completions(dist.window, dist.axis)
+    try:
+        out = dist_propagate(dist, refute=refute)
+    except DistContradiction:
+        assert brute == []
+        return
+    assert out.window == dist.window
+    assert {v: out.axis[v] for v in dist.axis} == dist.axis
+    for v, a in out.axis.items():
+        assert all(total[v] == a for total in brute)
 
 
 def test_half_strip_alternation():

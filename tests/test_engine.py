@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab import engine
+from ringlab import engine, kernel
 from ringlab.catalog import special_puzzle
 from ringlab.configio import data_text, parse_config, serialize_config
+from ringlab.distributions import (
+    DistContradiction,
+    dist_propagate,
+    hex_window,
+    make_distribution,
+)
 from ringlab.engine import (
     CONTRADICTION,
     INCOMPLETE,
@@ -32,7 +38,8 @@ from ringlab.lattice import (
     up,
     window_vertices,
 )
-from ringlab.rings import MODE_ROT, MODE_ROT_REF
+from ringlab.labeling import derive_edge_labels
+from ringlab.rings import MODE_ROT, MODE_ROT_REF, sector_options
 
 INITIAL_WINDOW = frozenset({up(0, 0), down(0, -1), down(-1, 0), down(0, 0)})
 
@@ -205,10 +212,28 @@ def test_no_kernel_outlives_its_call():
         with pytest.raises(Contradiction):
             propagate(make_config({up(0, 0): 0, down(0, -1): 0, down(-1, 0): 0,
                                    down(0, 0): 0}))
-        alive = [o for o in gc.get_objects() if isinstance(o, engine._Kernel)]
+        dist_propagate(make_distribution({(0, 0): 0, (1, 0): 2}, hex_window(2)),
+                       refute=True)
+        hexagon = hex_window(1)
+        with pytest.raises(DistContradiction):
+            dist_propagate(make_distribution({v: 0 for v in hexagon if v != (0, 0)}, hexagon))
+        derive_edge_labels(ball(up(0, 0), 2))
+        alive = [o for o in gc.get_objects() if isinstance(o, kernel.Kernel)]
     finally:
         gc.enable()
     assert alive == []
+
+
+@pytest.mark.parametrize("mode", [MODE_ROT, MODE_ROT_REF])
+def test_ring_tables_match_sector_options(mode):
+    for s in range(3):
+        table = engine._ring_table(mode, s)
+        for code in range(4**6):
+            word = tuple(None if d == 3 else d for d in
+                         ((code >> 2 * k) & 3 for k in range(6)))
+            opts = sector_options(word, s, mode)
+            want = tuple(sum(1 << l for l in o) for o in opts) if opts[0] else None
+            assert table[code] == want, (word, s)
 
 
 BALL2 = frozenset(ball(up(0, 0), 2))

@@ -220,6 +220,16 @@ def test_cli_dist_pipeline(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["family"] == "SpecialD0"
 
 
+def test_cli_dist_propagate_rejects_a_given_even_face(tmp_path, capsys):
+    f = tmp_path / "even.txt"
+    # each corner of Up(0,0) on its opposite-side axis: no rank-2 corner
+    axis = {(0, 0): 2, (1, 0): 1, (0, 1): 0}
+    f.write_text(serialize_distribution(make_distribution(axis, window=hex_window(1))))
+    rc = cli.main(["dist", "propagate", str(f)])
+    assert rc == 1
+    assert capsys.readouterr().err == "Contradiction: face Up(0,0) is Even\n"
+
+
 def test_cli_rings_is_byte_stable(capsys):
     rc, first = run_cli(capsys, "--json", "rings")
     assert rc == 0

@@ -1,8 +1,12 @@
 """Canonical edge labeling: closed form, derivation, symmetries."""
 
+import hashlib
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from ringlab import cli
 
 from ringlab.labeling import (
     ANCHOR_LABELS,
@@ -17,6 +21,9 @@ from ringlab.lattice import (
     AXES,
     Edge,
     Isometry,
+    ball,
+    face_edges,
+    face_neighbors,
     incident_edges,
     up,
 )
@@ -48,8 +55,6 @@ def test_derivation_matches_closed_form():
 def test_derivation_covers_every_window_edge():
     window = square_window(4)
     derived = derive_edge_labels(window)
-    from ringlab.lattice import face_edges
-
     want = {e for f in window for e in face_edges(f)}
     assert set(derived) == want
 
@@ -96,3 +101,39 @@ def test_window_must_contain_the_anchor():
 def test_label_contradiction_message_names_the_edge():
     exc = LabelContradiction(Edge(1, 2, 0), 0, 1, "test")
     assert "1" in str(exc) and "0 vs 1" in str(exc)
+
+
+BALL3 = frozenset(ball(up(0, 0), 3))
+
+
+@st.composite
+def anchored_windows(draw):
+    """An edge-connected window of the radius-3 ball grown from the anchor."""
+    size = draw(st.integers(1, 40))
+    window = [up(0, 0)]
+    while len(window) < size:
+        grow = {g for f in window for g in face_neighbors(f)} & BALL3
+        window.append(draw(st.sampled_from(sorted(grow - set(window)))))
+    return window
+
+
+@settings(max_examples=60, deadline=None)
+@given(anchored_windows())
+def test_derivation_on_connected_windows_is_the_closed_form(window):
+    derived = derive_edge_labels(window)
+    assert set(derived) == {e for f in window for e in face_edges(f)}
+    for e, l in derived.items():
+        assert edge_label(e) == l
+
+
+# SHA-256 of `ringlab edge-labels --window 40` as the sweep derivation of
+# earlier versions printed it.
+EDGE_LABELS_40_SHA256 = (
+    "2850817a66d519ae12b145caf00199ae9f8c9af52c54ac4eac1a3c75a75c5a06"
+)
+
+
+def test_edge_labels_output_is_byte_stable(capsys):
+    assert cli.main(["edge-labels", "--window", "40"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == EDGE_LABELS_40_SHA256
