@@ -145,6 +145,16 @@ def _place_row(
             marks[Face(x, y, False)] = downs[(x - shift) % 6]
 
 
+@lru_cache(maxsize=256)
+def _row_marks(
+    height: int, key: str, shift: int, y_top: int, width: int
+) -> Dict[Face, int]:
+    """The marks of one placed strip row, built once; callers copy, never mutate."""
+    marks: Dict[Face, int] = {}
+    _place_row(marks, _variant_by_key(height)[key], shift, y_top, width)
+    return marks
+
+
 def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
     """Stack strip rows (top to bottom) into one finite window.
 
@@ -182,9 +192,9 @@ def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
                     f"interface mismatch: row {r - 1} ({prev[0]}) over row {r} "
                     f"({key}) at offset {delta}"
                 )
-        _place_row(marks, variants[key], shift, y_top, width)
+        marks.update(_row_marks(height, key, shift, y_top, width))
         prev = (key, shift)
-    return make_config(marks, period=6)
+    return Configuration(frozenset(marks), marks, 6)
 
 
 def derive_interface_table(height: int) -> Dict[Tuple[str, str], Tuple[int, ...]]:

@@ -4,7 +4,9 @@
 `kernel.Kernel` (see that module for the design), built per call over the
 window at hand: faces are its variables, and every vertex is one ring
 constraint whose table accepts the legal words of its family s.  `check`
-reads the same tables through each vertex's link code.
+reads the same tables, but builds every touched vertex's link code in one
+pass over the marks: each marked face lowers the code of its three vertices
+at the fixed link positions it sits at, so no link is read face by face.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .lattice import (
     up,
     window_vertices,
 )
-from .kernel import Kernel, Table, pack
+from .kernel import UNSET, Kernel, Table
 from .labeling import vertex_s
 from .rings import DEFAULT_MODE, legal_words
 
@@ -44,8 +46,8 @@ class Configuration:
 
     def __post_init__(self) -> None:
         self.window = frozenset(self.window)
-        bad = set(self.marks) - self.window
-        if bad:
+        if not self.window.issuperset(self.marks):
+            bad = set(self.marks) - self.window
             raise ValueError(f"marks outside window: {sorted(bad)[:3]}")
 
 
@@ -54,8 +56,9 @@ def make_config(
     window: Optional[Iterable[Face]] = None,
     period: Optional[int] = None,
 ) -> Configuration:
-    w = frozenset(window) if window is not None else frozenset(marks)
-    return Configuration(w | frozenset(marks), dict(marks), period)
+    marked = frozenset(marks)
+    w = marked if window is None else frozenset(window) | marked
+    return Configuration(w, dict(marks), period)
 
 
 class Verdict(NamedTuple):
@@ -77,15 +80,38 @@ def link_word(marks: Dict[Face, int], v: Vertex) -> Tuple[Optional[int], ...]:
     return tuple(marks.get(f) for f in link_faces(v))
 
 
+# The (vertex offset, link position) sites of a face, the same for every face
+# of one orientation: Up(x,y) sits at position 0 of (x,y), 2 of (x+1,y) and 4
+# of (x,y+1), Down(x,y) at 1 of (x+1,y), 5 of (x,y+1) and 3 of (x+1,y+1)
+# (see `lattice.link_faces`).  _LINK_DELTAS[up][l] gives, per site, the
+# offset and the amount label l takes off that vertex's code.
+_SITES = {True: ((0, 0, 0), (1, 0, 2), (0, 1, 4)),
+          False: ((1, 0, 1), (0, 1, 5), (1, 1, 3))}
+_LINK_DELTAS = {
+    is_up: tuple(tuple((dx, dy, (UNSET - l) << 2 * k) for dx, dy, k in sites)
+                 for l in range(3))
+    for is_up, sites in _SITES.items()
+}
+_FREE_LINK = 4**6 - 1  # every position UNSET
+
+
 def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
     """Ring-match every vertex touched by a mark; partial links use wildcards."""
-    witnesses = []
-    for v in sorted(window_vertices(config.marks)):
-        if _ring_table(mode, vertex_s(v))[pack(link_word(config.marks, v))] is None:
-            witnesses.append((v, f"no ring matches the link at {v}"))
-    if witnesses:
-        return Verdict(CONTRADICTION, tuple(witnesses), ())
-    unmarked = tuple(sorted(config.window - set(config.marks)))
+    code: Dict[Vertex, int] = {}
+    get = code.get
+    for (x, y, is_up), l in config.marks.items():
+        for dx, dy, delta in _LINK_DELTAS[is_up][l]:
+            v = (x + dx, y + dy)
+            code[v] = get(v, _FREE_LINK) - delta
+    tables = [_ring_table(mode, s) for s in range(3)]
+    # the table of v is that of its family vertex_s(v) = (x - y - 1) % 3
+    dead = sorted(
+        v for v, c in code.items() if tables[(v[0] - v[1] - 1) % 3][c] is None
+    )
+    if dead:
+        witnesses = tuple((v, f"no ring matches the link at {v}") for v in dead)
+        return Verdict(CONTRADICTION, witnesses, ())
+    unmarked = tuple(sorted(config.window.difference(config.marks)))
     if unmarked:
         return Verdict(INCOMPLETE, (), unmarked)
     return Verdict(VALID, (), ())

@@ -6,9 +6,9 @@ The package's three local-constraint systems all run on `Kernel`:
   carry marks, and every vertex's link must read as a legal ring word;
 - `distributions.dist_propagate` and `verify_lemma_L3`: vertices carry
   axes, and every interior face must stay Odd;
-- `labeling.derive_edge_labels`: edges carry labels, every face sees all
-  three labels, and the six edge labels around a vertex alternate between
-  two values.
+- `labeling.derive_edge_labels`: edges carry labels, and the six edge
+  labels around a vertex alternate between two values (which makes every
+  face see all three labels; that is checked on the result).
 
 A client numbers its variables and constraints and gives, per constraint,
 its variables by position and a `Table`; each variable then lists its
@@ -42,11 +42,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 UNSET = 3
 _FORCED = {1: 0, 2: 1, 4: 2}  # single-label bitmask -> label
-
-
-def pack(labels: Sequence[Optional[int]]) -> int:
-    """The code of a constraint's labels, None where a position is free."""
-    return sum((UNSET if l is None else l) << 2 * k for k, l in enumerate(labels))
 
 
 class Table(dict):

@@ -57,10 +57,10 @@ class LabelContradiction(Exception):
         super().__init__(f"edge {edge}: {have} vs {want} ({why})")
 
 
-# The two marking rules as kernel tables: a face's three edges carry three
-# different labels, and the six edges around a vertex, in angular order,
-# alternate between two different labels.
-_FACE_RULE = Table(3, lambda labels: len(set(labels)) == 3)
+# The vertex marking rule as a kernel table: the six edges around a vertex,
+# in angular order, alternate between two different labels.  It implies the
+# face rule, since any two edges of a face sit at adjacent positions around
+# their common vertex, and it forces at least what the face rule would.
 _VERTEX_RULE = Table(
     6, lambda labels: labels[0] != labels[1] and labels == labels[:2] * 3
 )
@@ -69,27 +69,37 @@ _VERTEX_RULE = Table(
 def derive_edge_labels(window: Iterable[Face]) -> Dict[Edge, int]:
     """Fixed-point propagation of the two marking rules from the anchor.
 
-    Independent of edge_label; serves as its oracle.  The window must be a
-    connected face set containing the anchor triangle.
+    The vertex rule is propagated and the face rule (every face sees three
+    different labels) is then checked on every window face.  Independent of
+    edge_label; serves as its oracle.  The window must be a connected face
+    set containing the anchor triangle.
     """
     faces = sorted(set(window))
     if ANCHOR_FACE not in faces:
         raise ValueError("window must contain the initial up triangle")
     index: Dict[Edge, int] = {}
-    scopes = [[index.setdefault(e, len(index)) for e in face_edges(f)] for f in faces]
+    for f in faces:
+        for e in face_edges(f):
+            index.setdefault(e, len(index))
     vertices = sorted(window_vertices(faces))
-    scopes += [[index.get(e) for e in incident_edges(v)] for v in vertices]
-    tables = [_FACE_RULE] * len(faces) + [_VERTEX_RULE] * len(vertices)
+    scopes = [[index.get(e) for e in incident_edges(v)] for v in vertices]
     given = {index[e]: l for e, l in ANCHOR_LABELS.items()}
-    kernel = Kernel(len(index), scopes, tables, given)
+    kernel = Kernel(len(index), scopes, [_VERTEX_RULE] * len(vertices), given)
+    label = kernel.label
     if kernel.failure is not None:
-        # the anchor labels keep both rules, so the failure is an edge two
-        # rules give different labels: name the lowest label of each
+        # the anchor labels keep the rule, so the failure is an edge two
+        # vertices give different labels: name the lowest label of each
         c, g = kernel.failure
         have, want = ((m & -m).bit_length() - 1 for m in kernel.blame(g)[1:])
-        why = f"face {faces[c]}" if c < len(faces) else f"vertex {vertices[c - len(faces)]}"
-        raise LabelContradiction(list(index)[g], have, want, why)
-    return {e: kernel.label[g] for e, g in index.items() if kernel.label[g] >= 0}
+        raise LabelContradiction(list(index)[g], have, want, f"vertex {vertices[c]}")
+    for f in faces:
+        edges = face_edges(f)
+        labels = [label[index[e]] for e in edges]
+        for k, l in enumerate(labels):
+            if l >= 0 and l in labels[:k]:
+                want = min({0, 1, 2} - set(labels[:k] + labels[k + 1:]))
+                raise LabelContradiction(edges[k], l, want, f"face {f}")
+    return {e: label[g] for e, g in index.items() if label[g] >= 0}
 
 
 def square_window(n: int) -> List[Face]:

@@ -83,6 +83,30 @@ def test_assemble_rejects_incompatible_shifts():
         assemble(bad)
 
 
+def test_assemble_is_a_row_by_row_placement():
+    for height in (1, 2):
+        variants = {s.key: s for s in strip_variants(height)}
+        for rows in range(1, 5):
+            for w in compatible_words(height, rows):
+                want = {}
+                for r, (key, shift) in enumerate(w):
+                    catalog._place_row(want, variants[key], shift, -r * height, 12)
+                cfg = assemble(w)
+                assert cfg.marks == want
+                assert cfg.window == frozenset(want)
+                assert cfg.period == 6
+
+
+def test_assembled_marks_share_no_cached_row():
+    for rows in (1, 3):
+        w = compatible_words(1, rows)[0]
+        first = assemble(w)
+        want = dict(first.marks)
+        for f in first.marks:
+            first.marks[f] = (first.marks[f] + 1) % 3
+        assert assemble(w).marks == want
+
+
 def test_mirror_glide_squares_to_a_shift():
     for spec in strip_variants(1):
         by_rows = {s.rows: s for s in strip_variants(1)}

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringlab import engine, kernel
-from ringlab.catalog import special_puzzle
+from ringlab.catalog import assemble, compatible_words, special_puzzle
 from ringlab.configio import data_text, parse_config, serialize_config
 from ringlab.distributions import (
     DistContradiction,
@@ -21,7 +21,9 @@ from ringlab.engine import (
     CONTRADICTION,
     INCOMPLETE,
     VALID,
+    Configuration,
     Contradiction,
+    Verdict,
     check,
     dead_end_report,
     enumerate_completions,
@@ -38,7 +40,7 @@ from ringlab.lattice import (
     up,
     window_vertices,
 )
-from ringlab.labeling import derive_edge_labels
+from ringlab.labeling import derive_edge_labels, vertex_s
 from ringlab.rings import MODE_ROT, MODE_ROT_REF, sector_options
 
 INITIAL_WINDOW = frozenset({up(0, 0), down(0, -1), down(-1, 0), down(0, 0)})
@@ -53,6 +55,11 @@ def test_make_config_defaults_window_to_marked_faces():
 def test_marks_extend_the_window():
     cfg = make_config({up(0, 0): 0}, window=frozenset({down(0, 0)}))
     assert cfg.window == frozenset({up(0, 0), down(0, 0)})
+
+
+def test_marks_outside_the_window_are_rejected():
+    with pytest.raises(ValueError, match="marks outside window"):
+        Configuration(frozenset({up(0, 0)}), {up(0, 0): 0, down(0, 0): 1})
 
 
 def test_check_statuses():
@@ -276,3 +283,54 @@ def test_search_and_propagation_agree_with_brute_force(cfg, mode, threads):
     assert forced.window == cfg.window
     for f, l in forced.marks.items():
         assert all(m[f] == l for m in brute)
+
+
+def reference_check(config, mode):
+    """`check` the slow way: every touched vertex's link read face by face
+    through `link_word` and matched through `rings.sector_options`."""
+    dead = [
+        v for v in sorted(window_vertices(config.marks))
+        if not sector_options(link_word(config.marks, v), vertex_s(v), mode)[0]
+    ]
+    if dead:
+        witnesses = tuple((v, f"no ring matches the link at {v}") for v in dead)
+        return Verdict(CONTRADICTION, witnesses, ())
+    unmarked = tuple(sorted(config.window - set(config.marks)))
+    if unmarked:
+        return Verdict(INCOMPLETE, (), unmarked)
+    return Verdict(VALID, (), ())
+
+
+# six face rows of stacking words, so a stack moved up three rows covers the
+# balls below
+STACK_WORDS = {1: compatible_words(1, 6), 2: compatible_words(2, 3)}
+
+
+@st.composite
+def ball_markings(draw):
+    """A radius-1..3 ball partially marked: at random, or from a special
+    puzzle or a strip stack with some faces blanked and some relabelled."""
+    window = sorted(ball(draw(st.sampled_from((up(0, 0), down(0, 0), up(2, -1)))),
+                         draw(st.integers(1, 3))))
+    source = draw(st.sampled_from(("random", "special", "stack")))
+    if source == "special":
+        base = special_puzzle(draw(st.integers(1, 12)), 5).marks
+    elif source == "stack":
+        height = draw(st.sampled_from((1, 2)))
+        stack = assemble(draw(st.sampled_from(STACK_WORDS[height])), 3)
+        # a move by (-6, 3) keeps x - y mod 3, so the stack stays a valid marking
+        base = {f._replace(x=f.x - 6, y=f.y + 3): l for f, l in stack.marks.items()}
+    else:
+        base = {}
+    marks = {f: base[f] for f in window if f in base}
+    for f in draw(st.sets(st.sampled_from(window))):
+        marks.pop(f, None)
+    marks.update(draw(st.dictionaries(st.sampled_from(window), st.integers(0, 2),
+                                      max_size=2 if base else len(window))))
+    return make_config(marks, window=window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ball_markings(), st.sampled_from((MODE_ROT, MODE_ROT_REF)))
+def test_check_agrees_with_the_link_word_reference(cfg, mode):
+    assert check(cfg, mode) == reference_check(cfg, mode)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab import cli
+from ringlab import cli, labeling
 
 from ringlab.labeling import (
     ANCHOR_LABELS,
@@ -101,6 +101,19 @@ def test_window_must_contain_the_anchor():
 def test_label_contradiction_message_names_the_edge():
     exc = LabelContradiction(Edge(1, 2, 0), 0, 1, "test")
     assert "1" in str(exc) and "0 vs 1" in str(exc)
+
+
+def test_a_face_breaking_the_face_rule_is_named(monkeypatch):
+    # a kernel that mislabels one edge after propagation: Edge(0,0,A1) copies
+    # the 0 of Edge(0,0,A0), so the anchor face no longer sees three labels
+    class Mislabelling(labeling.Kernel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.label[1] = self.label[0]
+
+    monkeypatch.setattr(labeling, "Kernel", Mislabelling)
+    with pytest.raises(LabelContradiction, match=r"0 vs 2 \(face Up\(0,0\)\)"):
+        derive_edge_labels([up(0, 0)])
 
 
 BALL3 = frozenset(ball(up(0, 0), 3))
