@@ -151,9 +151,7 @@ def cmd_enumerate(args) -> int:
     target = cfg.window
     if args.radius is not None:
         target = target | ball(up(0, 0), args.radius)
-    comps = enumerate_completions(
-        cfg, target_window=target, mode=args.symmetry, threads=args.threads
-    )
+    comps = enumerate_completions(cfg, target_window=target, mode=args.symmetry)
     obj = {
         "completions": len(comps),
         "configurations": [serialize_config(c) for c in comps],
@@ -165,9 +163,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_deadends(args) -> int:
     cfg = parse_config(_read(args.file))
-    rep = dead_end_report(
-        cfg, args.radius, args.probe, mode=args.symmetry, threads=args.threads
-    )
+    rep = dead_end_report(cfg, args.radius, args.probe, mode=args.symmetry)
     text = "\n".join(
         [
             "completions at radius %d: %d" % (rep["radius"], rep["completions"]),
@@ -339,7 +335,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_report(args) -> int:
-    obj = reports.criterion_report(args.number, threads=args.threads)
+    obj = reports.criterion_report(args.number)
     op = "criterion%d" % args.number
     validate_report(op, obj)
     print(to_json(obj), end="")
@@ -359,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=1,
-        help="worker threads for enumeration (default: %(default)s)",
+        help="ignored: the search is sequential; accepted so old scripts still run",
     )
     parser.add_argument(
         "--json", action="store_true", help="machine-readable output"

@@ -190,45 +190,26 @@ def all_faces_odd(dist: Distribution) -> bool:
     return all(face_parity(dist, f) == ODD for f in interior_faces(dist.window))
 
 
-def _lines(dist: Distribution, direction: int) -> List[List[int]]:
-    """Axis values along each maximal window line in the given direction."""
-    step = AXIS_STEPS[direction]
-    keyed: Dict[Tuple[int, int], List[Tuple[int, Vertex]]] = {}
+def _lines(dist: Distribution, direction: int) -> Tuple[List[int], List[List[int]]]:
+    """The sorted keys of the maximal window lines in the given direction,
+    and the axis values along each line."""
+    keyed: Dict[int, List[Tuple[int, int]]] = {}
     for v in dist.window:
-        # project out the step direction: the key identifies the line
-        if direction == A0:
-            key, t = (0, v[1]), v[0]
-        elif direction == A1:
-            key, t = (v[0], 0), v[1]
-        else:
-            key, t = (v[0] + v[1], 0), v[1]
-        keyed.setdefault(key, []).append((t, v))
-    lines = []
-    for key in sorted(keyed):
-        run = sorted(keyed[key])
-        lines.append([dist.axis[v] for _, v in run])
-    return lines
-
-
-def _line_keys(dist: Distribution, direction: int) -> List[int]:
-    ks: Set[int] = set()
-    for v in dist.window:
-        if direction == A0:
-            ks.add(v[1])
-        elif direction == A1:
-            ks.add(v[0])
-        else:
-            ks.add(v[0] + v[1])
-    return sorted(ks)
+        # project out the direction: the key names the line, t the place on it
+        x, y = v
+        key, t = ((y, x) if direction == A0 else
+                  (x, y) if direction == A1 else (x + y, y))
+        keyed.setdefault(key, []).append((t, dist.axis[v]))
+    keys = sorted(keyed)
+    return keys, [[a for _, a in sorted(keyed[k])] for k in keys]
 
 
 def _is_family1(dist: Distribution) -> bool:
     """Some direction: constant lines, alternating line-parallel and not."""
     for d in AXES:
-        keys = _line_keys(dist, d)
+        keys, lines = _lines(dist, d)
         if len(keys) < 3 or keys != list(range(keys[0], keys[0] + len(keys))):
             continue
-        lines = _lines(dist, d)
         if any(len(set(line)) != 1 for line in lines):
             continue
         values = [line[0] for line in lines]
@@ -245,10 +226,9 @@ def _is_family1(dist: Distribution) -> bool:
 def _is_family2(dist: Distribution) -> bool:
     """Some direction: every line 2-periodic along its run."""
     for d in AXES:
-        keys = _line_keys(dist, d)
+        keys, lines = _lines(dist, d)
         if len(keys) < 2 or keys != list(range(keys[0], keys[0] + len(keys))):
             continue
-        lines = _lines(dist, d)
         if all(
             len(line) >= 3 and all(line[i] == line[i + 2] for i in range(len(line) - 2))
             for line in lines

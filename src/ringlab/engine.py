@@ -11,7 +11,6 @@ at the fixed link positions it sits at, so no link is read face by face.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -34,6 +33,7 @@ from .rings import DEFAULT_MODE, legal_words
 VALID = "Valid"
 CONTRADICTION = "Contradiction"
 INCOMPLETE = "Incomplete"
+_LABELS = frozenset((0, 1, 2))
 
 
 @dataclass
@@ -49,6 +49,10 @@ class Configuration:
         if not self.window.issuperset(self.marks):
             bad = set(self.marks) - self.window
             raise ValueError(f"marks outside window: {sorted(bad)[:3]}")
+        if not _LABELS.issuperset(self.marks.values()):
+            # faces are distinct, so the sort never compares two marks
+            bad = sorted((f, l) for f, l in self.marks.items() if l not in _LABELS)
+            raise ValueError(f"marks not in 0, 1, 2: {bad[:3]}")
 
 
 def make_config(
@@ -190,18 +194,12 @@ def enumerate_completions(
     """All total markings of the target window extending the configuration.
 
     The result is sorted by the marking itself, so it does not depend on
-    search order or thread count.  With threads > 1, each branch of the
-    root's first free face is searched by its own kernel in a thread pool.
+    search order.  `threads` is accepted for compatibility and ignored: the
+    search is sequential.
     """
     target = _target(config, target_window)
     order = _search_order(target)
-    root = _kernel(order, config.marks, mode)
-    if threads <= 1:
-        found = root.search()
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(Kernel.search, root.branches()))
-        found = [labels for part in parts for labels in part]
+    found = _kernel(order, config.marks, mode).search()
     completions = [dict(zip(order, labels)) for labels in found]
     ordered_faces = tuple(sorted(target))
     completions.sort(key=lambda m: tuple(m[f] for f in ordered_faces))
@@ -226,7 +224,6 @@ def dead_end_report(
     r_probe: int,
     center: Face = up(0, 0),
     mode: str = DEFAULT_MODE,
-    threads: int = 1,
 ) -> dict:
     """Count completions at radius r that die before each probe radius.
 
@@ -237,7 +234,7 @@ def dead_end_report(
     if r >= r_probe:
         raise ValueError("probe radius must exceed the base radius")
     base = ball(center, r) | config.window
-    comps = enumerate_completions(config, base, mode=mode, threads=threads)
+    comps = enumerate_completions(config, base, mode=mode)
     radii = list(range(r + 1, r_probe + 1))
     reach: List[int] = []
     for comp in comps:

@@ -95,7 +95,6 @@ class Kernel:
             for k, g in enumerate(scope):
                 if g is not None:
                     sites[g] += (c, k)
-        self.scopes = scopes
         self.sites = sites
         self.around = [
             scope if None not in scope else [g for g in scope if g is not None]
@@ -213,16 +212,12 @@ class Kernel:
             self._search(0, found, stop_at)
         return found
 
-    def _next_free(self, pos: int) -> int:
+    def _search(self, pos: int, found: list, stop_at: Optional[int]) -> None:
         label = self.label
         while pos < len(label) and label[pos] >= 0:
             pos += 1
-        return pos
-
-    def _search(self, pos: int, found: list, stop_at: Optional[int]) -> None:
-        pos = self._next_free(pos)
-        if pos == len(self.label):
-            found.append(tuple(self.label))
+        if pos == len(label):
+            found.append(tuple(label))
             return
         allowed = self.allowed(pos)
         for l in (0, 1, 2):
@@ -233,16 +228,3 @@ class Kernel:
                 if self.assign(pos, l):
                     self._search(pos + 1, found, stop_at)
                 self._undo(mark)
-
-    def branches(self) -> List["Kernel"]:
-        """One propagated kernel per allowed label of the first free variable;
-        their searches together make this kernel's search."""
-        if self.failure is not None:
-            return []
-        pos = self._next_free(0)
-        if pos == len(self.label):
-            return [self]
-        root = {g: l for g, l in enumerate(self.label) if l >= 0}
-        allowed = self.allowed(pos)
-        return [Kernel(len(self.label), self.scopes, self.tables, {**root, pos: l})
-                for l in (0, 1, 2) if allowed >> l & 1]

@@ -1,7 +1,7 @@
 """Machine-readable reports for the acceptance checks.
 
 Each report function returns a plain dict of counts and verdicts, stable
-across runs and thread counts, suitable for JSON serialization.
+across runs and hash seeds, suitable for JSON serialization.
 """
 
 from __future__ import annotations
@@ -105,24 +105,24 @@ def criterion3_report() -> dict:
     }
 
 
-def criterion4_report(threads: int = 1) -> dict:
+def criterion4_report() -> dict:
     """Initial-window counts and the dead end in the second drawing."""
     initial = make_config(
         {up(0, 0): 0},
         window=frozenset({up(0, 0), down(0, -1), down(-1, 0), down(0, 0)}),
     )
-    n_initial = len(enumerate_completions(initial, threads=threads))
+    n_initial = len(enumerate_completions(initial))
     uvw = make_config(
         {up(0, 0): 0, down(-1, 0): 1, down(0, -1): 1, down(0, 0): 1},
         window=ball(up(0, 0), 1),
     )
-    n_uvw = len(enumerate_completions(uvw, threads=threads))
+    n_uvw = len(enumerate_completions(uvw))
     quad = parse_config(data_text("window_quad.txt"))
-    quad_comps = enumerate_completions(quad, threads=threads)
+    quad_comps = enumerate_completions(quad)
     ball2_counts = []
     for c in quad_comps:
         ext = make_config(dict(c.marks), window=ball(up(0, 0), 2) | c.window)
-        ball2_counts.append(len(enumerate_completions(ext, threads=threads)))
+        ball2_counts.append(len(enumerate_completions(ext)))
     drawing2 = parse_config(data_text("deadend_quad2.txt"))
     return {
         "completions": {
@@ -132,7 +132,7 @@ def criterion4_report(threads: int = 1) -> dict:
         },
         "ball2_counts": ball2_counts,
         "drawing2_in_quad": any(c.marks == drawing2.marks for c in quad_comps),
-        "dead_end": dead_end_report(drawing2, 2, 3, threads=threads),
+        "dead_end": dead_end_report(drawing2, 2, 3),
     }
 
 
@@ -237,10 +237,10 @@ def criterion7_report() -> dict:
     }
 
 
-def criterion8_report(threads: int = 1) -> dict:
+def criterion8_report() -> dict:
     """Every radius-2 completion embeds in the catalog or dies by probe 4."""
     seed = make_config({up(0, 0): 0}, window=ball(up(0, 0), 2))
-    comps = enumerate_completions(seed, threads=threads)
+    comps = enumerate_completions(seed)
     probe = ball(up(0, 0), 4)
     embedded: Dict[str, int] = {}
     survivors = dead = exceptions = 0
@@ -275,8 +275,5 @@ REPORTS = {
 }
 
 
-def criterion_report(number: int, threads: int = 1) -> dict:
-    fn = REPORTS[number]
-    if number in (4, 8):
-        return fn(threads=threads)
-    return fn()
+def criterion_report(number: int) -> dict:
+    return REPORTS[number]()

@@ -5,7 +5,11 @@ also appears in the machine-readable criterion report, which is validated
 against the shipped JSON schema.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from ringlab import reports
 from ringlab.configio import to_json, validate_report
@@ -13,9 +17,9 @@ from ringlab.configio import to_json, validate_report
 _RESULTS = {}
 
 
-def _run(number, bound_s, check_fn, threads=1):
+def _run(number, bound_s, check_fn):
     t0 = time.perf_counter()
-    rep = reports.criterion_report(number, threads=threads)
+    rep = reports.criterion_report(number)
     elapsed = time.perf_counter() - t0
     _RESULTS[number] = rep
     try:
@@ -149,12 +153,45 @@ def test_criterion_8_bounded_classification():
     _run(8, 600, check)
 
 
-def test_criterion_9_thread_determinism():
+# the directory holding the ringlab package, and a child program that writes
+# the reports of criteria 1-8 to stdout, one `to_json` text after another
+_SRC = str(Path(reports.__file__).resolve().parents[1])
+_CHILD = """import sys
+from ringlab import reports
+from ringlab.configio import to_json
+sys.stdout.write("".join(to_json(reports.criterion_report(n)) for n in range(1, 9)))
+"""
+# Under CPython 3.11's string hash, seed 0 iterates {"2", "3/2"} (the ring
+# ranks of criterion 2, the one set of strings the reports sort) as
+# ["3/2", "2"] and seed 3 as ["2", "3/2"], so an unsorted set of strings
+# shows on every run, not only when this process's random seed differs.
+_SEEDS = ("0", "3")
+
+
+def test_criterion_9_hash_seed_determinism():
+    """Two fresh interpreters under different hash seeds, started together,
+    write the same report bytes as this process: no report depends on the
+    iteration order of a set or dict of strings."""
     t0 = time.perf_counter()
-    for number in (4, 5, 6, 7, 8):
-        base = _RESULTS.get(number)
-        if base is None:
-            base = reports.criterion_report(number, threads=1)
-        again = reports.criterion_report(number, threads=4)
-        assert to_json(base) == to_json(again), "criterion %d drifted" % number
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", _CHILD],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=_SRC,
+                     PYTHONIOENCODING="utf-8"),
+            stdout=subprocess.PIPE,
+        )
+        for seed in _SEEDS
+    ]
+    try:
+        expected = "".join(
+            to_json(_RESULTS.get(n) or reports.criterion_report(n)) for n in range(1, 9)
+        ).encode("utf-8")
+        outs = [child.communicate(timeout=300)[0] for child in children]
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
+    for seed, child, out in zip(_SEEDS, children, outs):
+        assert child.returncode == 0, "PYTHONHASHSEED=%s exited %d" % (seed, child.returncode)
+        assert out == expected, "reports drift under PYTHONHASHSEED=%s" % seed
     print("criterion 9: PASS (%.2fs)" % (time.perf_counter() - t0))

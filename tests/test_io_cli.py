@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ringlab import cli
 from ringlab.catalog import special_puzzle
@@ -23,15 +25,32 @@ from ringlab.distributions import build_D0, hex_window, make_distribution
 from ringlab.engine import make_config
 from ringlab.lattice import ball, down, up
 
+BALL3 = sorted(ball(up(0, 0), 3))
+HEX3 = sorted(hex_window(3))
 
-def test_config_round_trip():
-    cfg = make_config(
-        {up(0, 0): 0, down(0, 0): 2}, window=frozenset({up(0, 0), down(0, 0), up(1, 0)})
-    )
-    again = parse_config(serialize_config(cfg))
+
+@st.composite
+def partial_configs(draw):
+    """A window of 1-12 faces of the radius-3 ball, some of them marked, with
+    a period or none."""
+    window = draw(st.sets(st.sampled_from(BALL3), min_size=1, max_size=12))
+    labels = draw(st.lists(st.sampled_from((None, 0, 1, 2)),
+                           min_size=len(window), max_size=len(window)))
+    marks = {f: l for f, l in zip(sorted(window), labels) if l is not None}
+    return make_config(marks, window=window, period=draw(st.none() | st.integers(0, 12)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(partial_configs())
+@example(make_config({up(0, 0): 0, down(0, 0): 2},
+                     window=frozenset({up(0, 0), down(0, 0), up(1, 0)})))
+def test_config_round_trip(cfg):
+    text = serialize_config(cfg)
+    again = parse_config(text)
     assert again.marks == cfg.marks
     assert again.window == cfg.window
-    assert serialize_config(again) == serialize_config(cfg)
+    assert again.period == cfg.period
+    assert serialize_config(again) == text
 
 
 def test_parse_single_face():
@@ -53,13 +72,28 @@ def test_comments_and_blanks_are_ignored():
     assert parse_config(text).marks == {up(0, 0): 1}
 
 
-def test_distribution_round_trip_with_unassigned():
-    dist = make_distribution({(0, 0): 0, (1, 0): 2}, window={(0, 0), (1, 0), (2, 0)})
+@st.composite
+def partial_distributions(draw):
+    """A window of 1-12 vertices of the radius-3 hexagon, some of them given
+    an axis."""
+    window = draw(st.sets(st.sampled_from(HEX3), min_size=1, max_size=12))
+    axes = draw(st.lists(st.sampled_from((None, 0, 1, 2)),
+                         min_size=len(window), max_size=len(window)))
+    axis = {v: a for v, a in zip(sorted(window), axes) if a is not None}
+    return make_distribution(axis, window=window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(partial_distributions())
+@example(make_distribution({(0, 0): 0, (1, 0): 2}, window={(0, 0), (1, 0), (2, 0)}))
+def test_distribution_round_trip_with_unassigned(dist):
     text = serialize_distribution(dist)
-    assert "vertex 2 0 -" in text
+    for v in dist.window - set(dist.axis):
+        assert "vertex %d %d -" % v in text
     again = parse_distribution(text)
     assert again.axis == dist.axis
     assert again.window == dist.window
+    assert serialize_distribution(again) == text
 
 
 def test_distribution_duplicate_vertex_is_an_error():
@@ -278,3 +312,15 @@ def test_cli_report_matches_library(capsys):
     from ringlab.reports import criterion2_report
 
     assert json.loads(out) == criterion2_report()
+
+
+def test_cli_threads_flag_is_ignored(tmp_path, capsys):
+    quad = tmp_path / "quad.txt"
+    quad.write_text(data_text("window_quad.txt"))
+    for plain, flagged in (
+        (["report", "4"], ["--threads", "4", "report", "4"]),
+        (["enumerate", str(quad)], ["enumerate", str(quad), "--threads", "3"]),
+    ):
+        rc, want = run_cli(capsys, *plain)
+        assert rc == 0
+        assert run_cli(capsys, *flagged) == (0, want)
