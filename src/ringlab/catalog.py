@@ -3,7 +3,9 @@
 The periodic strips and the twelve exceptional seed patches ship as data
 files; this module loads them, stacks strips into finite windows, rebuilds
 the special puzzles by propagation, and decides label-preserving
-isomorphism and catalog embedding.
+isomorphism and catalog embedding.  The embedding tests read a window's
+images under the label-preserving point group, and their placements in the
+strip slots, from small caches that every marking of the window shares.
 """
 
 from __future__ import annotations
@@ -378,55 +380,92 @@ def strip_readings() -> List[Tuple[str, int, str]]:
     return out
 
 
-def _slot_candidates(
-    marks: Dict[Face, int], spec_list, height: int, y_top: int
-) -> List[RowChoice]:
-    """Variant/shift pairs whose strip rows agree with every marked face
-    of the slot at rows y_top .. y_top-height+1."""
-    present = [f for f in marks if y_top - height < f.y <= y_top]
+# A strip slot of placed faces: the faces' positions, and the variant/shift
+# pairs of the slot keyed by the labels their strip rows give those faces,
+# each list in variant order, then shift order.
+_Slot = Tuple[Tuple[int, ...], Dict[bytes, List[RowChoice]]]
+
+
+def _slots(placed: Sequence[Face], height: int) -> Tuple[_Slot, ...]:
+    """The strip slots of faces whose top face row is in the first slot."""
     out = []
-    for spec in spec_list:
-        for shift in range(6):
-            if (shift - y_top) % 3 != 0:
-                continue
-            ok = True
-            for f in present:
-                ups, downs = spec.rows[y_top - f.y]
-                want = ups[(f.x - shift) % 6] if f.up else downs[(f.x - shift) % 6]
-                if marks[f] != want:
-                    ok = False
-                    break
-            if ok:
-                out.append((spec.key, shift))
-    return out
+    for r in range((-min(f.y for f in placed)) // height + 1):
+        y_top = -r * height
+        positions = tuple(
+            p for p, f in enumerate(placed) if y_top - height < f.y <= y_top
+        )
+        choices: Dict[bytes, List[RowChoice]] = {}
+        for spec in strip_variants(height):
+            for shift in range(y_top % 3, 6, 3):
+                want = []
+                for p in positions:
+                    f = placed[p]
+                    ups, downs = spec.rows[y_top - f.y]
+                    want.append((ups if f.up else downs)[(f.x - shift) % 6])
+                choices.setdefault(bytes(want), []).append((spec.key, shift))
+        out.append((positions, choices))
+    return tuple(out)
 
 
-def _match_stack(marks: Dict[Face, int], height: int) -> Optional[StackingWord]:
-    """A compatible stacking word agreeing with the (normalized) marks."""
-    ys = {f.y for f in marks}
-    if not -height < max(ys) <= 0:
-        raise ValueError("marks must be normalized with top face row in the first slot")
-    slots = (-min(ys)) // height + 1
-    spec_list = strip_variants(height)
-    table = INTERFACE_DELTAS[height]
-    options = [
-        _slot_candidates(marks, spec_list, height, -r * height)
-        for r in range(slots)
-    ]
-    if any(not opts for opts in options):
+@lru_cache(maxsize=8)
+def _images(
+    faces: frozenset,
+) -> Tuple[Tuple[Face, ...], Tuple[Tuple[Isometry, Tuple[Face, ...]], ...]]:
+    """The faces in sorted order, and each label-preserving point-group
+    element with the image of each of them."""
+    order = tuple(sorted(faces))
+    moves = tuple((g, tuple(map(g.apply_face, order))) for g in LABEL_POINT_GROUP)
+    return order, moves
+
+
+@lru_cache(maxsize=8)
+def _strip_placements(
+    faces: frozenset, height: int
+) -> Tuple[Tuple[Tuple[Face, ...], int, Tuple[_Slot, ...]], ...]:
+    """Per image of the faces, and then per vertical phase of the strip
+    slots: the image translated label-preservingly into the slots, the
+    width in periods to assemble a matched stack at, and its slots."""
+    out = []
+    for _, image in _images(faces)[1]:
+        y_max = max(f.y for f in image)
+        x_min = min(f.x for f in image)
+        for y_target in range(0, -height, -1):
+            ty = y_target - y_max
+            tx = 3 - x_min
+            tx += (ty - tx) % 3
+            placed = tuple(Face(f.x + tx, f.y + ty, f.up) for f in image)
+            x_max = max(f.x for f in placed)
+            out.append((placed, max(2, (x_max + 6) // 6 + 1), _slots(placed, height)))
+    return tuple(out)
+
+
+def _marked(config: Configuration) -> frozenset:
+    """The marked faces, as the window object itself when the marking is
+    total: the completions of one sweep share it, so the caches above find
+    its entries by identity."""
+    if len(config.marks) == len(config.window):
+        return config.window
+    return frozenset(config.marks)
+
+
+def _match_stack(
+    labels: Sequence[int], slots: Sequence[_Slot], height: int
+) -> Optional[StackingWord]:
+    """A compatible stacking word whose strip rows give the labels."""
+    options = [choices.get(bytes([labels[p] for p in positions]), ())
+               for positions, choices in slots]
+    if not all(options):
         return None
-
+    table = INTERFACE_DELTAS[height]
     word: List[RowChoice] = []
 
     def rec(r: int) -> bool:
-        if r == slots:
+        if r == len(options):
             return True
         for key, shift in options[r]:
             if word:
                 pk, ps = word[-1]
-                if (pk, key) not in table:
-                    continue
-                if (ps - shift) % 6 not in table[(pk, key)]:
+                if (ps - shift) % 6 not in table.get((pk, key), ()):
                     continue
             word.append((key, shift))
             if rec(r + 1):
@@ -445,22 +484,15 @@ def embeds_in_strips(config: Configuration, height: int) -> Optional[dict]:
     face row at 0 or, for height 2, also at -1 (strip slots have two
     vertical phases).
     """
-    for g in LABEL_POINT_GROUP:
-        image = _image(config.marks, g)
-        y_max = max(f.y for f in image)
-        x_min = min(f.x for f in image)
-        for y_target in range(0, -height, -1):
-            ty = y_target - y_max
-            tx = 3 - x_min
-            tx += (ty - tx) % 3
-            placed = {Face(f.x + tx, f.y + ty, f.up): l for f, l in image.items()}
-            word = _match_stack(placed, height)
-            if word is None:
-                continue
-            x_max = max(f.x for f in placed)
-            big = assemble(word, width_periods=max(2, (x_max + 6) // 6 + 1))
-            if _reads_at(image, big.marks, tx, ty):
-                return {"kind": f"strip-h{height}", "word": list(word)}
+    faces = _marked(config)
+    labels = [config.marks[f] for f in _images(faces)[0]]
+    for placed, width, slots in _strip_placements(faces, height):
+        word = _match_stack(labels, slots, height)
+        if word is None:
+            continue
+        big = assemble(word, width_periods=width)
+        if dict(zip(placed, labels)).items() <= big.marks.items():
+            return {"kind": f"strip-h{height}", "word": list(word)}
     return None
 
 
@@ -482,8 +514,10 @@ def _special_signature_index(index: int) -> Dict[tuple, Tuple[Face, ...]]:
 
 def embeds_in_special(config: Configuration, center: Face = up(0, 0)) -> Optional[dict]:
     """Evidence that config occurs inside one of the twelve special puzzles."""
-    for g in LABEL_POINT_GROUP:
-        image = _image(config.marks, g)
+    order, moves = _images(_marked(config))
+    labels = [config.marks[f] for f in order]
+    for g, image_faces in moves:
+        image = dict(zip(image_faces, labels))
         c_img = g.apply_face(center)
         ring1 = sorted(ball(c_img, 1))
         if not all(f in image for f in ring1):

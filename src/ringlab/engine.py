@@ -1,9 +1,14 @@
 """Partial configurations: checking, propagation, enumeration, dead ends.
 
-`propagate`, `enumerate_completions` and `has_completion` run on
+`propagate`, `enumerate_completions` and `have_completions` run on
 `kernel.Kernel` (see that module for the design), built per call over the
 window at hand: faces are its variables, and every vertex is one ring
-constraint whose table accepts the legal words of its family s.  `check`
+constraint whose table accepts the legal words of its family s.
+`have_completions` probes a batch of configurations on one kernel over the
+target window, assuming each one's marks on the trail and undoing them
+afterwards; `has_completion` is its one-configuration case, and
+`dead_end_report` probes the completions still alive at each radius in one
+batch.  No kernel outlives the call that built it.  `check`
 reads the same tables, but builds every touched vertex's link code in one
 pass over the marks: each marked face lowers the code of its three vertices
 at the fixed link positions it sits at, so no link is read face by face.
@@ -208,14 +213,38 @@ def enumerate_completions(
     ]
 
 
+def have_completions(
+    configs: Iterable[Configuration],
+    target_window: Iterable[Face],
+    mode: str = DEFAULT_MODE,
+) -> List[bool]:
+    """Whether each configuration extends to a total marking of the target
+    window, which must contain every configuration's window.
+
+    One kernel is built over the target with no labels given; each
+    configuration's marks are then assumed on its trail, one completion is
+    searched for, and the trail is undone, so the configurations share the
+    kernel and its search order.
+    """
+    target = frozenset(target_window)
+    order = _search_order(target)
+    index = {f: g for g, f in enumerate(order)}
+    kernel = _kernel(order, {}, mode)
+    out = []
+    for config in configs:
+        _target(config, target)
+        out.append(kernel.extends({index[f]: l for f, l in config.marks.items()}))
+    return out
+
+
 def has_completion(
     config: Configuration,
     target_window: Iterable[Face],
     mode: str = DEFAULT_MODE,
 ) -> bool:
-    """Whether at least one completion of the target window exists."""
-    target = _target(config, target_window)
-    return bool(_kernel(_search_order(target), config.marks, mode).search(stop_at=1))
+    """Whether at least one completion of the target window exists: the
+    one-configuration case of `have_completions`."""
+    return have_completions([config], target_window, mode)[0]
 
 
 def dead_end_report(
@@ -229,24 +258,22 @@ def dead_end_report(
 
     A completion survives radius rho when it extends to a total marking of
     the radius-rho ball; the configuration itself is a dead end when none
-    of its completions survive the final probe.
+    of its completions survive the final probe.  Every completion shares
+    the window `base`, so each rho probes the completions still alive in one
+    `have_completions` call, on one kernel.
     """
     if r >= r_probe:
         raise ValueError("probe radius must exceed the base radius")
     base = ball(center, r) | config.window
     comps = enumerate_completions(config, base, mode=mode)
-    radii = list(range(r + 1, r_probe + 1))
-    reach: List[int] = []
-    for comp in comps:
-        best = r
-        for rho in radii:
-            if has_completion(comp, ball(center, rho) | comp.window, mode=mode):
-                best = rho
-            else:
-                break
-        reach.append(best)
-    survivors = {str(rho): sum(1 for b in reach if b >= rho) for rho in radii}
-    dead = {str(rho): len(comps) - survivors[str(rho)] for rho in radii}
+    survivors: Dict[str, int] = {}
+    alive = comps
+    for rho in range(r + 1, r_probe + 1):
+        if alive:
+            verdicts = have_completions(alive, ball(center, rho) | base, mode=mode)
+            alive = [c for c, ok in zip(alive, verdicts) if ok]
+        survivors[str(rho)] = len(alive)
+    dead = {rho: len(comps) - n for rho, n in survivors.items()}
     return {
         "radius": r,
         "probe": r_probe,

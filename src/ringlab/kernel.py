@@ -27,7 +27,11 @@ no object per site:
   allowed at all of its sites;
 - assignments go on a trail and are undone back to a trail mark (after the
   MiniSat design, Een and Sorensson 2003), so a search node or a trial
-  probe copies nothing.
+  probe copies nothing;
+- a kernel built once can answer many queries under assumptions (again as
+  in MiniSat): `extends` assigns a query's labels on the trail, searches
+  for one total labeling and undoes back to the mark, so a batch of
+  queries over one problem shares its construction and its tables.
 
 The forcing rule does not depend on the order variables are examined in,
 so the propagated fixed point and every completion set are the same as a
@@ -156,6 +160,50 @@ class Kernel:
         ok = self.assign(g, l)
         self._undo(mark)
         return ok
+
+    def extends(self, given: Dict[int, int]) -> bool:
+        """Whether the given labels extend to a total labeling; the state is
+        left as it was.
+
+        The labels are assumed on the trail, one search for a single
+        labeling runs, and the trail is undone to where it stood.  A label
+        that differs from one already set, or that leaves a constraint no
+        accepted completion, answers False at once.
+        """
+        if self.failure is not None:
+            return False
+        mark = len(self.trail)
+        ok = self._assume(given) and bool(self.search(stop_at=1))
+        self._undo(mark)
+        return ok
+
+    def _assume(self, given: Dict[int, int]) -> bool:
+        """Assign the given labels and propagate; False on a label that
+        differs from one already set, or on a contradiction.
+
+        As at construction, every label lowers its constraints' codes before
+        any table is read, so a table fills only the codes a kernel built
+        with these labels given would read.
+        """
+        code, label, sites = self.code, self.label, self.sites
+        queue: List[int] = []
+        for g, l in given.items():
+            if label[g] >= 0:
+                if label[g] != l:
+                    return False
+                continue
+            label[g] = l
+            self.trail.append(g)
+            it = iter(sites[g])
+            for c in it:
+                code[c] -= (UNSET - l) << 2 * next(it)
+                queue.append(c)
+        masks, tables = self.masks, self.tables
+        for c in queue:
+            masks[c] = tables[c][code[c]]
+            if masks[c] is None:
+                return False
+        return self._fixpoint(queue) is None
 
     def _assign(self, g: int, l: int, queue: List[int]) -> None:
         """Label g with l and queue its constraints.

@@ -6,6 +6,7 @@ across runs and hash seeds, suitable for JSON serialization.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, List
 
 from .catalog import (
@@ -36,7 +37,7 @@ from .engine import (
     check,
     dead_end_report,
     enumerate_completions,
-    has_completion,
+    have_completions,
     make_config,
 )
 from .labeling import derive_edge_labels, edge_label, square_window
@@ -237,30 +238,32 @@ def criterion7_report() -> dict:
     }
 
 
-def criterion8_report() -> dict:
-    """Every radius-2 completion embeds in the catalog or dies by probe 4."""
-    seed = make_config({up(0, 0): 0}, window=ball(up(0, 0), 2))
+def classification_report(r: int, probe: int) -> dict:
+    """Counts for the claim that every radius-r completion of Up(0,0) marked
+    0 has no completion on the radius-`probe` ball or embeds in the catalog."""
+    seed = make_config({up(0, 0): 0}, window=ball(up(0, 0), r))
     comps = enumerate_completions(seed)
-    probe = ball(up(0, 0), 4)
+    alive = have_completions(comps, ball(up(0, 0), probe))
     embedded: Dict[str, int] = {}
-    survivors = dead = exceptions = 0
-    for c in comps:
-        if has_completion(c, probe):
-            survivors += 1
-            found = embeds_in_catalog(c)
-            if found is None:
-                exceptions += 1
-            else:
-                embedded[found["kind"]] = embedded.get(found["kind"], 0) + 1
+    exceptions = 0
+    for c in compress(comps, alive):
+        found = embeds_in_catalog(c)
+        if found is None:
+            exceptions += 1
         else:
-            dead += 1
+            embedded[found["kind"]] = embedded.get(found["kind"], 0) + 1
     return {
         "completions": len(comps),
-        "survivors": survivors,
-        "dead_ends": dead,
+        "survivors": sum(alive),
+        "dead_ends": len(comps) - sum(alive),
         "embedded": dict(sorted(embedded.items())),
         "exceptions": exceptions,
     }
+
+
+def criterion8_report() -> dict:
+    """Every radius-2 completion embeds in the catalog or dies by probe 4."""
+    return classification_report(2, 4)
 
 
 REPORTS = {

@@ -1,5 +1,7 @@
 """Strip catalog, special puzzles, isomorphism, catalog embedding."""
 
+import hashlib
+import json
 from functools import lru_cache
 
 import pytest
@@ -25,9 +27,17 @@ from ringlab.catalog import (
     strip_variants,
     transform_config,
 )
-from ringlab.engine import VALID, check, enumerate_completions, make_config, propagate
+from ringlab.engine import (
+    VALID,
+    check,
+    enumerate_completions,
+    have_completions,
+    make_config,
+    propagate,
+)
 from ringlab.lattice import A1, A2, Isometry, ball, up
 from ringlab.distributions import classify_distribution, induced_distribution
+from ringlab.reports import classification_report
 
 
 def test_strip_variants_and_table():
@@ -230,6 +240,41 @@ def test_catalog_embedding_kinds():
             assert set(found) <= {"kind", "word", "index"}
     assert kinds <= {"strip-h1", "strip-h2", "special"}
     assert kinds
+
+
+def test_a_partial_marking_embeds_by_its_marked_faces():
+    # the stack's top row left unmarked: the marks, not the window, are placed
+    stack = assemble(compatible_words(1, 3)[0], width_periods=2)
+    marks = {f: l for f, l in stack.marks.items() if f.y < 0}
+    found = catalog.embeds_in_strips(make_config(marks, window=stack.window), 1)
+    assert found == {"kind": "strip-h1", "word": [("d", 3), ("a", 5)]}
+
+
+# SHA-256 of the JSON list of the embedding evidence (kind, and stacking word
+# or special index) of criterion 8's 184 survivors in completion order, as
+# the per-call embedding of earlier versions reported it.
+RADIUS2_EVIDENCE_SHA256 = (
+    "fcbe037d8a2a247880003ed4bfba8b0f1b98e1765810b2f728cdd3c99048296e"
+)
+
+
+def test_radius2_embedding_evidence_is_byte_stable():
+    comps = _radius2_completions()
+    alive = have_completions(comps, ball(up(0, 0), 4))
+    evidence = [embeds_in_catalog(c) for c, ok in zip(comps, alive) if ok]
+    assert len(evidence) == 184
+    digest = hashlib.sha256(json.dumps(evidence).encode()).hexdigest()
+    assert digest == RADIUS2_EVIDENCE_SHA256
+
+
+def test_classification_one_ring_further_out():
+    assert classification_report(3, 5) == {
+        "completions": 736,
+        "survivors": 652,
+        "dead_ends": 84,
+        "embedded": {"special": 196, "strip-h1": 384, "strip-h2": 72},
+        "exceptions": 0,
+    }
 
 
 @lru_cache(maxsize=None)

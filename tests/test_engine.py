@@ -28,6 +28,7 @@ from ringlab.engine import (
     dead_end_report,
     enumerate_completions,
     has_completion,
+    have_completions,
     link_word,
     make_config,
     propagate,
@@ -213,6 +214,8 @@ def test_no_kernel_outlives_its_call():
     try:
         enumerate_completions(seed, ball(up(0, 0), 1))
         has_completion(seed, ball(up(0, 0), 2))
+        have_completions([seed, seed], ball(up(0, 0), 2))
+        dead_end_report(seed, 1, 3)
         propagate(seed)
         with pytest.raises(Contradiction):
             propagate(make_config({up(0, 0): 0, down(0, -1): 0, down(-1, 0): 0,
@@ -305,30 +308,67 @@ STACK_WORDS = {1: compatible_words(1, 6), 2: compatible_words(2, 3)}
 
 
 @st.composite
-def ball_markings(draw):
-    """A radius-1..3 ball partially marked: at random, or from a special
-    puzzle or a strip stack with some faces blanked and some relabelled."""
-    window = sorted(ball(draw(st.sampled_from((up(0, 0), down(0, 0), up(2, -1)))),
-                         draw(st.integers(1, 3))))
+def source_marks(draw):
+    """The marks of a special puzzle or of a strip stack, or none."""
     source = draw(st.sampled_from(("random", "special", "stack")))
     if source == "special":
-        base = special_puzzle(draw(st.integers(1, 12)), 5).marks
-    elif source == "stack":
+        return special_puzzle(draw(st.integers(1, 12)), 5).marks
+    if source == "stack":
         height = draw(st.sampled_from((1, 2)))
         stack = assemble(draw(st.sampled_from(STACK_WORDS[height])), 3)
         # a move by (-6, 3) keeps x - y mod 3, so the stack stays a valid marking
-        base = {f._replace(x=f.x - 6, y=f.y + 3): l for f, l in stack.marks.items()}
-    else:
-        base = {}
+        return {f._replace(x=f.x - 6, y=f.y + 3): l for f, l in stack.marks.items()}
+    return {}
+
+
+@st.composite
+def window_markings(draw, window):
+    """The window partially marked: at random, or from a special puzzle or a
+    strip stack with some faces blanked and some relabelled.  Relabelled
+    faces come last in the marks' order."""
+    base = draw(source_marks())
     marks = {f: base[f] for f in window if f in base}
     for f in draw(st.sets(st.sampled_from(window))):
         marks.pop(f, None)
-    marks.update(draw(st.dictionaries(st.sampled_from(window), st.integers(0, 2),
-                                      max_size=2 if base else len(window))))
+    relabelled = draw(st.dictionaries(st.sampled_from(window), st.integers(0, 2),
+                                      max_size=2 if base else len(window)))
+    for f in relabelled:
+        marks.pop(f, None)
+    marks.update(relabelled)
     return make_config(marks, window=window)
+
+
+@st.composite
+def ball_markings(draw):
+    """A radius-1..3 ball partially marked, as `window_markings` marks it."""
+    window = sorted(ball(draw(st.sampled_from((up(0, 0), down(0, 0), up(2, -1)))),
+                         draw(st.integers(1, 3))))
+    return draw(window_markings(window))
 
 
 @settings(max_examples=150, deadline=None)
 @given(ball_markings(), st.sampled_from((MODE_ROT, MODE_ROT_REF)))
 def test_check_agrees_with_the_link_word_reference(cfg, mode):
     assert check(cfg, mode) == reference_check(cfg, mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda r: st.lists(
+           window_markings(sorted(ball(up(0, 0), r))), min_size=2, max_size=6)),
+       st.sampled_from((MODE_ROT, MODE_ROT_REF)))
+def test_batched_probes_agree_with_enumeration(configs, mode):
+    """One kernel answers a batch of probes as separate enumerations do, and
+    each probe leaves it as it found it, also when a contradiction stops a
+    configuration's assumptions partway (relabelled faces come last)."""
+    want = [bool(enumerate_completions(c, BALL2, mode=mode)) for c in configs]
+    dead_first = sorted(range(len(configs)), key=want.__getitem__)
+    for order in (range(len(configs)), dead_first):
+        assert have_completions([configs[i] for i in order], BALL2, mode) == [
+            want[i] for i in order]
+    faces = engine._search_order(BALL2)
+    index = {f: g for g, f in enumerate(faces)}
+    k = engine._kernel(faces, {}, mode)
+    before = (list(k.label), list(k.code), list(k.masks), list(k.trail))
+    for i in dead_first:
+        assert k.extends({index[f]: l for f, l in configs[i].marks.items()}) == want[i]
+        assert (k.label, k.code, k.masks, k.trail) == before
