@@ -33,32 +33,22 @@ StackingWord = Sequence[RowChoice]
 
 @dataclass(frozen=True)
 class StripSpec:
-    """One periodic strip: per-row up/down label cycles plus interface letters."""
+    """One periodic strip: per-row up/down label cycles."""
 
     height: int
     index: int
     key: str
     period: int
     rows: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
-    top_letter: str
-    bottom_letter: str
 
 
-_H1_LETTERS = {
-    "a": ("A", "B"),
-    "b": ("A", "A"),
-    "c": ("A", "B"),
-    "d": ("B", "A"),
-    "e": ("B", "A"),
-    "f": ("B", "B"),
-}
-_H2_LETTERS = {"1": ("A", "B"), "2": ("A", "B"), "3": ("A", "B")}
+# The strip variant keys of each height, in index order.
+_STRIP_KEYS = {1: "abcdef", 2: "123"}
 
 # Allowed horizontal offsets (upper shift minus lower shift, mod 6) at each
 # strip interface.  Derived once by exhaustive two-row validity checks and
-# frozen here; a catalog test re-derives the table and compares.  The letter
-# annotations explain every entry (facing letters must agree) except that the
-# two self-faced strips b and f cannot stack on themselves at any offset.
+# frozen here; a catalog test re-derives the table and compares.  No strip
+# stacks on itself at any offset.
 H1_DELTAS: Dict[Tuple[str, str], Tuple[int, ...]] = {
     ("a", "d"): (1,),
     ("a", "e"): (4,),
@@ -78,7 +68,7 @@ H1_DELTAS: Dict[Tuple[str, str], Tuple[int, ...]] = {
     ("f", "e"): (1, 4),
 }
 H2_DELTAS: Dict[Tuple[str, str], Tuple[int, ...]] = {
-    (a, b): (2,) for a in "123" for b in "123" if a != b
+    (a, b): (2,) for a in _STRIP_KEYS[2] for b in _STRIP_KEYS[2] if a != b
 }
 INTERFACE_DELTAS: Dict[int, Dict[Tuple[str, str], Tuple[int, ...]]] = {
     1: H1_DELTAS,
@@ -100,22 +90,12 @@ def _load_rows(name: str, height: int):
 @lru_cache(maxsize=None)
 def strip_variants(height: int) -> Tuple[StripSpec, ...]:
     """Every row type occurring in stacks: six for height 1, three for height 2."""
-    out = []
-    if height == 1:
-        for i, key in enumerate("abcdef", start=1):
-            top, bottom = _H1_LETTERS[key]
-            out.append(
-                StripSpec(1, i, key, 6, _load_rows(f"strip_h1_{key}.txt", 1), top, bottom)
-            )
-    elif height == 2:
-        for i, key in enumerate("123", start=1):
-            top, bottom = _H2_LETTERS[key]
-            out.append(
-                StripSpec(2, i, key, 6, _load_rows(f"strip_h2_{key}.txt", 2), top, bottom)
-            )
-    else:
+    if height not in _STRIP_KEYS:
         raise ValueError("height must be 1 or 2")
-    return tuple(out)
+    return tuple(
+        StripSpec(height, i, key, 6, _load_rows(f"strip_h{height}_{key}.txt", height))
+        for i, key in enumerate(_STRIP_KEYS[height], start=1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -157,6 +137,12 @@ def _row_marks(
     return marks
 
 
+def _meets(height: int, upper: RowChoice, lower: RowChoice) -> bool:
+    """Whether strip row `upper` may sit right above strip row `lower`."""
+    delta = (upper[1] - lower[1]) % 6
+    return delta in INTERFACE_DELTAS[height].get((upper[0], lower[0]), ())
+
+
 def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
     """Stack strip rows (top to bottom) into one finite window.
 
@@ -169,7 +155,7 @@ def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
     if width_periods < 2:
         raise ValueError("width must cover at least two periods")
     keys = [k for k, _ in word]
-    heights = {1 if k in "abcdef" else 2 for k in keys}
+    heights = {1 if k in _STRIP_KEYS[1] else 2 for k in keys}
     if len(heights) != 1:
         raise ValueError("interface mismatch: rows of different strip heights")
     height = heights.pop()
@@ -186,14 +172,11 @@ def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
                 f"interface mismatch: row {r} shift {shift} breaks the edge "
                 f"labeling (needs shift congruent to {y_top % 3} mod 3)"
             )
-        if prev is not None:
-            delta = (prev[1] - shift) % 6
-            allowed = INTERFACE_DELTAS[height].get((prev[0], key), ())
-            if delta not in allowed:
-                raise ValueError(
-                    f"interface mismatch: row {r - 1} ({prev[0]}) over row {r} "
-                    f"({key}) at offset {delta}"
-                )
+        if prev is not None and not _meets(height, prev, (key, shift)):
+            raise ValueError(
+                f"interface mismatch: row {r - 1} ({prev[0]}) over row {r} "
+                f"({key}) at offset {(prev[1] - shift) % 6}"
+            )
         marks.update(_row_marks(height, key, shift, y_top, width))
         prev = (key, shift)
     return Configuration(frozenset(marks), marks, 6)
@@ -203,7 +186,10 @@ def derive_interface_table(height: int) -> Dict[Tuple[str, str], Tuple[int, ...]
     """Recompute the allowed-offset table by brute two-row validity checks."""
     variants = strip_variants(height)
     width = 18
-    deltas = (1, 4) if height == 1 else (2, 5)
+    # the lower row's shift is congruent to its top face row -height mod 3
+    # (the shift-parity rule `assemble` enforces), so the offset from an
+    # upper row at shift 0 is congruent to height
+    deltas = (height % 3, height % 3 + 3)
     out: Dict[Tuple[str, str], Tuple[int, ...]] = {}
     for a in variants:
         for b in variants:
@@ -231,20 +217,15 @@ def compatible_words(height: int, rows: int) -> List[StackingWord]:
         if len(word) == rows:
             yield tuple(word)
             return
-        r = len(word)
-        y_top = -r * height
+        y_top = -len(word) * height
         for key in variants:
-            if word and (word[-1][0], key) not in table:
-                continue
             if word:
-                for delta in table[(word[-1][0], key)]:
-                    shift = (word[-1][1] - delta) % 6
-                    if (shift - y_top) % 3 == 0:
-                        word.append((key, shift))
-                        yield from rec(word)
-                        word.pop()
+                pk, ps = word[-1]
+                shifts = [(ps - delta) % 6 for delta in table.get((pk, key), ())]
             else:
-                for shift in (0, 3):
+                shifts = [0, 3]
+            for shift in shifts:
+                if (shift - y_top) % 3 == 0:
                     word.append((key, shift))
                     yield from rec(word)
                     word.pop()
@@ -456,18 +437,15 @@ def _match_stack(
                for positions, choices in slots]
     if not all(options):
         return None
-    table = INTERFACE_DELTAS[height]
     word: List[RowChoice] = []
 
     def rec(r: int) -> bool:
         if r == len(options):
             return True
-        for key, shift in options[r]:
-            if word:
-                pk, ps = word[-1]
-                if (ps - shift) % 6 not in table.get((pk, key), ()):
-                    continue
-            word.append((key, shift))
+        for choice in options[r]:
+            if word and not _meets(height, word[-1], choice):
+                continue
+            word.append(choice)
             if rec(r + 1):
                 return True
             word.pop()

@@ -82,6 +82,15 @@ def _emit(args, op: str, obj: dict, text: str) -> None:
         print(text)
 
 
+def _emit_or_write(args, op: str, obj: dict, text: str, summary: str) -> None:
+    """With -o, write text to the file and emit the summary; else emit text."""
+    if args.output:
+        _write(args.output, text)
+        _emit(args, op, obj, summary)
+    else:
+        _emit(args, op, obj, text.rstrip("\n"))
+
+
 def cmd_rings(args) -> int:
     table = ring_table()
     mt = multiplicity_table()
@@ -215,11 +224,8 @@ def cmd_strip(args) -> int:
         "status": verdict.status,
         "faces": len(cfg.window),
     }
-    if args.output:
-        _write(args.output, serialize_config(cfg))
-        _emit(args, "strip", obj, "%s: %d faces" % (verdict.status, len(cfg.window)))
-    else:
-        _emit(args, "strip", obj, serialize_config(cfg).rstrip("\n"))
+    _emit_or_write(args, "strip", obj, serialize_config(cfg),
+                   "%s: %d faces" % (verdict.status, len(cfg.window)))
     return 0 if verdict.status == VALID else 1
 
 
@@ -232,11 +238,8 @@ def cmd_special(args) -> int:
         "status": verdict.status,
         "faces": len(cfg.window),
     }
-    if args.output:
-        _write(args.output, serialize_config(cfg))
-        _emit(args, "special", obj, "%s: %d faces" % (verdict.status, len(cfg.window)))
-    else:
-        _emit(args, "special", obj, serialize_config(cfg).rstrip("\n"))
+    _emit_or_write(args, "special", obj, serialize_config(cfg),
+                   "%s: %d faces" % (verdict.status, len(cfg.window)))
     return 0 if verdict.status == VALID else 1
 
 
@@ -274,11 +277,8 @@ def cmd_dist(args) -> int:
             "all_odd": all_faces_odd(dist),
             "distribution": serialize_distribution(dist),
         }
-        if args.output:
-            _write(args.output, serialize_distribution(dist))
-            _emit(args, "dist-d0", obj, "%d vertices" % len(dist.axis))
-        else:
-            _emit(args, "dist-d0", obj, serialize_distribution(dist).rstrip("\n"))
+        _emit_or_write(args, "dist-d0", obj, serialize_distribution(dist),
+                       "%d vertices" % len(dist.axis))
         return 0
     dist = parse_distribution(_read(args.file))
     if args.dist_cmd == "check":

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .labeling import edge_label
 from .lattice import (
+    AXES,
     AXIS_BY_NAME,
     AXIS_NAMES,
     AXIS_STEPS,
@@ -30,6 +31,7 @@ from .lattice import (
     edge_vertices,
     face_edges,
     face_vertices,
+    runs,
 )
 from .engine import Configuration, make_config
 from .distributions import Distribution
@@ -223,19 +225,8 @@ def _fmt(x: float) -> str:
 def _d0_ray(dist: Distribution) -> Optional[List[Vertex]]:
     """Longest run of consecutive vertices whose axis equals the run direction."""
     best: Optional[List[Vertex]] = None
-    assigned = dist.axis
-    for d in sorted(AXIS_STEPS):
-        step = AXIS_STEPS[d]
-        aligned = {v for v, a in assigned.items() if a == d}
-        for v in sorted(aligned):
-            prev = (v[0] - step[0], v[1] - step[1])
-            if prev in aligned:
-                continue
-            run = []
-            u = v
-            while u in aligned:
-                run.append(u)
-                u = (u[0] + step[0], u[1] + step[1])
+    for d in AXES:
+        for run in runs({v for v, a in dist.axis.items() if a == d}, d):
             if len(run) >= 3 and (best is None or len(run) > len(best)):
                 best = run
     return best

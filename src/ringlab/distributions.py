@@ -17,13 +17,13 @@ from .lattice import (
     A1,
     A2,
     AXES,
-    AXIS_STEPS,
     Face,
     POINT_GROUP,
     Vertex,
     face_vertices,
     link_faces,
     opposite_axis_at_vertex,
+    runs,
     vertices_within,
 )
 from .kernel import Kernel, Table
@@ -312,34 +312,14 @@ def half_strip_report(height: int = 4, width: int = 5) -> dict:
     }
 
 
-def _grid_lines(vs: Set[Vertex]) -> List[Tuple[int, List[Vertex]]]:
-    """Maximal runs of consecutive vertices in each direction, with the direction."""
-    out = []
-    for d in AXES:
-        step = AXIS_STEPS[d]
-        starts = [
-            v
-            for v in vs
-            if (v[0] - step[0], v[1] - step[1]) not in vs
-        ]
-        for v in starts:
-            run = []
-            u = v
-            while u in vs:
-                run.append(u)
-                u = (u[0] + step[0], u[1] + step[1])
-            if len(run) >= 4:
-                out.append((d, run))
-    return out
-
-
 def _has_rank32_segment(axis: Dict[Vertex, int], vs: Set[Vertex]) -> bool:
     """A length-3 segment whose two interior vertices both align with it."""
     assigned = {v for v in vs if v in axis}
-    for d, run in _grid_lines(assigned):
-        for i in range(len(run) - 3):
-            if axis[run[i + 1]] == d and axis[run[i + 2]] == d:
-                return True
+    for d in AXES:
+        for run in runs(assigned, d):
+            for i in range(len(run) - 3):
+                if axis[run[i + 1]] == d and axis[run[i + 2]] == d:
+                    return True
     return False
 
 

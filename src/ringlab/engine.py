@@ -90,16 +90,17 @@ def link_word(marks: Dict[Face, int], v: Vertex) -> Tuple[Optional[int], ...]:
 
 
 # The (vertex offset, link position) sites of a face, the same for every face
-# of one orientation: Up(x,y) sits at position 0 of (x,y), 2 of (x+1,y) and 4
-# of (x,y+1), Down(x,y) at 1 of (x+1,y), 5 of (x,y+1) and 3 of (x+1,y+1)
-# (see `lattice.link_faces`).  _LINK_DELTAS[up][l] gives, per site, the
-# offset and the amount label l takes off that vertex's code.
-_SITES = {True: ((0, 0, 0), (1, 0, 2), (0, 1, 4)),
-          False: ((1, 0, 1), (0, 1, 5), (1, 1, 3))}
+# of one orientation, read off `link_faces((0, 0))`: the face there at
+# position k has corner (-dx, -dy), so every face of its orientation sits at
+# position k of the vertex (dx, dy) from its corner; Up(x,y), for one, sits
+# at 0 of (x,y), 2 of (x+1,y) and 4 of (x,y+1).  _LINK_DELTAS[up][l] gives,
+# per site, the offset and the amount label l takes off that vertex's code.
 _LINK_DELTAS = {
-    is_up: tuple(tuple((dx, dy, (UNSET - l) << 2 * k) for dx, dy, k in sites)
-                 for l in range(3))
-    for is_up, sites in _SITES.items()
+    is_up: tuple(
+        tuple((-f.x, -f.y, (UNSET - l) << 2 * k)
+              for k, f in enumerate(link_faces((0, 0))) if f.up == is_up)
+        for l in range(3))
+    for is_up in (True, False)
 }
 _FREE_LINK = 4**6 - 1  # every position UNSET
 

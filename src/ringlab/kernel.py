@@ -28,10 +28,10 @@ no object per site:
 - assignments go on a trail and are undone back to a trail mark (after the
   MiniSat design, Een and Sorensson 2003), so a search node or a trial
   probe copies nothing;
-- a kernel built once can answer many queries under assumptions (again as
-  in MiniSat): `extends` assigns a query's labels on the trail, searches
-  for one total labeling and undoes back to the mark, so a batch of
-  queries over one problem shares its construction and its tables.
+- labels are given only as assumptions on the trail (again as in MiniSat):
+  construction assumes the given labels; `extends` assumes a query's,
+  searches for one total labeling and undoes back to the mark, so a batch
+  of queries over one problem shares its construction and its tables.
 
 The forcing rule does not depend on the order variables are examined in,
 so the propagated fixed point and every completion set are the same as a
@@ -81,10 +81,11 @@ class Kernel:
     There are n variables; scopes[c] lists constraint c's variable at each
     position, None where a position has none (it stays free), tables[c] is
     its table, and given maps variables to their labels.  Construction
-    propagates the given labels.  `failure` is then None, or (c, None) when
-    constraint c accepts no completion of the given labels, or (c, g) when
-    constraint c left variable g without a label.  The search assigns free
-    variables in index order.
+    assumes the given labels, queueing every constraint in index order.
+    `failure` is then None, or (c, None) when constraint c accepts no
+    completion of the given labels, or (c, g) when constraint c left
+    variable g without a label.  The search assigns free variables in index
+    order.
     """
 
     def __init__(
@@ -106,22 +107,10 @@ class Kernel:
         ]
         self.tables = tables
         self.code = [4**t.arity - 1 for t in tables]  # every position UNSET
+        self.masks: List[Optional[Tuple[int, ...]]] = [None] * len(tables)
         self.label = [-1] * n
-        for g, l in given.items():
-            self.label[g] = l
-            it = iter(self.sites[g])
-            for c in it:
-                self.code[c] -= (UNSET - l) << 2 * next(it)
-        self.masks = [t[c] for t, c in zip(tables, self.code)]
         self.trail: List[int] = []
-        self.failure: Optional[Tuple[int, Optional[int]]] = None
-        dead = next((c for c, m in enumerate(self.masks) if m is None), None)
-        if dead is not None:
-            self.failure = (dead, None)
-            return
-        g = self._fixpoint(list(range(len(tables))))
-        if g is not None:
-            self.failure = (self.blame(g)[0], g)
+        self.failure = self._assume(given, list(range(len(tables))))
 
     def allowed(self, g: int) -> int:
         """Bitmask of the labels all of g's sites allow."""
@@ -173,37 +162,43 @@ class Kernel:
         if self.failure is not None:
             return False
         mark = len(self.trail)
-        ok = self._assume(given) and bool(self.search(stop_at=1))
+        ok = self._assume(given) is None and bool(self.search(stop_at=1))
         self._undo(mark)
         return ok
 
-    def _assume(self, given: Dict[int, int]) -> bool:
-        """Assign the given labels and propagate; False on a label that
-        differs from one already set, or on a contradiction.
+    def _assume(
+        self, given: Dict[int, int], queue: Optional[List[int]] = None
+    ) -> Optional[Tuple[Optional[int], Optional[int]]]:
+        """Assign the given labels and propagate from the queued constraints,
+        by default those the labels touch; None, or a failure as `failure`
+        reads it, or (None, g) when g's label differs from one already set.
 
-        As at construction, every label lowers its constraints' codes before
-        any table is read, so a table fills only the codes a kernel built
-        with these labels given would read.
+        Every label lowers its constraints' codes before any table is read,
+        so a table fills only the codes the labels reach, and the first
+        queued constraint left dead is the one reported.
         """
         code, label, sites = self.code, self.label, self.sites
-        queue: List[int] = []
+        touched: List[int] = []
         for g, l in given.items():
             if label[g] >= 0:
                 if label[g] != l:
-                    return False
+                    return None, g
                 continue
             label[g] = l
             self.trail.append(g)
             it = iter(sites[g])
             for c in it:
                 code[c] -= (UNSET - l) << 2 * next(it)
-                queue.append(c)
+                touched.append(c)
+        if queue is None:
+            queue = touched
         masks, tables = self.masks, self.tables
         for c in queue:
             masks[c] = tables[c][code[c]]
             if masks[c] is None:
-                return False
-        return self._fixpoint(queue) is None
+                return c, None
+        g = self._fixpoint(queue)
+        return None if g is None else (self.blame(g)[0], g)
 
     def _assign(self, g: int, l: int, queue: List[int]) -> None:
         """Label g with l and queue its constraints.

@@ -7,7 +7,7 @@ core; squared lengths use the quadratic form a^2 + a*b + b^2.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Set, Tuple
+from typing import AbstractSet, Iterable, List, NamedTuple, Set, Tuple
 
 Vertex = Tuple[int, int]
 
@@ -159,6 +159,22 @@ def ball(center: Face, r: int) -> frozenset:
         raise ValueError("radius must be >= 1")
     vs = vertices_within(face_vertices(center), r - 1)
     return frozenset(f for v in vs for f in link_faces(v))
+
+
+def runs(vs: AbstractSet[Vertex], axis: int) -> List[List[Vertex]]:
+    """The maximal runs of consecutive vertices of vs along the axis, in the
+    order of their first vertices."""
+    dx, dy = AXIS_STEPS[axis]
+    out = []
+    for v in sorted(vs):
+        if (v[0] - dx, v[1] - dy) in vs:
+            continue
+        run = []
+        while v in vs:
+            run.append(v)
+            v = (v[0] + dx, v[1] + dy)
+        out.append(run)
+    return out
 
 
 def window_vertices(faces: Iterable[Face]) -> Set[Vertex]:

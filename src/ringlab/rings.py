@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 MODE_ROT = "rot"
 MODE_ROT_REF = "rot+ref"
@@ -77,6 +77,10 @@ _FACE_PATTERNS = {
 }
 
 
+def _edge_pattern(s: int) -> Tuple[int, ...]:
+    return tuple(_m3(s + 1) if k % 2 == 0 else s % 3 for k in range(6))
+
+
 @lru_cache(maxsize=None)
 def ring_table() -> Tuple[Ring, ...]:
     """All nine rings, three per family s."""
@@ -84,8 +88,7 @@ def ring_table() -> Tuple[Ring, ...]:
     for s in range(3):
         for index, pattern in sorted(_FACE_PATTERNS.items()):
             faces = tuple(_m3(p + s) for p in pattern)
-            edges = tuple(_m3(s + 1) if k % 2 == 0 else s for k in range(6))
-            out.append(Ring(s, index, faces, edges))
+            out.append(Ring(s, index, faces, _edge_pattern(s)))
     return tuple(out)
 
 
@@ -158,24 +161,32 @@ def legal_words(mode: str = DEFAULT_MODE) -> Tuple[Tuple[int, Tuple[int, ...]], 
     return tuple(sorted(seen))
 
 
+def _segments(arcs: int) -> Iterator[Tuple[Ring, int, int, tuple, tuple, tuple]]:
+    """Every walk over `arcs` consecutive arcs of a ring, by ring, start
+    vertex k and direction: (ring, k, direction, the vertex labels passed,
+    the arc labels passed, the arcs passed)."""
+    for ring in ring_table():
+        for k in range(6):
+            for direction in (1, -1):
+                edges = tuple(ring.edges[(k + direction * i) % 6] for i in range(arcs + 1))
+                covered = tuple(
+                    (k + i) % 6 if direction > 0 else (k - 1 - i) % 6
+                    for i in range(arcs)
+                )
+                faces = tuple(ring.faces[a] for a in covered)
+                yield ring, k, direction, edges, faces, covered
+
+
 @lru_cache(maxsize=None)
 def all_embeddings() -> Tuple[Embedding, ...]:
     """Every marked isometric embedding of a length-pi segment into a ring.
 
     Six start vertices times two directions per ring: 108 in total.
     """
-    out = []
-    for ring in ring_table():
-        f, e = ring.faces, ring.edges
-        for k in range(6):
-            for direction in (1, -1):
-                edges = tuple(e[(k + direction * i) % 6] for i in range(4))
-                faces = tuple(
-                    f[(k + i) % 6] if direction > 0 else f[(k - 1 - i) % 6]
-                    for i in range(3)
-                )
-                out.append(Embedding(RootDomain(edges, faces), ring, k, direction))
-    return tuple(out)
+    return tuple(
+        Embedding(RootDomain(edges, faces), ring, k, direction)
+        for ring, k, direction, edges, faces, _ in _segments(3)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -205,10 +216,6 @@ def complements(domain: RootDomain) -> List[RootDomain]:
         )
         out.append(twin.domain)
     return out
-
-
-def _edge_pattern(s: int) -> Tuple[int, ...]:
-    return tuple(_m3(s + 1) if k % 2 == 0 else s % 3 for k in range(6))
 
 
 def half_domains(word: Tuple[int, ...], s: int, axis: int) -> Tuple[RootDomain, RootDomain]:
@@ -255,21 +262,9 @@ def check_extension_property() -> dict:
     max_ambiguous = 0
     for arcs in (3, 4, 5, 6):
         words: Dict[Tuple, set] = {}
-        for ring in ring_table():
-            f, e = ring.faces, ring.edges
-            for k in range(6):
-                for direction in (1, -1):
-                    edges = tuple(e[(k + direction * i) % 6] for i in range(arcs + 1))
-                    faces = tuple(
-                        f[(k + i) % 6] if direction > 0 else f[(k - 1 - i) % 6]
-                        for i in range(arcs)
-                    )
-                    if direction > 0:
-                        covered = frozenset((k + i) % 6 for i in range(arcs))
-                    else:
-                        covered = frozenset((k - 1 - i) % 6 for i in range(arcs))
-                    key = (edges, faces)
-                    words.setdefault(key, set()).add((ring.s, ring.index, covered))
+        for ring, _, _, edges, faces, covered in _segments(arcs):
+            words.setdefault((edges, faces), set()).add(
+                (ring.s, ring.index, frozenset(covered)))
         worst = max(len(v) for v in words.values())
         report["lengths"][arcs] = {
             "words": len(words),

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +194,54 @@ def test_propagate_names_a_face_without_labels():
     assert v == face_vertices(up(0, 0))[0]
     assert v in window_vertices(marks)
     assert reason == f"no admissible label for {up(0, 0)}"
+
+
+def _propagation_transcript() -> str:
+    """What seeded random propagations give on two of the kernel's clients,
+    one line each: the forced marks or axes, or the contradiction's witness.
+
+    Face propagation runs on partial markings of the radius-2 ball in both
+    modes, axis propagation on partial axes of the radius-1..3 hexagons with
+    refutation off and on.
+    """
+    rng = random.Random(8)
+    lines = []
+    faces = sorted(ball(up(0, 0), 2))
+    for mode in (MODE_ROT, MODE_ROT_REF):
+        for _ in range(300):
+            p = rng.choice((0.1, 0.2, 0.3))
+            marks = {f: rng.randrange(3) for f in faces if rng.random() < p}
+            try:
+                out = sorted(propagate(make_config(marks, faces), mode=mode).marks.items())
+            except Contradiction as exc:
+                out = exc.witnesses
+            lines.append(repr(out))
+    for radius in (1, 2, 3):
+        window = sorted(hex_window(radius))
+        for refute in (False, True):
+            for _ in range(200):
+                p = rng.choice((0.1, 0.2, 0.3))
+                axis = {v: rng.randrange(3) for v in window if rng.random() < p}
+                try:
+                    dist = dist_propagate(make_distribution(axis, window), refute)
+                    out = sorted(dist.axis.items())
+                except DistContradiction as exc:
+                    out = (exc.vertex, exc.face, str(exc))
+                lines.append(repr(out))
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 of `_propagation_transcript()`: which contradiction is reported
+# first depends on the order the kernel reads its constraints in, so this
+# freezes that order along with every forced label.
+PROPAGATION_TRANSCRIPT_SHA256 = (
+    "11b36a657b7a48f21de06f58d5a4f1111f6275fc9ee617e8c7b05f7871867135"
+)
+
+
+def test_contradiction_witnesses_are_byte_stable():
+    text = _propagation_transcript()
+    assert hashlib.sha256(text.encode()).hexdigest() == PROPAGATION_TRANSCRIPT_SHA256
 
 
 # SHA-256 of the twelve radius-9 special puzzles, serialized and concatenated,

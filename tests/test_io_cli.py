@@ -1,5 +1,6 @@
 """File formats, JSON schema validation, SVG rendering, CLI behavior."""
 
+import hashlib
 import json
 
 import pytest
@@ -174,6 +175,18 @@ def test_render_distribution_ticks_and_d0_overlay():
     assert dots.count("<circle") == len(dist.window)
     annotated = render_svg(dist=dist, annotate_d0=True)
     assert annotated.count("<polyline") == 1
+
+
+# SHA-256 of the annotated D0 on the radius-6 hexagon: its axis ticks, and
+# the dashed overlay along D0's one longest run of axes aligned with it.
+D0_ANNOTATED_R6_SHA256 = (
+    "2ea06179beaaa0b37003bb4233552c49b42427f882c9bbc9f225cd42d9a79921"
+)
+
+
+def test_annotated_d0_is_byte_stable():
+    svg = render_svg(dist=build_D0(hex_window(6)), annotate_d0=True)
+    assert hashlib.sha256(svg.encode()).hexdigest() == D0_ANNOTATED_R6_SHA256
 
 
 def test_render_needs_something():

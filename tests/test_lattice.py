@@ -22,6 +22,7 @@ from ringlab.lattice import (
     incident_edges,
     inverse,
     link_faces,
+    runs,
     up,
     vertices_within,
 )
@@ -106,6 +107,19 @@ def test_axis_steps_are_the_three_lattice_directions():
     assert AXIS_STEPS[0] == (1, 0)
     assert AXIS_STEPS[1] == (0, 1)
     assert AXIS_STEPS[2] == (-1, 1)
+
+
+@given(st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
+       st.sampled_from(AXES))
+def test_runs_are_the_maximal_lines_of_a_vertex_set(vs, axis):
+    dx, dy = AXIS_STEPS[axis]
+    out = runs(vs, axis)
+    assert sorted(v for run in out for v in run) == sorted(vs)
+    assert [run[0] for run in out] == sorted(run[0] for run in out)
+    for run in out:
+        assert all((b[0] - a[0], b[1] - a[1]) == (dx, dy) for a, b in zip(run, run[1:]))
+        assert (run[0][0] - dx, run[0][1] - dy) not in vs
+        assert (run[-1][0] + dx, run[-1][1] + dy) not in vs
 
 
 @given(isometries, faces)

@@ -5,8 +5,10 @@ in ``src/ringlab`` must be referenced somewhere outside its own definition.
 Definitions may be referenced from ``src/``, ``tests/`` or ``perfbench/``;
 imported names must be used in the module that imports them.  A reference
 is a name, an attribute, or a string constant spelling the name (the
-benchmark tracer patches functions by name).  The check goes by name only,
-so a dead method that shares its name with a live one is not caught.
+benchmark tracer patches functions by name).  An annotated class field
+must be read somewhere: as an attribute, a keyword argument or an
+identifier string.  The checks go by name only, so a dead method or field
+that shares its name with a live one is not caught.
 """
 
 import ast
@@ -49,6 +51,29 @@ def _definitions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
                         yield f"{node.name}.{item.name}", item
 
 
+def _fields(tree: ast.Module) -> Iterator[Tuple[str, str]]:
+    """The annotated fields of module-level classes: (qualname, name)."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def _field_reads(node: ast.AST) -> Counter:
+    """Every attribute load, keyword argument and identifier string under node."""
+    out: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.keyword) and sub.arg is not None:
+            out[sub.arg] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if sub.value.isidentifier():
+                out[sub.value] += 1
+    return out
+
+
 def _imported_names(tree: ast.Module) -> Iterator[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -79,6 +104,20 @@ def test_every_definition_is_referenced():
             if total[name] - _references(node)[name] <= 0:
                 dead.append(f"{path.stem}.{qualname}")
     assert not dead, "unreferenced definitions: " + ", ".join(dead)
+
+
+def test_every_class_field_is_read():
+    corpus = _corpus()
+    reads: Counter = Counter()
+    for tree in corpus.values():
+        reads.update(_field_reads(tree))
+    unread = [
+        f"{path.stem}.{qualname}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for qualname, name in _fields(corpus[path])
+        if not reads[name]
+    ]
+    assert not unread, "unread class fields: " + ", ".join(unread)
 
 
 def test_every_import_is_used():
