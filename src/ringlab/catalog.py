@@ -6,6 +6,9 @@ the special puzzles by propagation, and decides label-preserving
 isomorphism and catalog embedding.  The embedding tests read a window's
 images under the label-preserving point group, and their placements in the
 strip slots, from small caches that every marking of the window shares.
+Isomorphism reads a small cache keyed by the pair of windows: the
+point-group moves that make them congruent, and the face permutation of
+each, so a call only compares labels.
 """
 
 from __future__ import annotations
@@ -258,16 +261,37 @@ def transform_config(config: Configuration, g: Isometry) -> Configuration:
     return make_config(marks, window=image.values(), period=config.period)
 
 
-def _image(marks: Dict[Face, int], g: Isometry) -> Dict[Face, int]:
-    """The marks moved by g."""
-    return {g.apply_face(f): l for f, l in marks.items()}
-
-
 def _reads_at(image: Dict[Face, int], target: Dict[Face, int], tx: int, ty: int) -> bool:
     """Whether image translated by (tx, ty) reads the same labels in target."""
     return all(
         target.get(Face(f.x + tx, f.y + ty, f.up)) == l for f, l in image.items()
     )
+
+
+@lru_cache(maxsize=8)
+def _congruences(wa: frozenset, wb: frozenset) -> Tuple[
+    Tuple[Face, ...], Tuple[Face, ...], Tuple[Tuple[Isometry, Tuple[int, ...]], ...]
+]:
+    """Both windows' faces in sorted order, and each point-group element, in
+    group order, that carries wa onto wb once its minimum face is translated
+    onto wb's: the translated isometry, and per face of wa in order the
+    position of its image in wb's order.  No element means incongruent."""
+    mb = min(wb)
+    order_a, order_b = tuple(sorted(wa)), tuple(sorted(wb))
+    index_b = {f: k for k, f in enumerate(order_b)}
+    moves = []
+    for g0 in POINT_GROUP:
+        image = tuple(map(g0.apply_face, order_a))
+        m0 = min(image)
+        if m0.up != mb.up:
+            continue
+        tx, ty = mb.x - m0.x, mb.y - m0.y
+        placed = [Face(f.x + tx, f.y + ty, f.up) for f in image]
+        if set(placed) != wb:
+            continue
+        perm = tuple(map(index_b.__getitem__, placed))
+        moves.append((Isometry(g0.rot, g0.ref, tx, ty), perm))
+    return order_a, order_b, tuple(moves)
 
 
 def isomorphic(a: Configuration, b: Configuration) -> Optional[Isometry]:
@@ -277,22 +301,14 @@ def isomorphic(a: Configuration, b: Configuration) -> Optional[Isometry]:
     """
     if len(a.marks) != len(a.window) or len(b.marks) != len(b.window):
         raise ValueError("isomorphism needs configurations total on their windows")
-    congruent = False
-    mb = min(b.window)
-    for g0 in POINT_GROUP:
-        image = _image(a.marks, g0)
-        m0 = min(image)
-        if m0.up != mb.up:
-            continue
-        tx, ty = mb.x - m0.x, mb.y - m0.y
-        if {Face(f.x + tx, f.y + ty, f.up) for f in image} != b.window:
-            continue
-        congruent = True
-        g = Isometry(g0.rot, g0.ref, tx, ty)
-        if g.label_preserving() and _reads_at(image, b.marks, tx, ty):
-            return g
-    if not congruent:
+    order_a, order_b, moves = _congruences(a.window, b.window)
+    if not moves:
         raise ValueError("incongruent windows")
+    want = tuple(map(a.marks.__getitem__, order_a))
+    labels = list(map(b.marks.__getitem__, order_b))
+    for g, perm in moves:
+        if g.label_preserving() and tuple(map(labels.__getitem__, perm)) == want:
+            return g
     return None
 
 

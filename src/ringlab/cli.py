@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from typing import Optional
 
 from . import reports
 from .catalog import (
@@ -66,14 +65,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: Optional[str], text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
 def _emit(args, op: str, obj: dict, text: str) -> None:
     if args.json:
         validate_report(op, obj)
@@ -85,7 +76,8 @@ def _emit(args, op: str, obj: dict, text: str) -> None:
 def _emit_or_write(args, op: str, obj: dict, text: str, summary: str) -> None:
     """With -o, write text to the file and emit the summary; else emit text."""
     if args.output:
-        _write(args.output, text)
+        with open(args.output, "w") as fh:
+            fh.write(text)
         _emit(args, op, obj, summary)
     else:
         _emit(args, op, obj, text.rstrip("\n"))
@@ -327,10 +319,7 @@ def cmd_render(args) -> int:
         show_axes=not args.no_axes,
         annotate_d0=args.annotate_d0,
     )
-    if args.json:
-        _emit(args, "render", {"svg": svg}, "")
-    else:
-        _write(args.output, svg)
+    _emit_or_write(args, "render", {"svg": svg}, svg, "")
     return 0
 
 

@@ -9,16 +9,19 @@ target window, assuming each one's marks on the trail and undoing them
 afterwards; `has_completion` is its one-configuration case, and
 `dead_end_report` probes the completions still alive at each radius in one
 batch.  No kernel outlives the call that built it.  `check`
-reads the same tables, but builds every touched vertex's link code in one
-pass over the marks: each marked face lowers the code of its three vertices
-at the fixed link positions it sits at, so no link is read face by face.
+reads the same tables, but gathers link words through a per-window plan:
+the window's faces in sorted order and, per vertex family, one itemgetter
+over the link faces of the family's vertices, built once per window and
+kept in a small cache, so a call reads each mark once and gathers each
+family's words in one step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import (
     Face,
@@ -89,40 +92,73 @@ def link_word(marks: Dict[Face, int], v: Vertex) -> Tuple[Optional[int], ...]:
     return tuple(marks.get(f) for f in link_faces(v))
 
 
-# The (vertex offset, link position) sites of a face, the same for every face
-# of one orientation, read off `link_faces((0, 0))`: the face there at
-# position k has corner (-dx, -dy), so every face of its orientation sits at
-# position k of the vertex (dx, dy) from its corner; Up(x,y), for one, sits
-# at 0 of (x,y), 2 of (x+1,y) and 4 of (x,y+1).  _LINK_DELTAS[up][l] gives,
-# per site, the offset and the amount label l takes off that vertex's code.
-_LINK_DELTAS = {
-    is_up: tuple(
-        tuple((-f.x, -f.y, (UNSET - l) << 2 * k)
-              for k, f in enumerate(link_faces((0, 0))) if f.up == is_up)
-        for l in range(3))
-    for is_up in (True, False)
-}
-_FREE_LINK = 4**6 - 1  # every position UNSET
+@lru_cache(maxsize=16)
+def _link_plan(
+    window: frozenset,
+) -> Tuple[Tuple[Face, ...], Tuple[Tuple[int, Tuple[Vertex, ...], itemgetter], ...]]:
+    """The window's faces in sorted order and, per vertex family s, the
+    window's vertices of family s in sorted order with one itemgetter over
+    the six link faces of each: it indexes the faces' labels in that order,
+    and a link face outside the window indexes a trailing None slot."""
+    order = tuple(sorted(window))
+    index = {f: g for g, f in enumerate(order)}
+    outside = len(order)
+    vertices = sorted(window_vertices(order))
+    families = []
+    for s in range(3):
+        family = tuple(v for v in vertices if vertex_s(v) == s)
+        if family:  # only the empty window has a family without vertices
+            slots = [index.get(f, outside) for v in family for f in link_faces(v)]
+            families.append((s, family, itemgetter(*slots)))
+    return order, tuple(families)
+
+
+class _LiveWords(dict):
+    """Whether some ring matches a link word of one family (None where a
+    face is free), read from the family's table once per word."""
+
+    def __init__(self, table: Table):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, word: Tuple[Optional[int], ...]) -> bool:
+        code = 0
+        for k, l in enumerate(word):
+            code |= (UNSET if l is None else l) << 2 * k
+        live = self[word] = self.table[code] is not None
+        return live
+
+
+@lru_cache(maxsize=None)
+def _live_words(mode: str, s: int) -> _LiveWords:
+    return _LiveWords(_ring_table(mode, s))
+
+
+def _words(gathered: Tuple[Optional[int], ...]) -> Iterator[Tuple[Optional[int], ...]]:
+    """The link words of a gather, six labels each."""
+    return zip(*[iter(gathered)] * 6)
 
 
 def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
-    """Ring-match every vertex touched by a mark; partial links use wildcards."""
-    code: Dict[Vertex, int] = {}
-    get = code.get
-    for (x, y, is_up), l in config.marks.items():
-        for dx, dy, delta in _LINK_DELTAS[is_up][l]:
-            v = (x + dx, y + dy)
-            code[v] = get(v, _FREE_LINK) - delta
-    tables = [_ring_table(mode, s) for s in range(3)]
-    # the table of v is that of its family vertex_s(v) = (x - y - 1) % 3
-    dead = sorted(
-        v for v, c in code.items() if tables[(v[0] - v[1] - 1) % 3][c] is None
-    )
+    """Ring-match every vertex touched by a mark; partial links use wildcards.
+
+    Every vertex of the window is matched: one that no mark touches has the
+    all-free link, which some ring always matches.
+    """
+    order, families = _link_plan(config.window)
+    labels = list(map(config.marks.get, order))
+    labels.append(None)
+    dead: List[Vertex] = []
+    for s, vertices, gather in families:
+        live = _live_words(mode, s)
+        if not all(map(live.__getitem__, _words(gather(labels)))):
+            dead += (v for v, w in zip(vertices, _words(gather(labels))) if not live[w])
     if dead:
+        dead.sort()
         witnesses = tuple((v, f"no ring matches the link at {v}") for v in dead)
         return Verdict(CONTRADICTION, witnesses, ())
-    unmarked = tuple(sorted(config.window.difference(config.marks)))
-    if unmarked:
+    if len(config.marks) < len(order):
+        unmarked = tuple(f for f, l in zip(order, labels) if l is None)
         return Verdict(INCOMPLETE, (), unmarked)
     return Verdict(VALID, (), ())
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from functools import lru_cache
 
 import pytest
@@ -35,7 +36,7 @@ from ringlab.engine import (
     make_config,
     propagate,
 )
-from ringlab.lattice import A1, A2, Isometry, ball, up
+from ringlab.lattice import A1, A2, Isometry, ball, down, up
 from ringlab.distributions import classify_distribution, induced_distribution
 from ringlab.reports import classification_report
 
@@ -312,3 +313,68 @@ def test_catalog_embedding_is_isometry_invariant(c, g):
     assert (after is None) == (before is None)
     if before is not None:
         assert after["kind"] == before["kind"]
+
+
+def _isomorphic_transcript() -> str:
+    """`isomorphic` results, or the ValueError text, one repr a line.
+
+    Each pair starts from a special-puzzle patch on a radius-1..3 ball or a
+    one-face window; the second patch is the first moved by a random
+    isometry (label-preserving or not), relabelled at one face, swapped for
+    another special puzzle's patch, cut to another window, or left partial.
+    """
+    rng = random.Random(10)
+    centres = (up(0, 0), down(0, 0), up(1, -1), down(-1, 1))
+
+    def patch(index, window):
+        marks = special_puzzle(index, 5).marks
+        return make_config({f: marks[f] for f in window}, window=window)
+
+    def window_at(centre, r):
+        return [centre] if r == 0 else sorted(ball(centre, r))
+
+    lines = []
+    for _ in range(600):
+        i = rng.randint(1, 12)
+        window = window_at(rng.choice(centres), rng.randint(0, 3))
+        a = patch(i, window)
+        kind = rng.choice(("move", "move", "relabel", "swap", "cut", "partial"))
+        b = a
+        if kind == "swap":
+            b = patch(rng.randint(1, 12), window)
+        elif kind == "cut":
+            b = patch(i, window_at(rng.choice(centres), rng.randint(0, 3)))
+        # half of the moves are label-preserving: even rotation, tx = ty mod 3
+        ty = rng.randint(-4, 4)
+        if rng.random() < 0.5:
+            g = Isometry(rng.choice((0, 2, 4)), rng.random() < 0.5,
+                         ty + 3 * rng.randint(-1, 1), ty)
+        else:
+            g = Isometry(rng.randrange(6), rng.random() < 0.5, rng.randint(-4, 4), ty)
+        b = transform_config(b, g)
+        if kind in ("relabel", "partial"):
+            marks = dict(b.marks)
+            f = rng.choice(sorted(marks))
+            if kind == "partial":
+                del marks[f]
+            else:
+                marks[f] = (marks[f] + 1) % 3
+            b = make_config(marks, window=b.window)
+        try:
+            out = repr(isomorphic(a, b))
+        except ValueError as exc:
+            out = f"ValueError: {exc}"
+        lines.append(out)
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 of `_isomorphic_transcript()`, as the per-call isomorphism test of
+# earlier versions gave it.
+ISOMORPHIC_TRANSCRIPT_SHA256 = (
+    "1f07912f47a17c9842ec696c8b3c9b6a1bd16c09ec5d3356883c6ad66f0be282"
+)
+
+
+def test_isomorphic_results_are_byte_stable():
+    text = _isomorphic_transcript()
+    assert hashlib.sha256(text.encode()).hexdigest() == ISOMORPHIC_TRANSCRIPT_SHA256

@@ -421,3 +421,76 @@ def test_batched_probes_agree_with_enumeration(configs, mode):
     for i in dead_first:
         assert k.extends({index[f]: l for f, l in configs[i].marks.items()}) == want[i]
         assert (k.label, k.code, k.masks, k.trail) == before
+
+
+def _check_transcript() -> str:
+    """`check` verdicts, witnesses included, in both modes, one repr a line.
+
+    The windows are not balls: radius-2..4 balls with faces cut out at
+    random, so the window has holes and vertex links stick out of it,
+    partially marked from a special puzzle, a strip stack or at random with
+    a few faces relabelled; and strip stacks with one face relabelled.
+    """
+    rng = random.Random(9)
+    sources = [special_puzzle(i, 5).marks for i in (1, 4, 7, 10)]
+    for height in (1, 2):
+        stack = assemble(STACK_WORDS[height][0], 3)
+        sources.append({f._replace(x=f.x - 6, y=f.y + 3): l
+                        for f, l in stack.marks.items()})
+    lines = []
+    for mode in (MODE_ROT, MODE_ROT_REF):
+        for _ in range(400):
+            centre = rng.choice((up(0, 0), down(0, 0), up(2, -1)))
+            ball_faces = sorted(ball(centre, rng.randint(2, 4)))
+            cut = rng.choice((0.05, 0.2, 0.5))
+            window = [f for f in ball_faces if rng.random() > cut]
+            base = rng.choice(sources + [{}])
+            p = rng.choice((0.3, 0.7, 1.0)) if base else 0.1
+            marks = {f: base[f] if f in base else rng.randrange(3)
+                     for f in window if rng.random() < p}
+            for f in rng.sample(window, min(len(window), rng.choice((0, 0, 1, 2)))):
+                marks[f] = rng.randrange(3)
+            lines.append(repr(check(make_config(marks, window=window), mode)))
+        for _ in range(60):
+            height = rng.choice((1, 2))
+            stack = assemble(rng.choice(STACK_WORDS[height]), rng.randint(2, 3))
+            marks = dict(stack.marks)
+            f = rng.choice(sorted(marks))
+            marks[f] = (marks[f] + rng.randint(1, 2)) % 3
+            lines.append(repr(check(Configuration(stack.window, marks, 6), mode)))
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 of `_check_transcript()`: the verdicts, the dead vertices and their
+# order, as the per-call link-code check of earlier versions gave them.
+CHECK_TRANSCRIPT_SHA256 = (
+    "86826eff00b69d717fee2e27c805ac6d20b675e6b801ea32536fa8bef269e34d"
+)
+
+
+def test_check_verdicts_are_byte_stable():
+    text = _check_transcript()
+    assert hashlib.sha256(text.encode()).hexdigest() == CHECK_TRANSCRIPT_SHA256
+
+
+def test_check_reads_every_window_afresh():
+    """Equal windows built apart give the verdicts of their own marks, and
+    so does a window checked again after more distinct windows of the same
+    size than any cache of windows holds."""
+    rng = random.Random(4)
+    windows = [frozenset(ball(up(2 * k, -k), 2)) for k in range(48)]
+    windows += windows[::-1]
+    windows += [frozenset(sorted(windows[0])), frozenset(sorted(windows[0]))]
+    assert windows[-1] == windows[0] and windows[-1] is not windows[0]
+    source, first = special_puzzle(3, 5).marks, min(windows[0])
+    for w in windows:
+        # each window is the first moved by (2k, -k), which keeps the labels
+        dx, dy = min(w).x - first.x, min(w).y - first.y
+        marks = {f: source[f._replace(x=f.x - dx, y=f.y - dy)]
+                 for f in sorted(w) if rng.random() < 0.8}
+        if rng.random() < 0.5:
+            f = rng.choice(sorted(marks))
+            marks[f] = (marks[f] + 1) % 3
+        for mode in (MODE_ROT, MODE_ROT_REF):
+            cfg = make_config(marks, window=w)
+            assert check(cfg, mode) == reference_check(cfg, mode)

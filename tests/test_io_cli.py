@@ -1,7 +1,12 @@
 """File formats, JSON schema validation, SVG rendering, CLI behavior."""
 
+import contextlib
 import hashlib
+import io
 import json
+import re
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -295,6 +300,17 @@ def test_cli_render_writes_svg(tmp_path, capsys):
     assert out_path.read_text().startswith("<svg ")
 
 
+def test_cli_render_writes_svg_under_json(tmp_path, capsys):
+    src = tmp_path / "one.txt"
+    src.write_text(f"{CONFIG_HEADER}\nface 0 0 U 2\n")
+    out_path = tmp_path / "one.svg"
+    rc, out = run_cli(capsys, "--json", "render", str(src), "-o", str(out_path))
+    assert rc == 0
+    svg = out_path.read_text()
+    assert svg == render_svg(config=parse_config(src.read_text()))
+    assert json.loads(out) == {"svg": svg}
+
+
 def test_cli_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["nonsense"])
@@ -337,3 +353,66 @@ def test_cli_threads_flag_is_ignored(tmp_path, capsys):
         rc, want = run_cli(capsys, *plain)
         assert rc == 0
         assert run_cli(capsys, *flagged) == (0, want)
+
+
+@st.composite
+def _fuzzed_file(draw, header, record, *fields):
+    """File text near one format: its header or a damaged one, then well
+    formed records (the record word, small coordinates and fields from the
+    given choices), with at most one damaged record, line of token soup or
+    line of any text put in among them."""
+    parts = [st.just(record)] + [st.sampled_from(tuple(map(str, range(-3, 4))))] * 2
+    parts += [st.sampled_from(choices) for choices in fields]
+    records = st.tuples(*parts).map(list)
+    # distinct faces or vertices: the field after them is their label
+    lines = list(map(" ".join, draw(st.lists(records, max_size=14,
+                                             unique_by=lambda r: tuple(r[:-1])))))
+    damaged = st.tuples(records, st.integers(0, len(parts) - 1), st.sampled_from(
+        ("x", "1.5", "٣", "9" * 30, "-1", "", "²", "A9", "u", "7"))).map(
+        lambda r: " ".join(r[0][:r[1]] + [r[2]] + r[0][r[1] + 1:]))
+    soup = st.lists(st.sampled_from(("face", "vertex", "period", "6", "²", "#",
+                                     "U", "A1", "-", "\x0c")), max_size=6).map(" ".join)
+    junk = draw(st.one_of(st.none(), damaged, soup, st.text(max_size=10)))
+    if junk is not None:
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    head = draw(st.sampled_from((header,) * 8 + (header.upper(), "", f"# note\n{header}")))
+    return "\n".join([head] + lines)
+
+
+def _exception_names():
+    """The names of every exception class loaded."""
+    names, todo = set(), [BaseException]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return names
+
+
+def _run_on_stdin(argv, text):
+    """main's exit code and standard error, the file read from standard input."""
+    err = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+def _assert_exit_contract(rc, err):
+    assert rc in (0, 1, 2)
+    # main's internal-error branch prefixes the exception's type name
+    internal = re.match(r"error: (\w+): ", err)
+    assert not (internal and internal.group(1) in _exception_names()), err
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzzed_file(CONFIG_HEADER, "face", ("U", "D"), ("0", "1", "2", "-")),
+       st.sampled_from(([], ["--symmetry", "rot+ref"])))
+def test_cli_check_keeps_the_exit_contract(text, flags):
+    _assert_exit_contract(*_run_on_stdin(flags + ["check", "-"], text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzzed_file(DIST_HEADER, "vertex", ("A0", "A1", "A2", "-")))
+def test_cli_dist_check_keeps_the_exit_contract(text):
+    _assert_exit_contract(*_run_on_stdin(["dist", "check", "-"], text))

@@ -1,7 +1,8 @@
 """Guard against dead code in the ringlab package.
 
-A module-level function or class, a non-dunder method, or an imported name
-in ``src/ringlab`` must be referenced somewhere outside its own definition.
+A module-level function, class or non-dunder assigned name, a non-dunder
+method, or an imported name in ``src/ringlab`` must be referenced somewhere
+outside its own definition.
 Definitions may be referenced from ``src/``, ``tests/`` or ``perfbench/``;
 imported names must be used in the module that imports them.  A reference
 is a name, an attribute, or a string constant spelling the name (the
@@ -39,11 +40,30 @@ def _references(node: ast.AST) -> Counter:
     return out
 
 
+def _assigned_names(node: ast.AST) -> Iterator[str]:
+    """The non-dunder names a module-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        targets = [node.target]
+    else:
+        return
+    for target in targets:
+        for sub in ast.walk(target):
+            if isinstance(sub, ast.Name) and not (
+                sub.id.startswith("__") and sub.id.endswith("__")
+            ):
+                yield sub.id
+
+
 def _definitions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
-    """Module-level functions and classes, and the non-dunder methods."""
+    """Module-level functions, classes and assigned names, and the
+    non-dunder methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node
+        for name in _assigned_names(node):
+            yield name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
