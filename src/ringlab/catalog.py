@@ -3,9 +3,18 @@
 The periodic strips and the twelve exceptional seed patches ship as data
 files; this module loads them, stacks strips into finite windows, rebuilds
 the special puzzles by propagation, and decides label-preserving
-isomorphism and catalog embedding.  The embedding tests read a window's
-images under the label-preserving point group, and their placements in the
-strip slots, from small caches that every marking of the window shares.
+isomorphism and catalog embedding.
+
+One rule places every strip row (`_row_marks`): at shift s and top face row
+y_top, face row j of a strip gives its faces at column x the labels its up
+and down cycles carry at (x - s) mod 6.  Stacks, the interface-table check
+and the embedding slots read rows placed by it; a strip's mirror reading is
+its placed row's image under its height's label-preserving glide
+(`_GLIDES`).
+
+The embedding tests read a window's images under the label-preserving
+point group, and their placements in the strip slots, from small caches
+that every marking of the window shares.
 Isomorphism reads a small cache keyed by the pair of windows: the
 point-group moves that make them congruent, and the face permutation of
 each, so a call only compares labels.
@@ -15,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .configio import data_text, parse_config
 from .engine import Configuration, VALID, check, make_config, propagate
@@ -79,15 +88,13 @@ INTERFACE_DELTAS: Dict[int, Dict[Tuple[str, str], Tuple[int, ...]]] = {
 }
 
 
-def _load_rows(name: str, height: int):
-    cfg = parse_config(data_text(name))
-    rows = []
-    for j in range(height):
-        y = -j
-        ups = tuple(cfg.marks[Face(x, y, True)] for x in range(6))
-        downs = tuple(cfg.marks[Face(x, y, False)] for x in range(6))
-        rows.append((ups, downs))
-    return tuple(rows)
+def _read_rows(marks: Dict[Face, int], height: int, x0: int = 0):
+    """The strip rows (up cycle, down cycle) per face row 0 down to 1 - height
+    that the marks carry in columns x0 to x0 + 5."""
+    return tuple(
+        tuple(tuple(marks[Face(x, -j, u)] for x in range(x0, x0 + 6)) for u in (True, False))
+        for j in range(height)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +103,8 @@ def strip_variants(height: int) -> Tuple[StripSpec, ...]:
     if height not in _STRIP_KEYS:
         raise ValueError("height must be 1 or 2")
     return tuple(
-        StripSpec(height, i, key, 6, _load_rows(f"strip_h{height}_{key}.txt", height))
+        StripSpec(height, i, key, 6, _read_rows(
+            parse_config(data_text(f"strip_h{height}_{key}.txt")).marks, height))
         for i, key in enumerate(_STRIP_KEYS[height], start=1)
     )
 
@@ -120,23 +128,17 @@ def get_strip(height: int, index: int) -> StripSpec:
     raise ValueError(f"no height-{height} strip with index {index}")
 
 
-def _place_row(
-    marks: Dict[Face, int], spec: StripSpec, shift: int, y_top: int, width: int
-) -> None:
-    for j, (ups, downs) in enumerate(spec.rows):
-        y = y_top - j
-        for x in range(width):
-            marks[Face(x, y, True)] = ups[(x - shift) % 6]
-            marks[Face(x, y, False)] = downs[(x - shift) % 6]
-
-
 @lru_cache(maxsize=256)
 def _row_marks(
     height: int, key: str, shift: int, y_top: int, width: int
 ) -> Dict[Face, int]:
-    """The marks of one placed strip row, built once; callers copy, never mutate."""
+    """The marks of one placed strip row over columns 0..width-1, built once;
+    callers copy, never mutate.  See the module docstring for the rule."""
     marks: Dict[Face, int] = {}
-    _place_row(marks, _variant_by_key(height)[key], shift, y_top, width)
+    for j, (ups, downs) in enumerate(_variant_by_key(height)[key].rows):
+        for x in range(width):
+            marks[Face(x, y_top - j, True)] = ups[(x - shift) % 6]
+            marks[Face(x, y_top - j, False)] = downs[(x - shift) % 6]
     return marks
 
 
@@ -187,53 +189,72 @@ def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
 
 def derive_interface_table(height: int) -> Dict[Tuple[str, str], Tuple[int, ...]]:
     """Recompute the allowed-offset table by brute two-row validity checks."""
-    variants = strip_variants(height)
-    width = 18
+    keys = _variant_by_key(height)
     # the lower row's shift is congruent to its top face row -height mod 3
     # (the shift-parity rule `assemble` enforces), so the offset from an
     # upper row at shift 0 is congruent to height
     deltas = (height % 3, height % 3 + 3)
     out: Dict[Tuple[str, str], Tuple[int, ...]] = {}
-    for a in variants:
-        for b in variants:
-            good = []
-            for delta in deltas:
-                shift = (0 - delta) % 6
-                marks: Dict[Face, int] = {}
-                _place_row(marks, a, 0, 0, width)
-                _place_row(marks, b, shift, -height, width)
-                if check(make_config(marks)).status == VALID:
-                    good.append(delta)
+    for a in keys:
+        upper = _row_marks(height, a, 0, 0, 18)
+        for b in keys:
+            good = tuple(
+                delta for delta in deltas
+                if check(make_config(
+                    {**upper, **_row_marks(height, b, -delta % 6, -height, 18)}
+                )).status == VALID
+            )
             if good:
-                out[(a.key, b.key)] = tuple(good)
+                out[(a, b)] = good
     return out
 
 
-def compatible_words(height: int, rows: int) -> List[StackingWord]:
-    """All stacking words of the given length with top-row shift in {0, 3}."""
+def stacking_words(
+    height: int, rows: int, fits: Callable[[int, RowChoice], bool] = lambda r, c: True
+) -> Iterator[StackingWord]:
+    """The stacking words of the given length whose row-r choice c passes
+    fits(r, c), depth first: the top row by variant, then shift 0 before 3,
+    and each later row by variant, then in its allowed offsets' order.  A
+    choice is taken only if the rows below it can still be filled, so the
+    walk never backs out of a dead end."""
     if rows < 1:
         raise ValueError("rows must be at least 1")
-    variants = [s.key for s in strip_variants(height)]
+    keys = _variant_by_key(height)
     table = INTERFACE_DELTAS[height]
-
-    def rec(word: List[RowChoice]) -> Iterator[StackingWord]:
+    # live[r]: the row-r choices that fit, keep the edge labeling (shift
+    # congruent to the top face row mod 3) and sit on a live choice below
+    live: List[List[RowChoice]] = [[] for _ in range(rows)]
+    for r in reversed(range(rows)):
+        live[r] = [
+            (key, shift)
+            for key in keys
+            for shift in range(-r * height % 3, 6, 3)
+            if fits(r, (key, shift))
+            and (r == rows - 1 or any(_meets(height, (key, shift), c) for c in live[r + 1]))
+        ]
+    word: List[RowChoice] = []
+    todo = [iter(live[0])]  # per placed row, its untried choices
+    while todo:
+        choice = next(todo[-1], None)
+        if choice is None:
+            todo.pop()
+            continue
+        word[len(todo) - 1:] = [choice]
         if len(word) == rows:
             yield tuple(word)
-            return
-        y_top = -len(word) * height
-        for key in variants:
-            if word:
-                pk, ps = word[-1]
-                shifts = [(ps - delta) % 6 for delta in table.get((pk, key), ())]
-            else:
-                shifts = [0, 3]
-            for shift in shifts:
-                if (shift - y_top) % 3 == 0:
-                    word.append((key, shift))
-                    yield from rec(word)
-                    word.pop()
+            continue
+        (pk, ps), below = choice, live[len(word)]
+        todo.append(iter([
+            (key, (ps - delta) % 6)
+            for key in keys
+            for delta in table.get((pk, key), ())
+            if (key, (ps - delta) % 6) in below
+        ]))
 
-    return list(rec([]))
+
+def compatible_words(height: int, rows: int) -> List[StackingWord]:
+    """All stacking words of the given length, in `stacking_words` order."""
+    return list(stacking_words(height, rows))
 
 
 def special_seed(index: int) -> Configuration:
@@ -312,27 +333,20 @@ def isomorphic(a: Configuration, b: Configuration) -> Optional[Isometry]:
     return None
 
 
-def mirror_strip_rows(spec: StripSpec):
-    """Row data of the strip's mirror image under the canonical glide.
+# The glide of each strip height, for a strip placed at face rows 0 to 1 - height.
+_GLIDES = {1: Isometry(0, True, 1, 1), 2: Isometry(0, True, 0, 0)}
 
-    The glide reflects across the strip's horizontal midline and shifts one
-    step; it reverses the transversal axis decoration, pairing each band
+
+def mirror_strip_rows(spec: StripSpec):
+    """Row data of the strip's mirror image under its height's glide, read
+    back one period into the image of the strip placed three periods wide.
+
+    The glide reverses the transversal axis decoration, pairing each band
     with its oppositely decorated reading.
     """
-    if spec.height == 1:
-        ups, downs = spec.rows[0]
-        new_ups = tuple(downs[(x - 2) % 6] for x in range(6))
-        new_downs = tuple(ups[(x - 1) % 6] for x in range(6))
-        return ((new_ups, new_downs),)
-    # height 2: the band reflection fixing the center vertex line swaps the
-    # two face rows; face images are Up(x,0)->Down(x,-1), Down(x,0)->Up(x+1,-1),
-    # Up(x,-1)->Down(x-1,0), Down(x,-1)->Up(x,0)
-    (u0, d0), (u1, d1) = spec.rows
-    new_u0 = tuple(d1[x % 6] for x in range(6))
-    new_d0 = tuple(u1[(x + 1) % 6] for x in range(6))
-    new_u1 = tuple(d0[(x - 1) % 6] for x in range(6))
-    new_d1 = tuple(u0[x % 6] for x in range(6))
-    return ((new_u0, new_d0), (new_u1, new_d1))
+    g = _GLIDES[spec.height]
+    placed = _row_marks(spec.height, spec.key, 0, 0, 18)
+    return _read_rows({g.apply_face(f): l for f, l in placed.items()}, spec.height, 6)
 
 
 def strip_dedup_classes(height: int = 1) -> List[List[str]]:
@@ -341,17 +355,14 @@ def strip_dedup_classes(height: int = 1) -> List[List[str]]:
     A later variant joins the class of the variant its mirror equals, so each
     pair shares one band pattern read in the two transversal orientations.
     """
-    variants = strip_variants(height)
     classes: List[List[StripSpec]] = []
-    for s in variants:
+    for s in strip_variants(height):
         mirrored = mirror_strip_rows(s)
-        placed = False
         for cl in classes:
             if any(t.rows in (s.rows, mirrored) for t in cl):
                 cl.append(s)
-                placed = True
                 break
-        if not placed:
+        else:
             classes.append([s])
     return [[s.key for s in cl] for cl in classes]
 
@@ -383,8 +394,9 @@ def strip_readings() -> List[Tuple[str, int, str]]:
 _Slot = Tuple[Tuple[int, ...], Dict[bytes, List[RowChoice]]]
 
 
-def _slots(placed: Sequence[Face], height: int) -> Tuple[_Slot, ...]:
-    """The strip slots of faces whose top face row is in the first slot."""
+def _slots(placed: Sequence[Face], height: int, width: int) -> Tuple[_Slot, ...]:
+    """The strip slots of faces whose top face row is in the first slot and
+    that lie in a stack `width` periods wide."""
     out = []
     for r in range((-min(f.y for f in placed)) // height + 1):
         y_top = -r * height
@@ -392,14 +404,11 @@ def _slots(placed: Sequence[Face], height: int) -> Tuple[_Slot, ...]:
             p for p, f in enumerate(placed) if y_top - height < f.y <= y_top
         )
         choices: Dict[bytes, List[RowChoice]] = {}
-        for spec in strip_variants(height):
+        for key in _STRIP_KEYS[height]:
             for shift in range(y_top % 3, 6, 3):
-                want = []
-                for p in positions:
-                    f = placed[p]
-                    ups, downs = spec.rows[y_top - f.y]
-                    want.append((ups if f.up else downs)[(f.x - shift) % 6])
-                choices.setdefault(bytes(want), []).append((spec.key, shift))
+                row = _row_marks(height, key, shift, y_top, 6 * width)
+                want = bytes(row[placed[p]] for p in positions)
+                choices.setdefault(want, []).append((key, shift))
         out.append((positions, choices))
     return tuple(out)
 
@@ -431,8 +440,8 @@ def _strip_placements(
             tx = 3 - x_min
             tx += (ty - tx) % 3
             placed = tuple(Face(f.x + tx, f.y + ty, f.up) for f in image)
-            x_max = max(f.x for f in placed)
-            out.append((placed, max(2, (x_max + 6) // 6 + 1), _slots(placed, height)))
+            width = max(2, max(f.x for f in placed) // 6 + 2)
+            out.append((placed, width, _slots(placed, height, width)))
     return tuple(out)
 
 

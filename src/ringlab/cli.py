@@ -13,10 +13,10 @@ from collections import Counter
 from . import reports
 from .catalog import (
     assemble,
-    compatible_words,
     get_strip,
     isomorphic,
     special_puzzle,
+    stacking_words,
 )
 from .configio import (
     CONFIG_HEADER,
@@ -178,29 +178,24 @@ def cmd_deadends(args) -> int:
 
 
 def cmd_strip(args) -> int:
+    if args.width % 6:
+        raise ValueError("width must be a multiple of 6 columns")
     spec = get_strip(args.height, args.index)
     tokens = None
     if args.word:
         tokens = []
         for t in args.word.split(","):
-            if ":" in t:
-                k, s = t.split(":", 1)
-                tokens.append((k, int(s)))
-            else:
-                tokens.append((None, int(t)))
+            k, s = t.split(":", 1) if ":" in t else (None, t)
+            tokens.append((k, int(s)))
         if len(tokens) != args.rows:
             raise ValueError("word must list one entry per row")
-    word = None
-    for w in compatible_words(args.height, args.rows):
-        if w[0][0] != spec.key:
-            continue
-        if tokens is not None and not all(
-            (k is None or k == wk) and s % 6 == ws % 6
-            for (k, s), (wk, ws) in zip(tokens, w)
-        ):
-            continue
-        word = w
-        break
+
+    def fits(r: int, choice) -> bool:
+        k, s = tokens[r] if tokens else (None, choice[1])
+        return ((r > 0 or choice[0] == spec.key) and k in (None, choice[0])
+                and s % 6 == choice[1])
+
+    word = next(stacking_words(args.height, args.rows, fits), None)
     if word is None:
         print("no compatible stacking word", file=sys.stderr)
         return 1
@@ -393,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, choices=[1, 2], required=True)
     p.add_argument("--index", type=int, required=True, help="strip table index")
     p.add_argument("--rows", type=int, default=4, help="rows to stack")
-    p.add_argument("--width", type=int, default=12, help="width in faces per row")
+    p.add_argument(
+        "--width", type=int, default=12, help="width in lattice columns, a multiple of 6"
+    )
     p.add_argument(
         "--word",
         help="comma-separated per-row shifts; a token key:shift pins that row's strip",

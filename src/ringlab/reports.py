@@ -16,6 +16,7 @@ from .catalog import (
     isomorphic,
     special_puzzle,
     special_seed,
+    stacking_words,
     strip_dedup_classes,
     strip_readings,
     strip_table,
@@ -41,7 +42,7 @@ from .engine import (
     make_config,
 )
 from .labeling import derive_edge_labels, edge_label, square_window
-from .lattice import AXIS_NAMES, ball, down, up
+from .lattice import AXIS_NAMES, ball, down, link_faces, up
 from .rings import (
     all_embeddings,
     check_extension_property,
@@ -144,27 +145,20 @@ def criterion5_report() -> dict:
     for height in (1, 2):
         ws = compatible_words(height, 4)
         words[f"h{height}"] = len(ws)
-        for w in ws:
-            cfg = assemble(w, width_periods=2)
-            if check(cfg).status != VALID:
-                all_valid = False
+        all_valid &= all(check(assemble(w)).status == VALID for w in ws)
     germs = []
     for spec in strip_variants(1):
-        ups, downs = spec.rows[0]
+        marks = assemble([(spec.key, 0)]).marks
         for x0, side in ((1, "bottom"), (4, "bottom"), (2, "top"), (5, "top")):
-            if side == "bottom":
-                faces = (ups[x0 % 6], downs[(x0 - 1) % 6], ups[(x0 - 1) % 6])
-            else:
-                faces = (downs[(x0 - 1) % 6], ups[x0 % 6], downs[x0 % 6])
-            germs.append((side, AXIS_NAMES[strip_tick(x0)], faces))
-    h1_words = compatible_words(1, 4)
-    fam_h1 = classify_distribution(
-        induced_distribution(assemble(h1_words[0], width_periods=2))
-    )
-    h2_words = compatible_words(2, 3)
-    fam_h2 = classify_distribution(
-        induced_distribution(assemble(h2_words[0], width_periods=2))
-    )
+            # the row's three faces at its boundary vertex (x0, 0) or (x0, 1)
+            faces = link_faces((x0, 0))[:3] if side == "bottom" else link_faces((x0, 1))[3:]
+            germs.append((side, AXIS_NAMES[strip_tick(x0)], tuple(marks[f] for f in faces)))
+    families = {
+        f"h{h}": classify_distribution(
+            induced_distribution(assemble(next(stacking_words(h, rows))))
+        )
+        for h, rows in ((1, 4), (2, 3))
+    }
     return {
         "strips": len(strip_table()),
         "words": words,
@@ -172,7 +166,7 @@ def criterion5_report() -> dict:
         "classes": strip_dedup_classes(),
         "readings": len(strip_readings()),
         "initial_configurations": len(set(germs)),
-        "families": {"h1": fam_h1, "h2": fam_h2},
+        "families": families,
     }
 
 

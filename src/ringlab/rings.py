@@ -99,8 +99,15 @@ def get_ring(s: int, index: int) -> Ring:
     raise ValueError(f"no ring with s={s}, index={index}")
 
 
+# The circle maps preserving the alternating edge labels, per mode, as
+# (kind, param) of a Match: rotations by 0/120/240 degrees and, in mode
+# "rot+ref", the three reflections through opposite ring vertices.
+_RING_MAPS = {MODE_ROT: (("rot", 0), ("rot", 2), ("rot", 4))}
+_RING_MAPS[MODE_ROT_REF] = _RING_MAPS[MODE_ROT] + (("ref", 0), ("ref", 1), ("ref", 2))
+
+
 def _check_mode(mode: str) -> None:
-    if mode not in (MODE_ROT, MODE_ROT_REF):
+    if mode not in _RING_MAPS:
         raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -110,9 +117,8 @@ def match_link(
 ) -> Tuple[Match, ...]:
     """All (ring, circle map) pairs compatible with a possibly partial link word.
 
-    None entries are wildcards.  Only maps preserving the alternating edge
-    labels are admissible: rotations by 0/120/240 degrees and, in mode
-    "rot+ref", the three reflections through opposite ring vertices.
+    None entries are wildcards.  Only the mode's edge-preserving maps
+    (`_RING_MAPS`) are admissible.
     """
     _check_mode(mode)
     if len(word) != 6:
@@ -121,17 +127,10 @@ def match_link(
     for ring in ring_table():
         if ring.s != s % 3:
             continue
-        for r in (0, 2, 4):
-            m = Match(ring, "rot", r)
+        for kind, param in _RING_MAPS[mode]:
+            m = Match(ring, kind, param)
             if all(w is None or w == ring.faces[m.arc(k)] for k, w in enumerate(word)):
                 out.append(m)
-        if mode == MODE_ROT_REF:
-            for p in (0, 1, 2):
-                m = Match(ring, "ref", p)
-                if all(
-                    w is None or w == ring.faces[m.arc(k)] for k, w in enumerate(word)
-                ):
-                    out.append(m)
     return tuple(out)
 
 
@@ -151,10 +150,8 @@ def legal_words(mode: str = DEFAULT_MODE) -> Tuple[Tuple[int, Tuple[int, ...]], 
     _check_mode(mode)
     seen = []
     for ring in ring_table():
-        maps = [Match(ring, "rot", r) for r in (0, 2, 4)]
-        if mode == MODE_ROT_REF:
-            maps += [Match(ring, "ref", p) for p in (0, 1, 2)]
-        for m in maps:
+        for kind, param in _RING_MAPS[mode]:
+            m = Match(ring, kind, param)
             word = tuple(ring.faces[m.arc(k)] for k in range(6))
             if (ring.s, word) not in seen:
                 seen.append((ring.s, word))

@@ -101,7 +101,11 @@ def test_assemble_is_a_row_by_row_placement():
             for w in compatible_words(height, rows):
                 want = {}
                 for r, (key, shift) in enumerate(w):
-                    catalog._place_row(want, variants[key], shift, -r * height, 12)
+                    for j, (ups, downs) in enumerate(variants[key].rows):
+                        y = -r * height - j
+                        for x in range(12):
+                            want[up(x, y)] = ups[(x - shift) % 6]
+                            want[down(x, y)] = downs[(x - shift) % 6]
                 cfg = assemble(w)
                 assert cfg.marks == want
                 assert cfg.window == frozenset(want)
@@ -119,6 +123,7 @@ def test_assembled_marks_share_no_cached_row():
 
 
 def test_mirror_glide_squares_to_a_shift():
+    assert all(g.label_preserving() for g in catalog._GLIDES.values())
     for spec in strip_variants(1):
         by_rows = {s.rows: s for s in strip_variants(1)}
         once = by_rows[mirror_strip_rows(spec)]
@@ -127,6 +132,22 @@ def test_mirror_glide_squares_to_a_shift():
         (u2, d2) = twice.rows[0]
         assert u2 == tuple(u[(x - 3) % 6] for x in range(6))
         assert d2 == tuple(d[(x - 3) % 6] for x in range(6))
+
+
+# SHA-256 of the repr of the strip catalog's derived data: the glide image
+# rows of all nine variants, both dedup classings, the eight readings, both
+# re-derived interface tables and the strip placements of the radius-2 ball
+# at both heights, as the per-height hand-written face maps gave them.
+STRIP_CATALOG_SHA256 = "993dea1264c1f076af757743a322955bb97b416203cd5095242429e34e322c9f"
+
+
+def test_strip_catalog_is_byte_stable():
+    parts = [mirror_strip_rows(s) for h in (1, 2) for s in strip_variants(h)]
+    parts += [strip_dedup_classes(1), strip_dedup_classes(2), strip_readings()]
+    parts += [derive_interface_table(h) for h in (1, 2)]
+    parts += [catalog._strip_placements(ball(up(0, 0), 2), h) for h in (1, 2)]
+    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
+    assert digest == STRIP_CATALOG_SHA256
 
 
 def test_dedup_classes():

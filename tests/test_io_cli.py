@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringlab import cli
+from ringlab import catalog, cli
 from ringlab.catalog import special_puzzle
 from ringlab.configio import (
     CONFIG_HEADER,
@@ -315,6 +315,76 @@ def test_cli_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["nonsense"])
     assert exc.value.code == 2
+
+
+# A valid stacking word per height, pinned row by row.
+_PINNED = {1: ("a:0", "d:5", "b:4", "c:3", "d:5"), 2: ("1:0", "2:4", "3:2", "1:0", "2:4")}
+
+
+def _strip_argvs():
+    """A grid of strip invocations over height, index, rows, --json and --word."""
+    for height in (1, 2):
+        for index in (0, 1, 2, 3, 6) if height == 1 else (1, 2, 3, 4):
+            for rows in (0, 1, 2, 3, 5):
+                shifts = [(-r * height) % 6 for r in range(rows)]
+                pinned = _PINNED[height][:rows]
+                words = [
+                    None,
+                    ",".join(map(str, shifts)),
+                    ",".join(str(s + 3) for s in shifts),
+                    ",".join("0" * rows),
+                    ",".join(pinned),
+                    ",".join(t if r % 2 else t.split(":")[1] for r, t in enumerate(pinned)),
+                    ",".join(["0"] * (rows + 1)),
+                    "x",
+                ]
+                for json_flag in ((), ("--json",)):
+                    for word in words:
+                        argv = [*json_flag, "strip", "--height", str(height),
+                                "--index", str(index), "--rows", str(rows)]
+                        yield argv + ([f"--word={word}"] if word is not None else [])
+    for extra in (["--width", "18"], ["--width", "24"], ["--width", "6"],
+                  ["--width", "0"], ["--symmetry", "rot"]):
+        yield ["strip", "--height", "1", "--index", "3", "--rows", "3", *extra]
+
+
+# SHA-256 of the repr of every (argv, exit code, stdout, stderr) over the
+# strip grid above, as the listing of every compatible word gave them.
+STRIP_CLI_SHA256 = "ded73f3e27cd80326746993a724f4492592580ba72fda5b004e27d5d157e13b1"
+
+
+def test_cli_strip_is_byte_stable(capsys):
+    h = hashlib.sha256()
+    for argv in _strip_argvs():
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        h.update(repr((argv, rc, out, err)).encode())
+    assert h.hexdigest() == STRIP_CLI_SHA256
+
+
+def test_cli_strip_walks_words_without_listing_them(monkeypatch, capsys):
+    def listing(*args):
+        raise AssertionError("strip must not list every stacking word")
+
+    monkeypatch.setattr(catalog, "compatible_words", listing)
+    monkeypatch.setattr(cli, "compatible_words", listing, raising=False)
+    rc, out = run_cli(capsys, "--json", "strip", "--height", "1", "--index", "1",
+                      "--rows", "30")
+    assert rc == 0
+    assert len(json.loads(out)["word"]) == 30
+    # 2^29 words follow the first 29 shift tokens and none the last, which
+    # breaks the edge labeling: the walk must see that without trying them
+    shifts = [(-r) % 6 for r in range(29)] + [2]
+    rc = cli.main(["strip", "--height", "1", "--index", "1", "--rows", "30",
+                   "--word", ",".join(map(str, shifts))])
+    assert rc == 1
+    assert capsys.readouterr().err == "no compatible stacking word\n"
+
+
+def test_cli_strip_rejects_a_width_off_the_period(capsys):
+    rc = cli.main(["strip", "--height", "1", "--index", "1", "--width", "17"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: width must be a multiple of 6 columns\n"
 
 
 @pytest.mark.parametrize("rows", ["0", "-1"])

@@ -1,6 +1,8 @@
 """Ring table, link matching, root multiplicities and ranks."""
 
+import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -136,3 +138,18 @@ def test_extension_property_is_frozen():
         },
         "max_ambiguous_arcs": 3,
     }
+
+
+# SHA-256 of the repr of match_link over every partial link word, family and
+# mode, and of legal_words per mode, as separate map loops gave them.
+MATCH_LINK_SHA256 = "4e52c68874fe50d971d5f2adff0fd5ff7e9509e5df6331dfede896d371795403"
+
+
+def test_match_link_and_legal_words_are_byte_stable():
+    h = hashlib.sha256()
+    for mode in (MODE_ROT, MODE_ROT_REF):
+        for s in range(3):
+            for word in product((None, 0, 1, 2), repeat=6):
+                h.update(repr(match_link.__wrapped__(word, s, mode)).encode())
+        h.update(repr(legal_words.__wrapped__(mode)).encode())
+    assert h.hexdigest() == MATCH_LINK_SHA256
