@@ -394,9 +394,11 @@ def strip_readings() -> List[Tuple[str, int, str]]:
 _Slot = Tuple[Tuple[int, ...], Dict[bytes, List[RowChoice]]]
 
 
-def _slots(placed: Sequence[Face], height: int, width: int) -> Tuple[_Slot, ...]:
-    """The strip slots of faces whose top face row is in the first slot and
-    that lie in a stack `width` periods wide."""
+def _slots(placed: Sequence[Face], height: int) -> Tuple[_Slot, ...]:
+    """The strip slots of faces whose top face row is in the first slot.
+    Strip rows repeat every 6 columns, so each face reads its label from
+    the row's first period."""
+    folded = [Face(f.x % 6, f.y, f.up) for f in placed]
     out = []
     for r in range((-min(f.y for f in placed)) // height + 1):
         y_top = -r * height
@@ -406,8 +408,8 @@ def _slots(placed: Sequence[Face], height: int, width: int) -> Tuple[_Slot, ...]
         choices: Dict[bytes, List[RowChoice]] = {}
         for key in _STRIP_KEYS[height]:
             for shift in range(y_top % 3, 6, 3):
-                row = _row_marks(height, key, shift, y_top, 6 * width)
-                want = bytes(row[placed[p]] for p in positions)
+                row = _row_marks(height, key, shift, y_top, 6)
+                want = bytes(row[folded[p]] for p in positions)
                 choices.setdefault(want, []).append((key, shift))
         out.append((positions, choices))
     return tuple(out)
@@ -441,7 +443,7 @@ def _strip_placements(
             tx += (ty - tx) % 3
             placed = tuple(Face(f.x + tx, f.y + ty, f.up) for f in image)
             width = max(2, max(f.x for f in placed) // 6 + 2)
-            out.append((placed, width, _slots(placed, height, width)))
+            out.append((placed, width, _slots(placed, height)))
     return tuple(out)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from functools import lru_cache
 
 from . import reports
 from .catalog import (
@@ -17,6 +18,7 @@ from .catalog import (
     isomorphic,
     special_puzzle,
     stacking_words,
+    strip_variants,
 )
 from .configio import (
     CONFIG_HEADER,
@@ -183,9 +185,12 @@ def cmd_strip(args) -> int:
     spec = get_strip(args.height, args.index)
     tokens = None
     if args.word:
+        keys = {v.key for v in strip_variants(args.height)}
         tokens = []
         for t in args.word.split(","):
             k, s = t.split(":", 1) if ":" in t else (None, t)
+            if k is not None and k not in keys:
+                raise ValueError(f"unknown strip key {k!r}")
             tokens.append((k, int(s)))
         if len(tokens) != args.rows:
             raise ValueError("word must list one entry per row")
@@ -326,32 +331,36 @@ def cmd_report(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ringlab", description="Odd ring puzzle tables, search, and reports"
-    )
-    parser.add_argument(
-        "--symmetry",
-        choices=[MODE_ROT, MODE_ROT_REF],
-        default=DEFAULT_MODE,
-        help="ring matching symmetry group (default %(default)s)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        help="ignored: the search is sequential; accepted so old scripts still run",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    # the same flags are accepted after the subcommand; SUPPRESS keeps a
-    # subcommand parse from clobbering a value given before it
+    # the global flags are accepted before and after the subcommand; SUPPRESS
+    # keeps a subcommand parse from clobbering a value given before it, and
+    # main passes the defaults in the namespace (set_defaults would rewrite
+    # the default of the actions the subparsers share)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--symmetry", choices=[MODE_ROT, MODE_ROT_REF], default=argparse.SUPPRESS
+        "--symmetry",
+        choices=[MODE_ROT, MODE_ROT_REF],
+        default=argparse.SUPPRESS,
+        help=f"ring matching symmetry group (default {DEFAULT_MODE})",
     )
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=argparse.SUPPRESS,
+        help="ignored: the search is sequential; accepted so old scripts still run",
+    )
+    common.add_argument(
+        "--json",
+        action="store_true",
+        default=argparse.SUPPRESS,
+        help="machine-readable output",
+    )
+    parser = argparse.ArgumentParser(
+        prog="ringlab",
+        description="Odd ring puzzle tables, search, and reports",
+        parents=[common],
+    )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("rings", parents=[common], help="ring and rank tables")
@@ -449,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    defaults = argparse.Namespace(symmetry=DEFAULT_MODE, threads=None, json=False)
+    args = build_parser().parse_args(argv, defaults)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -28,7 +28,7 @@ from .lattice import (
 )
 from .kernel import Kernel, Table
 from .labeling import vertex_s
-from .rings import DEFAULT_MODE, rank_axis
+from .rings import rank_axis
 
 ODD = "Odd"
 EVEN = "Even"
@@ -75,9 +75,9 @@ class DistContradiction(Exception):
         super().__init__(why)
 
 
-def hex_window(radius: int, center: Vertex = (0, 0)) -> frozenset:
-    """All vertices within hex distance radius of the center."""
-    return frozenset(vertices_within([center], radius))
+def hex_window(radius: int) -> frozenset:
+    """All vertices within hex distance radius of the origin."""
+    return frozenset(vertices_within([(0, 0)], radius))
 
 
 def interior_faces(vertices: Iterable[Vertex]) -> List[Face]:
@@ -103,7 +103,7 @@ def face_parity(dist: Distribution, f: Face) -> str:
     return ODD if count % 2 == 1 else EVEN
 
 
-def induced_distribution(config, mode: str = DEFAULT_MODE) -> Distribution:
+def induced_distribution(config) -> Distribution:
     """Axis of the unique multiplicity-1 half-link pair at each interior vertex."""
     axis: Dict[Vertex, int] = {}
     marked = set(config.marks)
@@ -282,13 +282,14 @@ def classify_distribution(dist: Distribution) -> str:
     return UNKNOWN
 
 
-def half_strip_report(height: int = 4, width: int = 5) -> dict:
+def half_strip_report() -> dict:
     """Propagate the aligned-horizontal seed downward and read row profiles.
 
     Seeded on the top row with two horizontal axes and one 120-degree axis,
     the rows below are forced one by one; profile "a" is (A0, A0, A2) and
     profile "b" is (A2, A2, A0) at the three middle columns.
     """
+    height, width = 4, 5  # rows read below the seed row, strip columns
     # two rows of slack below the reported strip so its bottom row is interior
     window = frozenset((x, -k) for x in range(width) for k in range(height + 3))
     seed = {(1, 0): A0, (2, 0): A0, (3, 0): A2}

@@ -180,19 +180,14 @@ def _kernel(faces: Sequence[Face], marks: Dict[Face, int], mode: str) -> Kernel:
     return Kernel(len(faces), scopes, tables, {index[f]: l for f, l in marks.items()})
 
 
-def propagate(
-    config: Configuration,
-    within: Optional[Iterable[Face]] = None,
-    mode: str = DEFAULT_MODE,
-) -> Configuration:
-    """Assign every forced face inside the scope until nothing moves.
+def propagate(config: Configuration, mode: str = DEFAULT_MODE) -> Configuration:
+    """Assign every forced face of the window until nothing moves.
 
     A face is forced when exactly one label keeps all three of its vertices
     ring-consistent.  Raises Contradiction when a vertex loses all matches
     or a face loses all labels.
     """
-    scope = frozenset(within) if within is not None else config.window
-    faces = sorted(scope) + sorted(set(config.marks) - scope)
+    faces = sorted(config.window)
     kernel = _kernel(faces, config.marks, mode)
     if kernel.failure is not None:
         c, g = kernel.failure
@@ -202,7 +197,7 @@ def propagate(
         f = faces[g]
         raise Contradiction([(face_vertices(f)[0], f"no admissible label for {f}")])
     marks = {f: l for f, l in zip(faces, kernel.label) if l >= 0}
-    return Configuration(scope | config.window, marks, config.period)
+    return Configuration(config.window, marks, config.period)
 
 
 def _search_order(target: frozenset) -> Tuple[Face, ...]:
@@ -288,7 +283,6 @@ def dead_end_report(
     config: Configuration,
     r: int,
     r_probe: int,
-    center: Face = up(0, 0),
     mode: str = DEFAULT_MODE,
 ) -> dict:
     """Count completions at radius r that die before each probe radius.
@@ -301,6 +295,7 @@ def dead_end_report(
     """
     if r >= r_probe:
         raise ValueError("probe radius must exceed the base radius")
+    center = up(0, 0)
     base = ball(center, r) | config.window
     comps = enumerate_completions(config, base, mode=mode)
     survivors: Dict[str, int] = {}

@@ -43,12 +43,6 @@ def vertex_s(v: Vertex) -> int:
     return (v[0] - v[1] - 1) % 3
 
 
-def link_edge_label(v: Vertex, k: int) -> int:
-    """Label of the edge at angular position k (0 = east) around v."""
-    s = vertex_s(v)
-    return (s + 1) % 3 if k % 2 == 0 else s
-
-
 class LabelContradiction(Exception):
     """Raised when propagation derives two labels for one edge."""
 

@@ -241,38 +241,6 @@ class Isometry(NamedTuple):
         return self.rot % 2 == 0 and (self.tx - self.ty) % 3 == 0
 
 
-def compose(g: Isometry, h: Isometry) -> Isometry:
-    """The isometry applying h first, then g."""
-    # Determine the point part by action on basis vertices, then fix translation.
-    o = g.apply_vertex(h.apply_vertex((0, 0)))
-    e1 = g.apply_vertex(h.apply_vertex((1, 0)))
-    d = (e1[0] - o[0], e1[1] - o[1])
-    ref = g.ref != h.ref
-    rot = _ROT_OF_E1[(d, ref)]
-    return Isometry(rot, ref, o[0], o[1])
-
-
-def _e1_image(rot: int, ref: bool) -> Vertex:
-    return Isometry(rot, ref, 0, 0).apply_vertex((1, 0))
-
-
-_ROT_OF_E1 = {
-    (_e1_image(rot, ref), ref): rot for rot in range(6) for ref in (False, True)
-}
-
-
-def inverse(g: Isometry) -> Isometry:
-    """Inverse isometry."""
-    if g.ref:
-        # reflections composed with rotations are involutions up to translation
-        point = Isometry(g.rot, True, 0, 0)
-        t = point.apply_vertex((g.tx, g.ty))
-        return Isometry(g.rot, True, -t[0], -t[1])
-    point = Isometry((-g.rot) % 6, False, 0, 0)
-    t = point.apply_vertex((g.tx, g.ty))
-    return Isometry((-g.rot) % 6, False, -t[0], -t[1])
-
-
 POINT_GROUP = tuple(
     Isometry(rot, ref, 0, 0) for ref in (False, True) for rot in range(6)
 )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 MODE_ROT = "rot"
 MODE_ROT_REF = "rot+ref"
@@ -56,7 +56,6 @@ class Embedding(NamedTuple):
     domain: RootDomain
     ring: Ring
     start: int
-    direction: int
 
 
 class RootRecord(NamedTuple):
@@ -90,13 +89,6 @@ def ring_table() -> Tuple[Ring, ...]:
             faces = tuple(_m3(p + s) for p in pattern)
             out.append(Ring(s, index, faces, _edge_pattern(s)))
     return tuple(out)
-
-
-def get_ring(s: int, index: int) -> Ring:
-    for r in ring_table():
-        if r.s == s % 3 and r.index == index:
-            return r
-    raise ValueError(f"no ring with s={s}, index={index}")
 
 
 # The circle maps preserving the alternating edge labels, per mode, as
@@ -158,10 +150,10 @@ def legal_words(mode: str = DEFAULT_MODE) -> Tuple[Tuple[int, Tuple[int, ...]], 
     return tuple(sorted(seen))
 
 
-def _segments(arcs: int) -> Iterator[Tuple[Ring, int, int, tuple, tuple, tuple]]:
+def _segments(arcs: int) -> Iterator[Tuple[Ring, int, tuple, tuple, tuple]]:
     """Every walk over `arcs` consecutive arcs of a ring, by ring, start
-    vertex k and direction: (ring, k, direction, the vertex labels passed,
-    the arc labels passed, the arcs passed)."""
+    vertex k and direction: (ring, k, the vertex labels passed, the arc
+    labels passed, the arcs passed)."""
     for ring in ring_table():
         for k in range(6):
             for direction in (1, -1):
@@ -171,7 +163,7 @@ def _segments(arcs: int) -> Iterator[Tuple[Ring, int, int, tuple, tuple, tuple]]
                     for i in range(arcs)
                 )
                 faces = tuple(ring.faces[a] for a in covered)
-                yield ring, k, direction, edges, faces, covered
+                yield ring, k, edges, faces, covered
 
 
 @lru_cache(maxsize=None)
@@ -181,8 +173,8 @@ def all_embeddings() -> Tuple[Embedding, ...]:
     Six start vertices times two directions per ring: 108 in total.
     """
     return tuple(
-        Embedding(RootDomain(edges, faces), ring, k, direction)
-        for ring, k, direction, edges, faces, _ in _segments(3)
+        Embedding(RootDomain(edges, faces), ring, k)
+        for ring, k, edges, faces, _ in _segments(3)
     )
 
 
@@ -197,22 +189,6 @@ def root_rank(domain: RootDomain) -> RootRecord:
     if n is None:
         raise ValueError(f"not a root: {domain}")
     return RootRecord(domain, n, Q_VALUE, 1 + Fraction(n, Q_VALUE))
-
-
-def complements(domain: RootDomain) -> List[RootDomain]:
-    """Domains of the complementary half circles, one per embedding."""
-    embs = [e for e in all_embeddings() if e.domain == domain]
-    if not embs:
-        raise ValueError(f"not a root: {domain}")
-    out = []
-    for e in embs:
-        twin = next(
-            t
-            for t in all_embeddings()
-            if t.ring == e.ring and t.start == e.start and t.direction == -e.direction
-        )
-        out.append(twin.domain)
-    return out
 
 
 def half_domains(word: Tuple[int, ...], s: int, axis: int) -> Tuple[RootDomain, RootDomain]:
@@ -259,7 +235,7 @@ def check_extension_property() -> dict:
     max_ambiguous = 0
     for arcs in (3, 4, 5, 6):
         words: Dict[Tuple, set] = {}
-        for ring, _, _, edges, faces, covered in _segments(arcs):
+        for ring, _, edges, faces, covered in _segments(arcs):
             words.setdefault((edges, faces), set()).add(
                 (ring.s, ring.index, frozenset(covered)))
         worst = max(len(v) for v in words.values())

@@ -189,7 +189,7 @@ def test_propagate_names_a_face_without_labels():
     marks = {down(-1, 0): 2, down(0, -1): 1, down(0, 0): 0}
     assert check(make_config(marks)).status == VALID
     with pytest.raises(Contradiction) as info:
-        propagate(make_config(marks), within=[up(0, 0)])
+        propagate(make_config(marks, window=[*marks, up(0, 0)]))
     [(v, reason)] = info.value.witnesses
     assert v == face_vertices(up(0, 0))[0]
     assert v in window_vertices(marks)

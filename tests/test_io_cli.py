@@ -381,6 +381,22 @@ def test_cli_strip_walks_words_without_listing_them(monkeypatch, capsys):
     assert capsys.readouterr().err == "no compatible stacking word\n"
 
 
+def test_cli_strip_rejects_an_unknown_word_key(capsys):
+    # z is no strip key; a height-1 key is none for height 2
+    for height, word, key in ((1, "z:0,0", "z"), (2, "1:0,a:4", "a")):
+        rc = cli.main(["strip", "--height", str(height), "--index", "1", "--rows", "2",
+                       "--word", word])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: unknown strip key {key!r}\n"
+
+
+def test_cli_builds_its_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    assert run_cli(capsys, "rings")[0] == 0
+    assert run_cli(capsys, "--json", "rings")[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_cli_strip_rejects_a_width_off_the_period(capsys):
     rc = cli.main(["strip", "--height", "1", "--index", "1", "--width", "17"])
     assert rc == 2

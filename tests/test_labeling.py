@@ -13,7 +13,6 @@ from ringlab.labeling import (
     LabelContradiction,
     derive_edge_labels,
     edge_label,
-    link_edge_label,
     square_window,
     vertex_s,
 )
@@ -76,8 +75,6 @@ def test_link_edge_labels_alternate_two_values(v):
     assert labels[0::2] == [labels[0]] * 3
     assert labels[1::2] == [labels[1]] * 3
     assert labels[0] != labels[1]
-    for k in range(6):
-        assert link_edge_label(v, k) == labels[k]
 
 
 @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)))

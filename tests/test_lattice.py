@@ -12,7 +12,6 @@ from ringlab.lattice import (
     Face,
     Isometry,
     ball,
-    compose,
     down,
     edge_from_vertices,
     edge_vertices,
@@ -20,7 +19,6 @@ from ringlab.lattice import (
     face_neighbors,
     face_vertices,
     incident_edges,
-    inverse,
     link_faces,
     runs,
     up,
@@ -134,24 +132,6 @@ def test_isometry_preserves_incidence(g, f):
 def test_isometry_edge_endpoints(g, e):
     p, q = edge_vertices(e)
     assert set(edge_vertices(g.apply_edge(e))) == {g.apply_vertex(p), g.apply_vertex(q)}
-
-
-@given(isometries, isometries, vertices)
-def test_compose_acts_like_composition(g, h, v):
-    assert compose(g, h).apply_vertex(v) == g.apply_vertex(h.apply_vertex(v))
-
-
-@given(isometries, vertices, faces)
-def test_inverse_round_trip(g, v, f):
-    gi = inverse(g)
-    assert gi.apply_vertex(g.apply_vertex(v)) == v
-    assert g.apply_face(gi.apply_face(f)) == f
-
-
-@given(isometries, isometries)
-def test_axis_action_is_a_homomorphism(g, h):
-    for a in AXES:
-        assert compose(g, h).apply_axis(a) == g.apply_axis(h.apply_axis(a))
 
 
 @given(isometries, vertices)

@@ -4,7 +4,6 @@ import hashlib
 from fractions import Fraction
 from itertools import product
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,8 +12,6 @@ from ringlab.rings import (
     MODE_ROT_REF,
     all_embeddings,
     check_extension_property,
-    complements,
-    get_ring,
     half_domains,
     legal_words,
     match_link,
@@ -38,12 +35,6 @@ def test_nine_rings_three_per_residue():
         assert r.edges[0::2] == (r.edges[0],) * 3
         assert r.edges[1::2] == (r.edges[1],) * 3
         assert r.edges[1] == r.s
-
-
-def test_get_ring_bounds():
-    assert get_ring(0, 1).s == 0
-    with pytest.raises(ValueError):
-        get_ring(3, 0)
 
 
 def test_each_ring_matches_itself():
@@ -119,13 +110,6 @@ def test_every_legal_word_has_one_rank_32_axis():
         mt = multiplicity_table()
         for half in half_domains(word, s, axis):
             assert mt[half] == 1
-
-
-def test_complements_restore_full_words():
-    mt = multiplicity_table()
-    for d in list(mt)[:12]:
-        for c in complements(d):
-            assert c in mt
 
 
 def test_extension_property_is_frozen():
