@@ -18,13 +18,21 @@ that every marking of the window shares.
 Isomorphism reads a small cache keyed by the pair of windows: the
 point-group moves that make them congruent, and the face permutation of
 each, so a call only compares labels.
+
+A catalog occurrence keeps its placement: the label-preserving isometry
+carrying the configuration into the puzzle, with the stacking word or the
+special patch.  Pulling the puzzle back through it onto a larger window
+gives a survivor certificate (`survivor_certificate`), which `check`
+verifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .configio import data_text, parse_config
 from .engine import Configuration, VALID, check, make_config, propagate
@@ -148,6 +156,11 @@ def _meets(height: int, upper: RowChoice, lower: RowChoice) -> bool:
     return delta in INTERFACE_DELTAS[height].get((upper[0], lower[0]), ())
 
 
+# The window of each stack shape (height, rows, width), made of the first
+# such stack's faces: every later stack of the shape shares the one object.
+_STACK_WINDOWS: Dict[Tuple[int, int, int], frozenset] = {}
+
+
 def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
     """Stack strip rows (top to bottom) into one finite window.
 
@@ -184,7 +197,10 @@ def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
             )
         marks.update(_row_marks(height, key, shift, y_top, width))
         prev = (key, shift)
-    return Configuration(frozenset(marks), marks, 6)
+    window = _STACK_WINDOWS.get((height, len(word), width))
+    if window is None:
+        window = _STACK_WINDOWS[height, len(word), width] = frozenset(marks)
+    return Configuration(window, marks, 6)
 
 
 def derive_interface_table(height: int) -> Dict[Tuple[str, str], Tuple[int, ...]]:
@@ -481,24 +497,39 @@ def _match_stack(
     return tuple(word) if rec(0) else None
 
 
-def embeds_in_strips(config: Configuration, height: int) -> Optional[dict]:
-    """Evidence that config occurs inside a strip-stack puzzle: the matched
-    stacking word is assembled wide enough and the inclusion re-verified.
+def _strip_match(
+    config: Configuration, height: int
+) -> Optional[Tuple[dict, Isometry, StackingWord]]:
+    """The first strip-stack occurrence of config: its evidence, the
+    label-preserving isometry carrying config's marked faces into the stack,
+    and the stacking word.  The matched word is assembled wide enough and
+    the inclusion re-verified.
 
     Each image of config is translated, label-preservingly, to put its top
     face row at 0 or, for height 2, also at -1 (strip slots have two
     vertical phases).
     """
     faces = _marked(config)
-    labels = [config.marks[f] for f in _images(faces)[0]]
-    for placed, width, slots in _strip_placements(faces, height):
+    order, moves = _images(faces)
+    labels = [config.marks[f] for f in order]
+    for k, (placed, width, slots) in enumerate(_strip_placements(faces, height)):
         word = _match_stack(labels, slots, height)
         if word is None:
             continue
         big = assemble(word, width_periods=width)
         if dict(zip(placed, labels)).items() <= big.marks.items():
-            return {"kind": f"strip-h{height}", "word": list(word)}
+            # placements run by image, then by vertical phase
+            g, image = moves[k // height]
+            g = g._replace(tx=placed[0].x - image[0].x, ty=placed[0].y - image[0].y)
+            return {"kind": f"strip-h{height}", "word": list(word)}, g, word
     return None
+
+
+def embeds_in_strips(config: Configuration, height: int) -> Optional[dict]:
+    """Evidence that config occurs inside a strip-stack puzzle: the kind and
+    the stacking word of the first occurrence `_strip_match` finds."""
+    found = _strip_match(config, height)
+    return None if found is None else found[0]
 
 
 _SPECIAL_PATCH_RADIUS = 7
@@ -517,8 +548,11 @@ def _special_signature_index(index: int) -> Dict[tuple, Tuple[Face, ...]]:
     return {sig: tuple(faces) for sig, faces in out.items()}
 
 
-def embeds_in_special(config: Configuration, center: Face = up(0, 0)) -> Optional[dict]:
-    """Evidence that config occurs inside one of the twelve special puzzles."""
+def _special_matches(config: Configuration, center: Face) -> Iterator[Tuple[dict, Isometry]]:
+    """Every occurrence of config in a special puzzle's patch, by point-group
+    element, then puzzle index, then the patch face h the center lands on:
+    its evidence and the label-preserving isometry carrying config's marked
+    faces into the patch."""
     order, moves = _images(_marked(config))
     labels = [config.marks[f] for f in order]
     for g, image_faces in moves:
@@ -535,14 +569,154 @@ def embeds_in_special(config: Configuration, center: Face = up(0, 0)) -> Optiona
                     continue
                 tx, ty = h.x - c_img.x, h.y - c_img.y
                 if (tx - ty) % 3 == 0 and _reads_at(image, patch.marks, tx, ty):
-                    return {"kind": "special", "index": index}
-    return None
+                    yield {"kind": "special", "index": index}, g._replace(tx=tx, ty=ty)
+
+
+def embeds_in_special(config: Configuration, center: Face = up(0, 0)) -> Optional[dict]:
+    """Evidence that config occurs inside one of the twelve special puzzles."""
+    return next((found for found, _ in _special_matches(config, center)), None)
+
+
+def _catalog_matches(
+    config: Configuration, center: Face
+) -> Iterator[Tuple[dict, Callable[[frozenset], Optional[Dict[Face, int]]]]]:
+    """The catalog occurrences of config: the first strip-stack occurrence,
+    height 1 before 2, or else every special-puzzle occurrence.  Each comes
+    with its evidence and the pull-back of its puzzle onto a window (see
+    `survivor_certificate`)."""
+    for height in (1, 2):
+        found = _strip_match(config, height)
+        if found is not None:
+            evidence, g, word = found
+            yield evidence, partial(_stack_marks, g=g, height=height, word=word)
+            return
+    for evidence, g in _special_matches(config, center):
+        patch = special_puzzle(evidence["index"], _SPECIAL_PATCH_RADIUS)
+        yield evidence, partial(_patch_marks, g=g, patch=patch)
 
 
 def embeds_in_catalog(config: Configuration, center: Face = up(0, 0)) -> Optional[dict]:
     """Strip-stack or special-puzzle embedding evidence, or None."""
-    for height in (1, 2):
-        found = embeds_in_strips(config, height)
-        if found is not None:
-            return found
-    return embeds_in_special(config, center)
+    return next((found for found, _ in _catalog_matches(config, center)), None)
+
+
+def _moved(faces: Iterable[Face], g: Isometry) -> List[Tuple[int, int, bool]]:
+    """g's image (x, y, up) of each face, as a plain tuple equal to the
+    image Face.  On faces g is affine: one linear part, plus per
+    orientation the image of the face at the origin."""
+    origin = {u: tuple(g.apply_face(Face(0, 0, u))) for u in (True, False)}
+    x0, y0, _ = origin[True]
+    ex, ey = g.apply_face(Face(1, 0, True)), g.apply_face(Face(0, 1, True))
+    a, b, d, e = ex.x - x0, ey.x - x0, ex.y - y0, ey.y - y0
+    out = []
+    for x, y, u in faces:
+        c, k, v = origin[u]
+        out.append((a * x + b * y + c, d * x + e * y + k, v))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _row_cells(height: int, key: str, shift: int) -> Tuple[int, ...]:
+    """The labels of the variant's strip row placed at the shift with its top
+    face row at 0, by face row, up faces before down, then column mod 6:
+    its shift-0 placement translated by the shift."""
+    placed = _row_marks(height, key, 0, 0, 6)
+    return tuple(
+        placed[Face((x - shift) % 6, -j, u)]
+        for j in range(height) for u in (True, False) for x in range(6)
+    )
+
+
+@lru_cache(maxsize=32)
+def _stack_cells(
+    window: frozenset, height: int, g: Isometry
+) -> Tuple[Tuple[Face, ...], int, int, itemgetter]:
+    """The window's faces, the first stack row r0 and the number of rows that
+    g's image of the window meets (row r has its top face row at
+    -r * height), and one itemgetter reading each face's label, in the
+    faces' order, off those rows' `_row_cells` laid end to end."""
+    faces = tuple(window)
+    image = _moved(faces, g)
+    rows = [-y // height for _, y, _ in image]
+    r0 = min(rows)
+    cells = [
+        (r - r0) * 12 * height - (y + r * height) * 12 + (0 if u else 6) + x % 6
+        for (x, y, u), r in zip(image, rows)
+    ]
+    return faces, r0, max(rows) - r0 + 1, itemgetter(*cells)
+
+
+def _continue_word(height: int, word: StackingWord, first: int, count: int) -> List[RowChoice]:
+    """Rows first .. first + count - 1 of the stack that continues `word`
+    (its top row is row 0) by the first allowed row, by variant and then
+    offset, below its bottom row and above its top row.  Rows above sit
+    at negative indices, so each keeps the shift-parity rule of `assemble`."""
+    keys = _variant_by_key(height)
+    table = INTERFACE_DELTAS[height]
+    rows = list(word)
+    while len(rows) < first + count:
+        key0, shift0 = rows[-1]
+        rows.append(next(
+            (key, (shift0 - d) % 6) for key in keys for d in table.get((key0, key), ())
+        ))
+    for _ in range(-first):
+        key0, shift0 = rows[0]
+        rows.insert(0, next(
+            (key, (shift0 + d) % 6) for key in keys for d in table.get((key, key0), ())
+        ))
+    return rows[:count]
+
+
+def _stack_marks(
+    window: frozenset, g: Isometry, height: int, word: StackingWord
+) -> Dict[Face, int]:
+    """The labels the stack continuing `word` gives g's image of each face
+    of the window."""
+    faces, r0, count, read = _stack_cells(window, height, g)
+    rows = _continue_word(height, word, r0, count)
+    cells = tuple(chain.from_iterable(_row_cells(height, *c) for c in rows))
+    return dict(zip(faces, read(cells)))
+
+
+def _patch_marks(
+    window: frozenset, g: Isometry, patch: Configuration
+) -> Optional[Dict[Face, int]]:
+    """The labels the patch gives g's image of each face of the window, or
+    None when the image leaves the patch."""
+    faces = tuple(window)
+    labels = list(map(patch.marks.get, _moved(faces, g)))
+    if None in labels:
+        return None
+    return dict(zip(faces, labels))
+
+
+def survivor_certificate(
+    config: Configuration, window: frozenset
+) -> Tuple[Optional[dict], Optional[Configuration]]:
+    """The evidence `embeds_in_catalog` gives for config, and a certificate
+    that config extends to a total marking of window, or None.
+
+    A catalog puzzle config occurs in is itself a completion of every
+    window, so the certificate is that puzzle pulled back onto window
+    through the occurrence's label-preserving isometry.  A strip stack
+    covers any window; special-puzzle occurrences are tried in turn until
+    one's patch covers the window's image.  A certificate is returned only
+    once `check` finds it Valid and it agrees with config on every marked
+    face; one that covers the window and fails either test means the
+    catalog is unsound, and raises.
+    """
+    if not window >= config.window:
+        raise ValueError("window must contain the configuration window")
+    evidence = None
+    for found, pull_back in _catalog_matches(config, up(0, 0)):
+        evidence = evidence or found
+        marks = pull_back(window)
+        if marks is None:
+            continue
+        certificate = Configuration(window, marks, config.period)
+        if check(certificate).status != VALID or any(
+            marks[f] != l for f, l in config.marks.items()
+        ):
+            raise RuntimeError(f"catalog occurrence {found} pulls back to no completion")
+        return evidence, certificate
+    return evidence, None

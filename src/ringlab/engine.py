@@ -8,7 +8,9 @@ constraint whose table accepts the legal words of its family s.
 target window, assuming each one's marks on the trail and undoing them
 afterwards; `has_completion` is its one-configuration case, and
 `dead_end_report` probes the completions still alive at each radius in one
-batch.  No kernel outlives the call that built it.  `check`
+batch.  A classification sweep probes only the completions that no catalog
+certificate shows alive; `check` verifies each certificate (see
+`catalog.survivor_certificate`).  No kernel outlives the call that built it.  `check`
 reads the same tables, but gathers link words through a per-window plan:
 the window's faces in sorted order and, per vertex family, one itemgetter
 over the link faces of the family's vertices, built once per window and

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab import catalog
+from ringlab import catalog, reports
 from ringlab.catalog import (
     INTERFACE_DELTAS,
     assemble,
@@ -26,6 +26,7 @@ from ringlab.catalog import (
     strip_table,
     strip_tick,
     strip_variants,
+    survivor_certificate,
     transform_config,
 )
 from ringlab.engine import (
@@ -36,7 +37,7 @@ from ringlab.engine import (
     make_config,
     propagate,
 )
-from ringlab.lattice import A1, A2, Isometry, ball, down, up
+from ringlab.lattice import A1, A2, POINT_GROUP, Face, Isometry, ball, down, up
 from ringlab.distributions import classify_distribution, induced_distribution
 from ringlab.reports import classification_report
 
@@ -272,6 +273,11 @@ def test_a_partial_marking_embeds_by_its_marked_faces():
     assert found == {"kind": "strip-h1", "word": [("d", 3), ("a", 5)]}
 
 
+@lru_cache(maxsize=None)
+def _completions(r):
+    return enumerate_completions(make_config({up(0, 0): 0}, window=ball(up(0, 0), r)))
+
+
 # SHA-256 of the JSON list of the embedding evidence (kind, and stacking word
 # or special index) of criterion 8's 184 survivors in completion order, as
 # the per-call embedding of earlier versions reported it.
@@ -281,7 +287,7 @@ RADIUS2_EVIDENCE_SHA256 = (
 
 
 def test_radius2_embedding_evidence_is_byte_stable():
-    comps = _radius2_completions()
+    comps = _completions(2)
     alive = have_completions(comps, ball(up(0, 0), 4))
     evidence = [embeds_in_catalog(c) for c, ok in zip(comps, alive) if ok]
     assert len(evidence) == 184
@@ -299,9 +305,87 @@ def test_classification_one_ring_further_out():
     }
 
 
-@lru_cache(maxsize=None)
-def _radius2_completions():
-    return enumerate_completions(make_config({up(0, 0): 0}, window=ball(up(0, 0), 2)))
+@pytest.mark.parametrize("r, probe", [(2, 4), (3, 5)])
+def test_certified_survival_matches_the_full_probe(r, probe):
+    # the full probe of every completion is the oracle for certify-then-probe
+    comps = _completions(r)
+    window = ball(up(0, 0), probe)
+    verdicts = reports._survival(comps, window)
+    assert [alive for _, alive, _ in verdicts] == have_completions(comps, window)
+    kinds = [found and found["kind"] for found in map(embeds_in_catalog, comps)]
+    assert [kind for kind, _, _ in verdicts] == kinds
+    assert all(kind is not None for kind, _, certified in verdicts if certified)
+
+
+@pytest.mark.parametrize("r, probe, certified, probed", [(2, 4, 184, 12), (3, 5, 604, 132)])
+def test_only_uncertified_completions_are_probed(r, probe, certified, probed):
+    shown = [c for _, _, c in reports._survival(_completions(r), ball(up(0, 0), probe))]
+    assert (shown.count(True), shown.count(False)) == (certified, probed)
+
+
+def test_a_certificate_is_a_valid_completion_of_the_window():
+    window = ball(up(0, 0), 4)
+    kinds = set()
+    for c in _completions(2)[::7]:
+        found, certificate = survivor_certificate(c, window)
+        if certificate is not None:
+            kinds.add(found["kind"])
+            assert certificate.window is window
+            assert check(certificate).status == VALID
+            assert c.marks.items() <= certificate.marks.items()
+    assert kinds == {"strip-h1", "strip-h2", "special"}
+    with pytest.raises(ValueError):
+        survivor_certificate(_completions(3)[0], ball(up(0, 0), 2))
+
+
+_CRITERION8 = {
+    "completions": 196,
+    "survivors": 184,
+    "dead_ends": 12,
+    "embedded": {"special": 64, "strip-h1": 96, "strip-h2": 24},
+    "exceptions": 0,
+}
+
+
+@pytest.mark.parametrize("source", ["_stack_marks", "_patch_marks"])
+@pytest.mark.parametrize("fault", ["invalid", "disagreeing"])
+def test_a_corrupted_certificate_raises(monkeypatch, source, fault):
+    window = ball(up(0, 0), 4)
+    # all zero fails check; special puzzle 1 checks Valid on the ball, but
+    # the completions that occur elsewhere disagree with it
+    other = {f: special_puzzle(1, 4).marks[f] for f in window}
+    original = getattr(catalog, source)
+
+    def corrupted(*args, **kwargs):
+        marks = original(*args, **kwargs)
+        if marks is None:
+            return None
+        return {f: 0 for f in marks} if fault == "invalid" else dict(other)
+
+    monkeypatch.setattr(catalog, source, corrupted)
+    with pytest.raises(RuntimeError, match="pulls back to no completion"):
+        classification_report(2, 4)
+    monkeypatch.undo()
+    assert classification_report(2, 4) == _CRITERION8
+
+
+def test_face_moves_are_affine_per_orientation():
+    faces = list(ball(up(2, -1), 3))
+    for g in POINT_GROUP:
+        for tx, ty in ((0, 0), (4, -2), (-3, 5)):
+            moved = g._replace(tx=tx, ty=ty)
+            assert [Face(*h) for h in catalog._moved(faces, moved)] == [
+                moved.apply_face(f) for f in faces
+            ]
+
+
+def test_stacks_of_one_shape_share_their_window():
+    for height, rows in ((1, 3), (2, 2)):
+        a, b = compatible_words(height, rows)[:2]
+        first, second = assemble(a), assemble(b)
+        assert first.window is second.window
+        assert second.window == frozenset(second.marks)
+        assert assemble(a, width_periods=3).window is not first.window
 
 
 label_isometries = st.builds(
@@ -313,7 +397,7 @@ label_isometries = st.builds(
 )
 patches = st.one_of(
     st.integers(1, 12).map(lambda i: special_puzzle(i, 2)),
-    st.integers(0, 195).map(lambda i: _radius2_completions()[i]),
+    st.integers(0, 195).map(lambda i: _completions(2)[i]),
 )
 
 
