@@ -5,12 +5,12 @@ files; this module loads them, stacks strips into finite windows, rebuilds
 the special puzzles by propagation, and decides label-preserving
 isomorphism and catalog embedding.
 
-One rule places every strip row (`_row_marks`): at shift s and top face row
-y_top, face row j of a strip gives its faces at column x the labels its up
-and down cycles carry at (x - s) mod 6.  Stacks, the interface-table check
-and the embedding slots read rows placed by it; a strip's mirror reading is
-its placed row's image under its height's label-preserving glide
-(`_GLIDES`).
+One rule places every strip row (`_row_cells`): at shift s, face row j of
+a strip gives its faces at column x the labels its up and down cycles carry
+at (x - s) mod 6.  Stacks, the interface-table check, the embedding slots
+and survivor certificates all read rows through one face-to-cell index
+(`_cell`); a strip's mirror reading is its assembled row's image under its
+height's label-preserving glide (`_GLIDES`).
 
 The embedding tests read a window's images under the label-preserving
 point group, and their placements in the strip slots, from small caches
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -136,29 +135,23 @@ def get_strip(height: int, index: int) -> StripSpec:
     raise ValueError(f"no height-{height} strip with index {index}")
 
 
-@lru_cache(maxsize=256)
-def _row_marks(
-    height: int, key: str, shift: int, y_top: int, width: int
-) -> Dict[Face, int]:
-    """The marks of one placed strip row over columns 0..width-1, built once;
-    callers copy, never mutate.  See the module docstring for the rule."""
-    marks: Dict[Face, int] = {}
-    for j, (ups, downs) in enumerate(_variant_by_key(height)[key].rows):
-        for x in range(width):
-            marks[Face(x, y_top - j, True)] = ups[(x - shift) % 6]
-            marks[Face(x, y_top - j, False)] = downs[(x - shift) % 6]
-    return marks
-
-
 def _meets(height: int, upper: RowChoice, lower: RowChoice) -> bool:
     """Whether strip row `upper` may sit right above strip row `lower`."""
     delta = (upper[1] - lower[1]) % 6
     return delta in INTERFACE_DELTAS[height].get((upper[0], lower[0]), ())
 
 
-# The window of each stack shape (height, rows, width), made of the first
-# such stack's faces: every later stack of the shape shares the one object.
-_STACK_WINDOWS: Dict[Tuple[int, int, int], frozenset] = {}
+@lru_cache(maxsize=None)
+def _stack_window(height: int, rows: int, width: int) -> frozenset:
+    """The faces of a stack of the given rows over columns 0..width-1, its
+    top face row at 0: one object per shape, which every stack of the shape
+    shares, so the per-window caches find it by identity."""
+    return frozenset(
+        Face(x, -y, u) for y in range(rows * height) for x in range(width) for u in (True, False)
+    )
+
+
+_IDENTITY = Isometry(0, False, 0, 0)
 
 
 def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
@@ -178,8 +171,6 @@ def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
         raise ValueError("interface mismatch: rows of different strip heights")
     height = heights.pop()
     variants = _variant_by_key(height)
-    width = 6 * width_periods
-    marks: Dict[Face, int] = {}
     prev: Optional[RowChoice] = None
     for r, (key, shift) in enumerate(word):
         if key not in variants:
@@ -195,12 +186,9 @@ def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
                 f"interface mismatch: row {r - 1} ({prev[0]}) over row {r} "
                 f"({key}) at offset {(prev[1] - shift) % 6}"
             )
-        marks.update(_row_marks(height, key, shift, y_top, width))
         prev = (key, shift)
-    window = _STACK_WINDOWS.get((height, len(word), width))
-    if window is None:
-        window = _STACK_WINDOWS[height, len(word), width] = frozenset(marks)
-    return Configuration(window, marks, 6)
+    window = _stack_window(height, len(word), 6 * width_periods)
+    return Configuration(window, _stack_marks(window, _IDENTITY, height, word), 6)
 
 
 def derive_interface_table(height: int) -> Dict[Tuple[str, str], Tuple[int, ...]]:
@@ -210,15 +198,15 @@ def derive_interface_table(height: int) -> Dict[Tuple[str, str], Tuple[int, ...]
     # (the shift-parity rule `assemble` enforces), so the offset from an
     # upper row at shift 0 is congruent to height
     deltas = (height % 3, height % 3 + 3)
+    window = _stack_window(height, 2, 18)
     out: Dict[Tuple[str, str], Tuple[int, ...]] = {}
     for a in keys:
-        upper = _row_marks(height, a, 0, 0, 18)
         for b in keys:
             good = tuple(
                 delta for delta in deltas
-                if check(make_config(
-                    {**upper, **_row_marks(height, b, -delta % 6, -height, 18)}
-                )).status == VALID
+                if check(Configuration(window, _stack_marks(
+                    window, _IDENTITY, height, [(a, 0), (b, -delta % 6)]
+                ), 6)).status == VALID
             )
             if good:
                 out[(a, b)] = good
@@ -361,7 +349,7 @@ def mirror_strip_rows(spec: StripSpec):
     with its oppositely decorated reading.
     """
     g = _GLIDES[spec.height]
-    placed = _row_marks(spec.height, spec.key, 0, 0, 18)
+    placed = assemble([(spec.key, 0)], 3).marks
     return _read_rows({g.apply_face(f): l for f, l in placed.items()}, spec.height, 6)
 
 
@@ -411,21 +399,16 @@ _Slot = Tuple[Tuple[int, ...], Dict[bytes, List[RowChoice]]]
 
 
 def _slots(placed: Sequence[Face], height: int) -> Tuple[_Slot, ...]:
-    """The strip slots of faces whose top face row is in the first slot.
-    Strip rows repeat every 6 columns, so each face reads its label from
-    the row's first period."""
-    folded = [Face(f.x % 6, f.y, f.up) for f in placed]
+    """The strip slots of faces whose top face row is in the first slot."""
+    located = [_cell(height, *f) for f in placed]
     out = []
-    for r in range((-min(f.y for f in placed)) // height + 1):
-        y_top = -r * height
-        positions = tuple(
-            p for p, f in enumerate(placed) if y_top - height < f.y <= y_top
-        )
+    for r in range(max(r for r, _ in located) + 1):
+        positions = tuple(p for p, (q, _) in enumerate(located) if q == r)
         choices: Dict[bytes, List[RowChoice]] = {}
         for key in _STRIP_KEYS[height]:
-            for shift in range(y_top % 3, 6, 3):
-                row = _row_marks(height, key, shift, y_top, 6)
-                want = bytes(row[folded[p]] for p in positions)
+            for shift in range(-r * height % 3, 6, 3):
+                row = _row_cells(height, key, shift)
+                want = bytes(row[located[p][1]] for p in positions)
                 choices.setdefault(want, []).append((key, shift))
         out.append((positions, choices))
     return tuple(out)
@@ -445,12 +428,12 @@ def _images(
 @lru_cache(maxsize=8)
 def _strip_placements(
     faces: frozenset, height: int
-) -> Tuple[Tuple[Tuple[Face, ...], int, Tuple[_Slot, ...]], ...]:
+) -> Tuple[Tuple[Isometry, Tuple[_Slot, ...]], ...]:
     """Per image of the faces, and then per vertical phase of the strip
-    slots: the image translated label-preservingly into the slots, the
-    width in periods to assemble a matched stack at, and its slots."""
+    slots: the label-preserving isometry carrying the faces into the slots,
+    and the slots of their images, listed in sorted order of the faces."""
     out = []
-    for _, image in _images(faces)[1]:
+    for g, image in _images(faces)[1]:
         y_max = max(f.y for f in image)
         x_min = min(f.x for f in image)
         for y_target in range(0, -height, -1):
@@ -458,8 +441,7 @@ def _strip_placements(
             tx = 3 - x_min
             tx += (ty - tx) % 3
             placed = tuple(Face(f.x + tx, f.y + ty, f.up) for f in image)
-            width = max(2, max(f.x for f in placed) // 6 + 2)
-            out.append((placed, width, _slots(placed, height)))
+            out.append((g._replace(tx=tx, ty=ty), _slots(placed, height)))
     return tuple(out)
 
 
@@ -502,25 +484,18 @@ def _strip_match(
 ) -> Optional[Tuple[dict, Isometry, StackingWord]]:
     """The first strip-stack occurrence of config: its evidence, the
     label-preserving isometry carrying config's marked faces into the stack,
-    and the stacking word.  The matched word is assembled wide enough and
-    the inclusion re-verified.
+    and the stacking word.  A match is re-read through `_stack_marks`, the
+    reader its survivor certificate uses.
 
     Each image of config is translated, label-preservingly, to put its top
     face row at 0 or, for height 2, also at -1 (strip slots have two
     vertical phases).
     """
     faces = _marked(config)
-    order, moves = _images(faces)
-    labels = [config.marks[f] for f in order]
-    for k, (placed, width, slots) in enumerate(_strip_placements(faces, height)):
+    labels = [config.marks[f] for f in _images(faces)[0]]
+    for g, slots in _strip_placements(faces, height):
         word = _match_stack(labels, slots, height)
-        if word is None:
-            continue
-        big = assemble(word, width_periods=width)
-        if dict(zip(placed, labels)).items() <= big.marks.items():
-            # placements run by image, then by vertical phase
-            g, image = moves[k // height]
-            g = g._replace(tx=placed[0].x - image[0].x, ty=placed[0].y - image[0].y)
+        if word is not None and _stack_marks(faces, g, height, word) == config.marks:
             return {"kind": f"strip-h{height}", "word": list(word)}, g, word
     return None
 
@@ -548,11 +523,13 @@ def _special_signature_index(index: int) -> Dict[tuple, Tuple[Face, ...]]:
     return {sig: tuple(faces) for sig, faces in out.items()}
 
 
-def _special_matches(config: Configuration, center: Face) -> Iterator[Tuple[dict, Isometry]]:
+def _special_matches(
+    config: Configuration, center: Face
+) -> Iterator[Tuple[dict, Isometry, Configuration]]:
     """Every occurrence of config in a special puzzle's patch, by point-group
     element, then puzzle index, then the patch face h the center lands on:
-    its evidence and the label-preserving isometry carrying config's marked
-    faces into the patch."""
+    its evidence, the label-preserving isometry carrying config's marked
+    faces into the patch, and the patch."""
     order, moves = _images(_marked(config))
     labels = [config.marks[f] for f in order]
     for g, image_faces in moves:
@@ -569,12 +546,12 @@ def _special_matches(config: Configuration, center: Face) -> Iterator[Tuple[dict
                     continue
                 tx, ty = h.x - c_img.x, h.y - c_img.y
                 if (tx - ty) % 3 == 0 and _reads_at(image, patch.marks, tx, ty):
-                    yield {"kind": "special", "index": index}, g._replace(tx=tx, ty=ty)
+                    yield {"kind": "special", "index": index}, g._replace(tx=tx, ty=ty), patch
 
 
 def embeds_in_special(config: Configuration, center: Face = up(0, 0)) -> Optional[dict]:
     """Evidence that config occurs inside one of the twelve special puzzles."""
-    return next((found for found, _ in _special_matches(config, center)), None)
+    return next((found for found, _, _ in _special_matches(config, center)), None)
 
 
 def _catalog_matches(
@@ -590,8 +567,7 @@ def _catalog_matches(
             evidence, g, word = found
             yield evidence, partial(_stack_marks, g=g, height=height, word=word)
             return
-    for evidence, g in _special_matches(config, center):
-        patch = special_puzzle(evidence["index"], _SPECIAL_PATCH_RADIUS)
+    for evidence, g, patch in _special_matches(config, center):
         yield evidence, partial(_patch_marks, g=g, patch=patch)
 
 
@@ -615,15 +591,22 @@ def _moved(faces: Iterable[Face], g: Isometry) -> List[Tuple[int, int, bool]]:
     return out
 
 
+def _cell(height: int, x: int, y: int, u: bool) -> Tuple[int, int]:
+    """The stack row r (its top face row at -r * height) holding the face
+    at (x, y, u), and the face's index in that row's `_row_cells`: face row
+    j below the top, then up before down, then column mod 6."""
+    r = -y // height
+    return r, 12 * (-y - r * height) + (0 if u else 6) + x % 6
+
+
 @lru_cache(maxsize=None)
 def _row_cells(height: int, key: str, shift: int) -> Tuple[int, ...]:
-    """The labels of the variant's strip row placed at the shift with its top
-    face row at 0, by face row, up faces before down, then column mod 6:
-    its shift-0 placement translated by the shift."""
-    placed = _row_marks(height, key, 0, 0, 6)
+    """The labels of the variant's strip row placed at the shift, in `_cell`
+    order: face row j gives its up and down faces at column x the labels
+    its cycles carry at (x - shift) mod 6."""
     return tuple(
-        placed[Face((x - shift) % 6, -j, u)]
-        for j in range(height) for u in (True, False) for x in range(6)
+        cycle[(x - shift) % 6]
+        for row in _variant_by_key(height)[key].rows for cycle in row for x in range(6)
     )
 
 
@@ -631,19 +614,16 @@ def _row_cells(height: int, key: str, shift: int) -> Tuple[int, ...]:
 def _stack_cells(
     window: frozenset, height: int, g: Isometry
 ) -> Tuple[Tuple[Face, ...], int, int, itemgetter]:
-    """The window's faces, the first stack row r0 and the number of rows that
-    g's image of the window meets (row r has its top face row at
-    -r * height), and one itemgetter reading each face's label, in the
-    faces' order, off those rows' `_row_cells` laid end to end."""
-    faces = tuple(window)
-    image = _moved(faces, g)
-    rows = [-y // height for _, y, _ in image]
-    r0 = min(rows)
-    cells = [
-        (r - r0) * 12 * height - (y + r * height) * 12 + (0 if u else 6) + x % 6
-        for (x, y, u), r in zip(image, rows)
-    ]
-    return faces, r0, max(rows) - r0 + 1, itemgetter(*cells)
+    """The window's faces in sorted order, the order `check` reads marks in,
+    the first stack row r0 and the number of rows that g's image of the
+    window meets, and one itemgetter reading each face's label, in the
+    faces' order, off those rows' `_row_cells` laid end to end.  It reads
+    one spare cell last, so it returns a tuple even for a single face."""
+    faces = tuple(sorted(window))
+    located = [_cell(height, *f) for f in _moved(faces, g)]
+    r0 = min(r for r, _ in located)
+    count = max(r for r, _ in located) - r0 + 1
+    return faces, r0, count, itemgetter(*((r - r0) * 12 * height + c for r, c in located), 0)
 
 
 def _continue_word(height: int, word: StackingWord, first: int, count: int) -> List[RowChoice]:
@@ -651,8 +631,7 @@ def _continue_word(height: int, word: StackingWord, first: int, count: int) -> L
     (its top row is row 0) by the first allowed row, by variant and then
     offset, below its bottom row and above its top row.  Rows above sit
     at negative indices, so each keeps the shift-parity rule of `assemble`."""
-    keys = _variant_by_key(height)
-    table = INTERFACE_DELTAS[height]
+    keys, table = _STRIP_KEYS[height], INTERFACE_DELTAS[height]
     rows = list(word)
     while len(rows) < first + count:
         key0, shift0 = rows[-1]
@@ -671,11 +650,12 @@ def _stack_marks(
     window: frozenset, g: Isometry, height: int, word: StackingWord
 ) -> Dict[Face, int]:
     """The labels the stack continuing `word` gives g's image of each face
-    of the window."""
+    of the window.  Rows are not checked against each other (`_meets`)."""
     faces, r0, count, read = _stack_cells(window, height, g)
-    rows = _continue_word(height, word, r0, count)
-    cells = tuple(chain.from_iterable(_row_cells(height, *c) for c in rows))
-    return dict(zip(faces, read(cells)))
+    labels: List[int] = []
+    for key, shift in _continue_word(height, word, r0, count):
+        labels += _row_cells(height, key, shift)
+    return dict(zip(faces, read(labels)))
 
 
 def _patch_marks(

@@ -88,7 +88,7 @@ def _emit_or_write(args, op: str, obj: dict, text: str, summary: str) -> None:
 def cmd_rings(args) -> int:
     table = ring_table()
     mt = multiplicity_table()
-    ranks = Counter(str(root_rank(d).rank) for d in mt)
+    ranks = Counter(str(root_rank(d)) for d in mt)
     obj = {
         "rings": [
             {

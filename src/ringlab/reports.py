@@ -80,7 +80,7 @@ def criterion2_report() -> dict:
     diameter_rule = all(
         (mt[e.domain] == 1) == (e.start % 3 == 0) for e in all_embeddings()
     )
-    ranks = sorted({str(root_rank(d).rank) for d in mt})
+    ranks = sorted({str(root_rank(d)) for d in mt})
     axes = [rank_axis(word, s) for s, word in legal_words()]
     return {
         "rings": len(ring_table()),

@@ -58,13 +58,6 @@ class Embedding(NamedTuple):
     start: int
 
 
-class RootRecord(NamedTuple):
-    domain: RootDomain
-    multiplicity: int
-    q: int
-    rank: Fraction
-
-
 def _m3(v: int) -> int:
     return v % 3
 
@@ -183,12 +176,12 @@ def multiplicity_table() -> Dict[RootDomain, int]:
     return dict(Counter(e.domain for e in all_embeddings()))
 
 
-def root_rank(domain: RootDomain) -> RootRecord:
-    """Rank record 1 + N/q for a realized domain."""
+def root_rank(domain: RootDomain) -> Fraction:
+    """The rank 1 + N/q of a realized domain, N its multiplicity."""
     n = multiplicity_table().get(domain)
     if n is None:
         raise ValueError(f"not a root: {domain}")
-    return RootRecord(domain, n, Q_VALUE, 1 + Fraction(n, Q_VALUE))
+    return 1 + Fraction(n, Q_VALUE)
 
 
 def half_domains(word: Tuple[int, ...], s: int, axis: int) -> Tuple[RootDomain, RootDomain]:

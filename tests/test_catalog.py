@@ -3,7 +3,7 @@
 import hashlib
 import json
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -137,16 +137,22 @@ def test_mirror_glide_squares_to_a_shift():
 
 # SHA-256 of the repr of the strip catalog's derived data: the glide image
 # rows of all nine variants, both dedup classings, the eight readings, both
-# re-derived interface tables and the strip placements of the radius-2 ball
-# at both heights, as the per-height hand-written face maps gave them.
-STRIP_CATALOG_SHA256 = "993dea1264c1f076af757743a322955bb97b416203cd5095242429e34e322c9f"
+# re-derived interface tables and, per strip placement of the radius-2 ball
+# at both heights, its placed faces and slots, as the per-height
+# hand-written face maps gave them.
+STRIP_CATALOG_SHA256 = "ad8c1a4053a236967941372b17716dd3cd3aced74ca01ee5e46e3a1a896df5ec"
 
 
 def test_strip_catalog_is_byte_stable():
     parts = [mirror_strip_rows(s) for h in (1, 2) for s in strip_variants(h)]
     parts += [strip_dedup_classes(1), strip_dedup_classes(2), strip_readings()]
     parts += [derive_interface_table(h) for h in (1, 2)]
-    parts += [catalog._strip_placements(ball(up(0, 0), 2), h) for h in (1, 2)]
+    window = ball(up(0, 0), 2)
+    parts += [
+        [(tuple(map(g.apply_face, sorted(window))), slots)
+         for g, slots in catalog._strip_placements(window, h)]
+        for h in (1, 2)
+    ]
     digest = hashlib.sha256(repr(parts).encode()).hexdigest()
     assert digest == STRIP_CATALOG_SHA256
 
@@ -295,6 +301,20 @@ def test_radius2_embedding_evidence_is_byte_stable():
     assert digest == RADIUS2_EVIDENCE_SHA256
 
 
+# SHA-256 of the JSON list of the embedding evidence of every radius-3
+# completion in completion order, None for the 84 that embed nowhere.
+RADIUS3_EVIDENCE_SHA256 = (
+    "e886d5c897293c712d408947460490b88b335c5ebcdaa4b61b22f3dc4357abe5"
+)
+
+
+def test_radius3_embedding_evidence_is_byte_stable():
+    evidence = [embeds_in_catalog(c) for c in _completions(3)]
+    assert (len(evidence), evidence.count(None)) == (736, 84)
+    digest = hashlib.sha256(json.dumps(evidence).encode()).hexdigest()
+    assert digest == RADIUS3_EVIDENCE_SHA256
+
+
 def test_classification_one_ring_further_out():
     assert classification_report(3, 5) == {
         "completions": 736,
@@ -354,15 +374,23 @@ def test_a_corrupted_certificate_raises(monkeypatch, source, fault):
     # all zero fails check; special puzzle 1 checks Valid on the ball, but
     # the completions that occur elsewhere disagree with it
     other = {f: special_puzzle(1, 4).marks[f] for f in window}
-    original = getattr(catalog, source)
+    original = catalog._catalog_matches
 
-    def corrupted(*args, **kwargs):
-        marks = original(*args, **kwargs)
+    def corrupted(pull_back, w):
+        marks = pull_back(w)
         if marks is None:
             return None
         return {f: 0 for f in marks} if fault == "invalid" else dict(other)
 
-    monkeypatch.setattr(catalog, source, corrupted)
+    # corrupt the pull-backs of strip (_stack_marks) or special-puzzle
+    # (_patch_marks) occurrences only
+    def matches(config, center):
+        for found, pull_back in original(config, center):
+            if pull_back.func.__name__ == source:
+                pull_back = partial(corrupted, pull_back)
+            yield found, pull_back
+
+    monkeypatch.setattr(catalog, "_catalog_matches", matches)
     with pytest.raises(RuntimeError, match="pulls back to no completion"):
         classification_report(2, 4)
     monkeypatch.undo()
@@ -377,6 +405,12 @@ def test_face_moves_are_affine_per_orientation():
             assert [Face(*h) for h in catalog._moved(faces, moved)] == [
                 moved.apply_face(f) for f in faces
             ]
+
+
+def test_a_single_face_reads_through_the_stack():
+    one = make_config({up(0, 0): 0})
+    assert catalog.embeds_in_strips(one, 1) == {"kind": "strip-h1", "word": [("a", 3)]}
+    assert survivor_certificate(one, one.window)[1].marks == one.marks
 
 
 def test_stacks_of_one_shape_share_their_window():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ringlab.rings import (
     MODE_ROT,
     MODE_ROT_REF,
+    Q_VALUE,
     all_embeddings,
     check_extension_property,
     half_domains,
@@ -94,11 +95,10 @@ def test_diameter_rule():
 def test_ranks_are_three_halves_or_two():
     mt = multiplicity_table()
     ranks = [root_rank(d) for d in mt]
-    assert all(r.q == 2 for r in ranks)
-    assert all(r.rank == 1 + Fraction(r.multiplicity, r.q) for r in ranks)
+    assert ranks == [1 + Fraction(mt[d], Q_VALUE) for d in mt]
     counts = {Fraction(3, 2): 0, Fraction(2): 0}
     for r in ranks:
-        counts[r.rank] += 1
+        counts[r] += 1
     assert counts == {Fraction(3, 2): 36, Fraction(2): 36}
 
 
