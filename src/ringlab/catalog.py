@@ -19,11 +19,13 @@ Isomorphism reads a small cache keyed by the pair of windows: the
 point-group moves that make them congruent, and the face permutation of
 each, so a call only compares labels.
 
-A catalog occurrence keeps its placement: the label-preserving isometry
-carrying the configuration into the puzzle, with the stacking word or the
-special patch.  Pulling the puzzle back through it onto a larger window
-gives a survivor certificate (`survivor_certificate`), which `check`
-verifies.
+One query finds catalog occurrences (`_catalog_match`): the first one in a
+height-1 strip stack, then a height-2 one, then a special puzzle.  It keeps
+the occurrence's placement, the label-preserving isometry carrying the
+configuration into the puzzle, with the stacking word or the special patch.
+The embedding evidence is read from it, and pulling the puzzle back through
+it onto a larger window gives a survivor certificate
+(`survivor_certificate`), which `check` verifies.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ class StripSpec:
     height: int
     index: int
     key: str
-    period: int
     rows: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
 
 
@@ -110,7 +111,7 @@ def strip_variants(height: int) -> Tuple[StripSpec, ...]:
     if height not in _STRIP_KEYS:
         raise ValueError("height must be 1 or 2")
     return tuple(
-        StripSpec(height, i, key, 6, _read_rows(
+        StripSpec(height, i, key, _read_rows(
             parse_config(data_text(f"strip_h{height}_{key}.txt")).marks, height))
         for i, key in enumerate(_STRIP_KEYS[height], start=1)
     )
@@ -128,9 +129,8 @@ def strip_table() -> List[StripSpec]:
 
 
 def get_strip(height: int, index: int) -> StripSpec:
-    table = [s for s in strip_table() if s.height == height]
-    for s in table:
-        if s.index == index:
+    for s in strip_table():
+        if (s.height, s.index) == (height, index):
             return s
     raise ValueError(f"no height-{height} strip with index {index}")
 
@@ -479,13 +479,15 @@ def _match_stack(
     return tuple(word) if rec(0) else None
 
 
-def _strip_match(
-    config: Configuration, height: int
-) -> Optional[Tuple[dict, Isometry, StackingWord]]:
-    """The first strip-stack occurrence of config: its evidence, the
-    label-preserving isometry carrying config's marked faces into the stack,
-    and the stacking word.  A match is re-read through `_stack_marks`, the
-    reader its survivor certificate uses.
+# A catalog occurrence: its evidence, and the pull-back of its puzzle onto a
+# window through the label-preserving isometry carrying the configuration's
+# marked faces into the puzzle (see `survivor_certificate`).
+_Match = Tuple[dict, Callable[[frozenset], Optional[Dict[Face, int]]]]
+
+
+def _strip_match(config: Configuration, height: int) -> Optional[_Match]:
+    """The first strip-stack occurrence of config.  A match is re-read
+    through its pull-back, the reader its survivor certificate uses.
 
     Each image of config is translated, label-preservingly, to put its top
     face row at 0 or, for height 2, also at -1 (strip slots have two
@@ -495,8 +497,11 @@ def _strip_match(
     labels = [config.marks[f] for f in _images(faces)[0]]
     for g, slots in _strip_placements(faces, height):
         word = _match_stack(labels, slots, height)
-        if word is not None and _stack_marks(faces, g, height, word) == config.marks:
-            return {"kind": f"strip-h{height}", "word": list(word)}, g, word
+        if word is None:
+            continue
+        pull_back = partial(_stack_marks, g=g, height=height, word=word)
+        if pull_back(faces) == config.marks:
+            return {"kind": f"strip-h{height}", "word": list(word)}, pull_back
     return None
 
 
@@ -511,25 +516,24 @@ _SPECIAL_PATCH_RADIUS = 7
 
 
 @lru_cache(maxsize=None)
-def _special_signature_index(index: int) -> Dict[tuple, Tuple[Face, ...]]:
-    patch = special_puzzle(index, _SPECIAL_PATCH_RADIUS)
-    out: Dict[tuple, List[Face]] = {}
-    for h in patch.marks:
-        ring1 = ball(h, 1)
-        if not all(f in patch.marks for f in ring1):
-            continue
-        sig = tuple(patch.marks[f] for f in sorted(ring1))
-        out.setdefault(sig, []).append(h)
-    return {sig: tuple(faces) for sig, faces in out.items()}
+def _special_index() -> Dict[tuple, Tuple[Tuple[int, Face], ...]]:
+    """Every (puzzle index, face h) of the twelve special patches whose
+    radius-1 ball lies in the patch, keyed by that ball's labels in sorted
+    face order, listed by puzzle and then in patch order."""
+    out: Dict[tuple, List[Tuple[int, Face]]] = {}
+    for index in range(1, 13):
+        marks = special_puzzle(index, _SPECIAL_PATCH_RADIUS).marks
+        for h in marks:
+            ring1 = ball(h, 1)
+            if all(f in marks for f in ring1):
+                out.setdefault(tuple(marks[f] for f in sorted(ring1)), []).append((index, h))
+    return {sig: tuple(entries) for sig, entries in out.items()}
 
 
-def _special_matches(
-    config: Configuration, center: Face
-) -> Iterator[Tuple[dict, Isometry, Configuration]]:
-    """Every occurrence of config in a special puzzle's patch, by point-group
-    element, then puzzle index, then the patch face h the center lands on:
-    its evidence, the label-preserving isometry carrying config's marked
-    faces into the patch, and the patch."""
+def _special_match(config: Configuration, center: Face) -> Optional[_Match]:
+    """The first occurrence of config in a special puzzle's patch, by
+    point-group element, then puzzle index, then the patch face h the
+    center lands on."""
     order, moves = _images(_marked(config))
     labels = [config.marks[f] for f in order]
     for g, image_faces in moves:
@@ -538,42 +542,33 @@ def _special_matches(
         ring1 = sorted(ball(c_img, 1))
         if not all(f in image for f in ring1):
             raise ValueError("config must cover the radius-1 ball of the center")
-        sig = tuple(image[f] for f in ring1)
-        for index in range(1, 13):
+        for index, h in _special_index().get(tuple(image[f] for f in ring1), ()):
+            tx, ty = h.x - c_img.x, h.y - c_img.y
+            if h.up != c_img.up or (tx - ty) % 3:
+                continue
             patch = special_puzzle(index, _SPECIAL_PATCH_RADIUS)
-            for h in _special_signature_index(index).get(sig, ()):
-                if h.up != c_img.up:
-                    continue
-                tx, ty = h.x - c_img.x, h.y - c_img.y
-                if (tx - ty) % 3 == 0 and _reads_at(image, patch.marks, tx, ty):
-                    yield {"kind": "special", "index": index}, g._replace(tx=tx, ty=ty), patch
+            if _reads_at(image, patch.marks, tx, ty):
+                pull_back = partial(_patch_marks, g=g._replace(tx=tx, ty=ty), patch=patch)
+                return {"kind": "special", "index": index}, pull_back
+    return None
 
 
 def embeds_in_special(config: Configuration, center: Face = up(0, 0)) -> Optional[dict]:
     """Evidence that config occurs inside one of the twelve special puzzles."""
-    return next((found for found, _, _ in _special_matches(config, center)), None)
+    found = _special_match(config, center)
+    return None if found is None else found[0]
 
 
-def _catalog_matches(
-    config: Configuration, center: Face
-) -> Iterator[Tuple[dict, Callable[[frozenset], Optional[Dict[Face, int]]]]]:
-    """The catalog occurrences of config: the first strip-stack occurrence,
-    height 1 before 2, or else every special-puzzle occurrence.  Each comes
-    with its evidence and the pull-back of its puzzle onto a window (see
-    `survivor_certificate`)."""
-    for height in (1, 2):
-        found = _strip_match(config, height)
-        if found is not None:
-            evidence, g, word = found
-            yield evidence, partial(_stack_marks, g=g, height=height, word=word)
-            return
-    for evidence, g, patch in _special_matches(config, center):
-        yield evidence, partial(_patch_marks, g=g, patch=patch)
+def _catalog_match(config: Configuration, center: Face) -> Optional[_Match]:
+    """The first catalog occurrence of config: in a height-1 strip stack,
+    then a height-2 one, then a special puzzle."""
+    return _strip_match(config, 1) or _strip_match(config, 2) or _special_match(config, center)
 
 
 def embeds_in_catalog(config: Configuration, center: Face = up(0, 0)) -> Optional[dict]:
     """Strip-stack or special-puzzle embedding evidence, or None."""
-    return next((found for found, _ in _catalog_matches(config, center)), None)
+    found = _catalog_match(config, center)
+    return None if found is None else found[0]
 
 
 def _moved(faces: Iterable[Face], g: Isometry) -> List[Tuple[int, int, bool]]:
@@ -677,26 +672,26 @@ def survivor_certificate(
     that config extends to a total marking of window, or None.
 
     A catalog puzzle config occurs in is itself a completion of every
-    window, so the certificate is that puzzle pulled back onto window
-    through the occurrence's label-preserving isometry.  A strip stack
-    covers any window; special-puzzle occurrences are tried in turn until
-    one's patch covers the window's image.  A certificate is returned only
+    window, so the certificate is the first occurrence's puzzle pulled back
+    onto window through its label-preserving isometry.  A strip stack
+    covers any window; a special puzzle's patch may not cover the window's
+    image, and then there is no certificate.  A certificate is returned only
     once `check` finds it Valid and it agrees with config on every marked
     face; one that covers the window and fails either test means the
     catalog is unsound, and raises.
     """
     if not window >= config.window:
         raise ValueError("window must contain the configuration window")
-    evidence = None
-    for found, pull_back in _catalog_matches(config, up(0, 0)):
-        evidence = evidence or found
-        marks = pull_back(window)
-        if marks is None:
-            continue
-        certificate = Configuration(window, marks, config.period)
-        if check(certificate).status != VALID or any(
-            marks[f] != l for f, l in config.marks.items()
-        ):
-            raise RuntimeError(f"catalog occurrence {found} pulls back to no completion")
-        return evidence, certificate
-    return evidence, None
+    found = _catalog_match(config, up(0, 0))
+    if found is None:
+        return None, None
+    evidence, pull_back = found
+    marks = pull_back(window)
+    if marks is None:
+        return evidence, None
+    certificate = Configuration(window, marks, config.period)
+    if check(certificate).status != VALID or any(
+        marks[f] != l for f, l in config.marks.items()
+    ):
+        raise RuntimeError(f"catalog occurrence {evidence} pulls back to no completion")
+    return evidence, certificate

@@ -53,6 +53,7 @@ from .rings import (
     DEFAULT_MODE,
     MODE_ROT,
     MODE_ROT_REF,
+    all_embeddings,
     legal_words,
     multiplicity_table,
     ring_table,
@@ -99,7 +100,7 @@ def cmd_rings(args) -> int:
             }
             for r in table
         ],
-        "embeddings": 12 * len(table),
+        "embeddings": len(all_embeddings()),
         "domains": len(mt),
         "multiplicities": sorted(set(mt.values())),
         "rank_axes": dict(sorted(ranks.items())),

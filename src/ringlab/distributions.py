@@ -91,16 +91,26 @@ def interior_faces(vertices: Iterable[Vertex]) -> List[Face]:
     return sorted(out)
 
 
+def _parity_table(up_face: bool) -> Table:
+    """The parity table of a face of the orientation: it accepts the axis
+    triples, in `face_vertices` order, with an odd number of rank-2 corners."""
+    f = Face(0, 0, up_face)
+    opposite = tuple(opposite_axis_at_vertex(f, v) for v in face_vertices(f))
+    return Table(3, lambda axes: sum(a != o for a, o in zip(axes, opposite)) % 2 == 1)
+
+
+# The parity table of each orientation, keyed by Face.up: the corners' opposite
+# axes are (A2, A1, A0) on an up face and (A0, A1, A2) on a down face.
+_PARITY_TABLES = {u: _parity_table(u) for u in (True, False)}
+
+
 def face_parity(dist: Distribution, f: Face) -> str:
     """Odd or Even count of rank-2 corners of f; needs all three assigned."""
-    count = 0
-    for v in face_vertices(f):
-        a = dist.axis.get(v)
-        if v not in dist.window or a is None:
-            raise ValueError(f"insufficient data at {v} for face {f}")
-        if a != opposite_axis_at_vertex(f, v):
-            count += 1
-    return ODD if count % 2 == 1 else EVEN
+    vs = face_vertices(f)
+    axes = [dist.axis.get(v) if v in dist.window else None for v in vs]
+    if None in axes:
+        raise ValueError(f"insufficient data at {vs[axes.index(None)]} for face {f}")
+    return ODD if _PARITY_TABLES[f.up].accept(axes) else EVEN
 
 
 def induced_distribution(config) -> Distribution:
@@ -115,13 +125,6 @@ def induced_distribution(config) -> Distribution:
     return make_distribution(axis)
 
 
-@lru_cache(maxsize=None)
-def _parity_table(opposite: Tuple[int, int, int]) -> Table:
-    """The table of a face whose corners have these opposite-side axes:
-    it accepts the axis triples with an odd number of rank-2 corners."""
-    return Table(3, lambda axes: sum(a != o for a, o in zip(axes, opposite)) % 2 == 1)
-
-
 def _parity_kernel(
     window: Iterable[Vertex], axis: Dict[Vertex, int]
 ) -> Tuple[List[Vertex], List[Face], Kernel]:
@@ -131,10 +134,7 @@ def _parity_kernel(
     index = {v: g for g, v in enumerate(vertices)}
     faces = interior_faces(vertices)
     scopes = [[index[v] for v in face_vertices(f)] for f in faces]
-    tables = [
-        _parity_table(tuple(opposite_axis_at_vertex(f, v) for v in face_vertices(f)))
-        for f in faces
-    ]
+    tables = [_PARITY_TABLES[f.up] for f in faces]
     given = {index[v]: a for v, a in axis.items()}
     return vertices, faces, Kernel(len(vertices), scopes, tables, given)
 
@@ -237,20 +237,21 @@ def _is_family2(dist: Distribution) -> bool:
     return False
 
 
-_D0_REF_RADIUS = 9
-
-
 @lru_cache(maxsize=None)
-def _d0_reference() -> Distribution:
-    return build_D0(hex_window(_D0_REF_RADIUS))
+def _d0_reference(radius: int) -> Distribution:
+    return build_D0(hex_window(radius))
 
 
 def matches_d0(dist: Distribution) -> bool:
-    """Whether some lattice isometry carries dist into the reference D0 patch."""
-    ref = _d0_reference()
+    """Whether some lattice isometry carries dist into D0 on the hexagon of
+    radius 9 or, if larger, dist's hex diameter: the largest range of a, b
+    or a + b over its vertices.  D0 on a hexagon of radius r has diameter
+    2r, so it always fits."""
     items = sorted(dist.axis.items())
     if not items:
         return False
+    coords = zip(*((a, b, a + b) for (a, b), _ in items))
+    ref = _d0_reference(max(9, *(max(c) - min(c) for c in coords)))
     for g in POINT_GROUP:
         moved = [(g.apply_vertex(v), g.apply_axis(a)) for v, a in items]
         anchor = min(m[0] for m in moved)
@@ -273,12 +274,12 @@ def classify_distribution(dist: Distribution) -> str:
         raise ValueError("classification needs a total distribution")
     if not all_faces_odd(dist):
         raise ValueError("not an odd distribution")
-    if matches_d0(dist):
-        return SPECIAL_D0
     if _is_family1(dist):
         return FAMILY_1
     if _is_family2(dist):
         return FAMILY_2
+    if matches_d0(dist):
+        return SPECIAL_D0
     return UNKNOWN
 
 

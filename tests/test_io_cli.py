@@ -272,6 +272,15 @@ def test_cli_dist_pipeline(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["family"] == "SpecialD0"
 
 
+def test_cli_classifies_a_d0_beyond_radius_nine(tmp_path, capsys):
+    # D0 matching follows the query's size, not a fixed reference patch
+    f = tmp_path / "d0.txt"
+    rc, _ = run_cli(capsys, "dist", "d0", "--radius", "10", "-o", str(f))
+    assert rc == 0
+    rc, out = run_cli(capsys, "--json", "dist", "classify", str(f))
+    assert rc == 0 and json.loads(out)["family"] == "SpecialD0"
+
+
 def test_cli_dist_propagate_rejects_a_given_even_face(tmp_path, capsys):
     f = tmp_path / "even.txt"
     # each corner of Up(0,0) on its opposite-side axis: no rank-2 corner
