@@ -9,8 +9,9 @@ One rule places every strip row (`_row_cells`): at shift s, face row j of
 a strip gives its faces at column x the labels its up and down cycles carry
 at (x - s) mod 6.  Stacks, the interface-table check, the embedding slots
 and survivor certificates all read rows through one face-to-cell index
-(`_cell`); a strip's mirror reading is its assembled row's image under its
-height's label-preserving glide (`_GLIDES`).
+(`_cell`), and which rows may stack from one transfer graph built from
+the interface table (`_below`); a strip's mirror reading is its row read through its height's
+label-preserving glide (`_GLIDES`).
 
 The embedding tests read a window's images under the label-preserving
 point group, and their placements in the strip slots, from small caches
@@ -96,11 +97,11 @@ INTERFACE_DELTAS: Dict[int, Dict[Tuple[str, str], Tuple[int, ...]]] = {
 }
 
 
-def _read_rows(marks: Dict[Face, int], height: int, x0: int = 0):
+def _read_rows(marks: Dict[Face, int], height: int):
     """The strip rows (up cycle, down cycle) per face row 0 down to 1 - height
-    that the marks carry in columns x0 to x0 + 5."""
+    that the marks carry in columns 0 to 5."""
     return tuple(
-        tuple(tuple(marks[Face(x, -j, u)] for x in range(x0, x0 + 6)) for u in (True, False))
+        tuple(tuple(marks[Face(x, -j, u)] for x in range(6)) for u in (True, False))
         for j in range(height)
     )
 
@@ -123,9 +124,8 @@ def _variant_by_key(height: int) -> Dict[str, StripSpec]:
 
 
 def strip_table() -> List[StripSpec]:
-    """The four distinct height-1 strips and the three height-2 strips."""
-    h1 = _variant_by_key(1)
-    return [h1[k] for k in "abcf"] + list(strip_variants(2))
+    """The first variant of each glide class: four height-1 strips, three height-2."""
+    return [_variant_by_key(h)[c[0]] for h in (1, 2) for c in strip_dedup_classes(h)]
 
 
 def get_strip(height: int, index: int) -> StripSpec:
@@ -135,10 +135,17 @@ def get_strip(height: int, index: int) -> StripSpec:
     raise ValueError(f"no height-{height} strip with index {index}")
 
 
-def _meets(height: int, upper: RowChoice, lower: RowChoice) -> bool:
-    """Whether strip row `upper` may sit right above strip row `lower`."""
-    delta = (upper[1] - lower[1]) % 6
-    return delta in INTERFACE_DELTAS[height].get((upper[0], lower[0]), ())
+@lru_cache(maxsize=None)
+def _below(height: int) -> Dict[RowChoice, Tuple[RowChoice, ...]]:
+    """The strip transfer graph: per row choice (variant, shift 0..5), in that
+    order, the choices allowed right below it, by variant, then table offset."""
+    keys, table = _variant_by_key(height), INTERFACE_DELTAS[height]
+    return {
+        (upper, shift): tuple(
+            (key, (shift - d) % 6) for key in keys for d in table.get((upper, key), ())
+        )
+        for upper in keys for shift in range(6)
+    }
 
 
 @lru_cache(maxsize=None)
@@ -170,7 +177,7 @@ def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
     if len(heights) != 1:
         raise ValueError("interface mismatch: rows of different strip heights")
     height = heights.pop()
-    variants = _variant_by_key(height)
+    variants, below = _variant_by_key(height), _below(height)
     prev: Optional[RowChoice] = None
     for r, (key, shift) in enumerate(word):
         if key not in variants:
@@ -181,12 +188,12 @@ def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
                 f"interface mismatch: row {r} shift {shift} breaks the edge "
                 f"labeling (needs shift congruent to {y_top % 3} mod 3)"
             )
-        if prev is not None and not _meets(height, prev, (key, shift)):
+        if prev is not None and (key, shift % 6) not in below[prev]:
             raise ValueError(
                 f"interface mismatch: row {r - 1} ({prev[0]}) over row {r} "
                 f"({key}) at offset {(prev[1] - shift) % 6}"
             )
-        prev = (key, shift)
+        prev = (key, shift % 6)
     window = _stack_window(height, len(word), 6 * width_periods)
     return Configuration(window, _stack_marks(window, _IDENTITY, height, word), 6)
 
@@ -223,18 +230,17 @@ def stacking_words(
     walk never backs out of a dead end."""
     if rows < 1:
         raise ValueError("rows must be at least 1")
-    keys = _variant_by_key(height)
-    table = INTERFACE_DELTAS[height]
+    below = _below(height)
     # live[r]: the row-r choices that fit, keep the edge labeling (shift
     # congruent to the top face row mod 3) and sit on a live choice below
     live: List[List[RowChoice]] = [[] for _ in range(rows)]
     for r in reversed(range(rows)):
         live[r] = [
             (key, shift)
-            for key in keys
+            for key in _STRIP_KEYS[height]
             for shift in range(-r * height % 3, 6, 3)
             if fits(r, (key, shift))
-            and (r == rows - 1 or any(_meets(height, (key, shift), c) for c in live[r + 1]))
+            and (r == rows - 1 or any(c in live[r + 1] for c in below[key, shift]))
         ]
     word: List[RowChoice] = []
     todo = [iter(live[0])]  # per placed row, its untried choices
@@ -247,13 +253,7 @@ def stacking_words(
         if len(word) == rows:
             yield tuple(word)
             continue
-        (pk, ps), below = choice, live[len(word)]
-        todo.append(iter([
-            (key, (ps - delta) % 6)
-            for key in keys
-            for delta in table.get((pk, key), ())
-            if (key, (ps - delta) % 6) in below
-        ]))
+        todo.append(iter([c for c in below[choice] if c in live[len(word)]]))
 
 
 def compatible_words(height: int, rows: int) -> List[StackingWord]:
@@ -338,19 +338,19 @@ def isomorphic(a: Configuration, b: Configuration) -> Optional[Isometry]:
 
 
 # The glide of each strip height, for a strip placed at face rows 0 to 1 - height.
-_GLIDES = {1: Isometry(0, True, 1, 1), 2: Isometry(0, True, 0, 0)}
+_GLIDES = {1: Isometry(0, True, -2, 1), 2: Isometry(0, True, 0, 0)}
 
 
 def mirror_strip_rows(spec: StripSpec):
-    """Row data of the strip's mirror image under its height's glide, read
-    back one period into the image of the strip placed three periods wide.
+    """Row data of the strip's mirror image under its height's glide: one
+    period of the strip row read through the glide with the stack reader.
 
     The glide reverses the transversal axis decoration, pairing each band
     with its oppositely decorated reading.
     """
-    g = _GLIDES[spec.height]
-    placed = assemble([(spec.key, 0)], 3).marks
-    return _read_rows({g.apply_face(f): l for f, l in placed.items()}, spec.height, 6)
+    h = spec.height
+    marks = _stack_marks(_stack_window(h, 1, 6), _GLIDES[h], h, [(spec.key, 0)])
+    return _read_rows(marks, h)
 
 
 def strip_dedup_classes(height: int = 1) -> List[List[str]]:
@@ -462,13 +462,14 @@ def _match_stack(
                for positions, choices in slots]
     if not all(options):
         return None
+    below = _below(height)
     word: List[RowChoice] = []
 
     def rec(r: int) -> bool:
         if r == len(options):
             return True
         for choice in options[r]:
-            if word and not _meets(height, word[-1], choice):
+            if word and choice not in below[word[-1]]:
                 continue
             word.append(choice)
             if rec(r + 1):
@@ -623,21 +624,15 @@ def _stack_cells(
 
 def _continue_word(height: int, word: StackingWord, first: int, count: int) -> List[RowChoice]:
     """Rows first .. first + count - 1 of the stack that continues `word`
-    (its top row is row 0) by the first allowed row, by variant and then
-    offset, below its bottom row and above its top row.  Rows above sit
-    at negative indices, so each keeps the shift-parity rule of `assemble`."""
-    keys, table = _STRIP_KEYS[height], INTERFACE_DELTAS[height]
+    (its top row is row 0) along the transfer graph: below its bottom row
+    by the first successor, above its top row by the first predecessor in
+    (variant, shift) order.  Rows above sit at negative indices."""
+    below = _below(height)
     rows = list(word)
     while len(rows) < first + count:
-        key0, shift0 = rows[-1]
-        rows.append(next(
-            (key, (shift0 - d) % 6) for key in keys for d in table.get((key0, key), ())
-        ))
+        rows.append(below[rows[-1]][0])
     for _ in range(-first):
-        key0, shift0 = rows[0]
-        rows.insert(0, next(
-            (key, (shift0 + d) % 6) for key in keys for d in table.get((key, key0), ())
-        ))
+        rows.insert(0, next(c for c, succ in below.items() if rows[0] in succ))
     return rows[:count]
 
 
@@ -645,7 +640,7 @@ def _stack_marks(
     window: frozenset, g: Isometry, height: int, word: StackingWord
 ) -> Dict[Face, int]:
     """The labels the stack continuing `word` gives g's image of each face
-    of the window.  Rows are not checked against each other (`_meets`)."""
+    of the window.  Rows are not checked against each other (`_below`)."""
     faces, r0, count, read = _stack_cells(window, height, g)
     labels: List[int] = []
     for key, shift in _continue_word(height, word, r0, count):

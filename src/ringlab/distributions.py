@@ -56,6 +56,10 @@ class Distribution:
         bad = set(self.axis) - self.window
         if bad:
             raise ValueError(f"axes outside window: {sorted(bad)[:3]}")
+        if not set(AXES).issuperset(self.axis.values()):
+            # vertices are distinct, so the sort never compares two axes
+            wrong = sorted((v, a) for v, a in self.axis.items() if a not in AXES)
+            raise ValueError(f"axes not in A0, A1, A2: {wrong[:3]}")
 
     def total(self) -> bool:
         return set(self.axis) == set(self.window)
@@ -107,10 +111,10 @@ _PARITY_TABLES = {u: _parity_table(u) for u in (True, False)}
 def face_parity(dist: Distribution, f: Face) -> str:
     """Odd or Even count of rank-2 corners of f; needs all three assigned."""
     vs = face_vertices(f)
-    axes = [dist.axis.get(v) if v in dist.window else None for v in vs]
+    axes = tuple(map(dist.axis.get, vs))
     if None in axes:
         raise ValueError(f"insufficient data at {vs[axes.index(None)]} for face {f}")
-    return ODD if _PARITY_TABLES[f.up].accept(axes) else EVEN
+    return ODD if _PARITY_TABLES[f.up][axes] else EVEN
 
 
 def induced_distribution(config) -> Distribution:
@@ -257,13 +261,11 @@ def matches_d0(dist: Distribution) -> bool:
         anchor = min(m[0] for m in moved)
         for w in ref.window:
             tx, ty = w[0] - anchor[0], w[1] - anchor[1]
-            ok = True
             for (vx, vy), a in moved:
-                u = (vx + tx, vy + ty)
-                if u not in ref.window or ref.axis.get(u) != a:
-                    ok = False
+                # ref is total and no axis is None, so a vertex outside fails here
+                if ref.axis.get((vx + tx, vy + ty)) != a:
                     break
-            if ok:
+            else:
                 return True
     return False
 

@@ -10,12 +10,12 @@ afterwards; `has_completion` is its one-configuration case, and
 `dead_end_report` probes the completions still alive at each radius in one
 batch.  A classification sweep probes only the completions that no catalog
 certificate shows alive; `check` verifies each certificate (see
-`catalog.survivor_certificate`).  No kernel outlives the call that built it.  `check`
-reads the same tables, but gathers link words through a per-window plan:
-the window's faces in sorted order and, per vertex family, one itemgetter
-over the link faces of the family's vertices, built once per window and
-kept in a small cache, so a call reads each mark once and gathers each
-family's words in one step.
+`catalog.survivor_certificate`).  No kernel outlives the call that built
+it.  `check` reads the same tables by word, gathering the words through a
+per-window plan: the window's faces in sorted order and, per vertex
+family, one itemgetter over the link faces of the family's vertices,
+built once per window and kept in a small cache, so a call reads each
+mark once and gathers each family's words in one step.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .lattice import (
     up,
     window_vertices,
 )
-from .kernel import UNSET, Kernel, Table
+from .kernel import Kernel, Table
 from .labeling import vertex_s
 from .rings import DEFAULT_MODE, legal_words
 
@@ -115,25 +115,11 @@ def _link_plan(
     return order, tuple(families)
 
 
-class _LiveWords(dict):
-    """Whether some ring matches a link word of one family (None where a
-    face is free), read from the family's table once per word."""
-
-    def __init__(self, table: Table):
-        super().__init__()
-        self.table = table
-
-    def __missing__(self, word: Tuple[Optional[int], ...]) -> bool:
-        code = 0
-        for k, l in enumerate(word):
-            code |= (UNSET if l is None else l) << 2 * k
-        live = self[word] = self.table[code] is not None
-        return live
-
-
 @lru_cache(maxsize=None)
-def _live_words(mode: str, s: int) -> _LiveWords:
-    return _LiveWords(_ring_table(mode, s))
+def _ring_table(mode: str, s: int) -> Table:
+    """The link table of family s: it accepts the words some ring map matches."""
+    words = frozenset(w for t, w in legal_words(mode) if t == s)
+    return Table(6, words.__contains__)
 
 
 def _words(gathered: Tuple[Optional[int], ...]) -> Iterator[Tuple[Optional[int], ...]]:
@@ -152,9 +138,9 @@ def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
     labels.append(None)
     dead: List[Vertex] = []
     for s, vertices, gather in families:
-        live = _live_words(mode, s)
-        if not all(map(live.__getitem__, _words(gather(labels)))):
-            dead += (v for v, w in zip(vertices, _words(gather(labels))) if not live[w])
+        table = _ring_table(mode, s)
+        if not all(map(table.__getitem__, _words(gather(labels)))):
+            dead += (v for v, w in zip(vertices, _words(gather(labels))) if table[w] is None)
     if dead:
         dead.sort()
         witnesses = tuple((v, f"no ring matches the link at {v}") for v in dead)
@@ -163,13 +149,6 @@ def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
         unmarked = tuple(f for f, l in zip(order, labels) if l is None)
         return Verdict(INCOMPLETE, (), unmarked)
     return Verdict(VALID, (), ())
-
-
-@lru_cache(maxsize=None)
-def _ring_table(mode: str, s: int) -> Table:
-    """The link table of family s: it accepts the words some ring map matches."""
-    words = frozenset(w for t, w in legal_words(mode) if t == s)
-    return Table(6, words.__contains__)
 
 
 def _kernel(faces: Sequence[Face], marks: Dict[Face, int], mode: str) -> Kernel:

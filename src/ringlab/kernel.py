@@ -20,7 +20,8 @@ no object per site:
   code's per-position label bitmasks, read from its table;
 - a table fills a code on first use by testing the code's at most
   3^arity completions against an accept predicate; None marks a dead code,
-  one no completion of which is accepted;
+  one no completion of which is accepted.  Clients outside a kernel may
+  read a table by word (see `Table`); the kernel reads codes only;
 - propagation is a worklist (AC-3 style, after Mackworth 1977): after an
   assignment only the free variables of the constraints whose code changed
   are re-examined, and a variable is forced when exactly one label is
@@ -53,7 +54,8 @@ class Table(dict):
 
     The value of a code holds, per position, a bitmask of the labels some
     accepted completion has there (bit l for label l), or None when no
-    completion is accepted.
+    completion is accepted.  A word key (a tuple of labels, None where free)
+    reads its code's entry, which is then stored under the word too.
     """
 
     def __init__(self, arity: int, accept: Callable[[Tuple[int, ...]], bool]):
@@ -61,7 +63,13 @@ class Table(dict):
         self.arity = arity
         self.accept = accept
 
-    def __missing__(self, code: int) -> Optional[Tuple[int, ...]]:
+    def __missing__(self, code) -> Optional[Tuple[int, ...]]:
+        if isinstance(code, tuple):  # a word: read its code's entry
+            word, code = code, 0
+            for l in reversed(word):
+                code = code << 2 | (UNSET if l is None else l)
+            value = self[word] = self[code]
+            return value
         choices = []
         for k in range(self.arity):
             d = (code >> 2 * k) & 3

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from functools import lru_cache, partial
 
 import pytest
@@ -80,6 +81,41 @@ def test_no_strip_stacks_on_itself():
     for height in (1, 2):
         for w in compatible_words(height, 2):
             assert w[0][0] != w[1][0]
+
+
+@pytest.mark.parametrize("height, degree, tops", [(1, 4, 12), (2, 2, 6)])
+def test_transfer_graph_counts_the_stacking_words(height, degree, tops):
+    below = catalog._below(height)
+    assert len(below) == 6 * len(strip_variants(height))
+    assert all(len(succ) == degree for succ in below.values())
+    # every state has a predecessor, so every state continues both ways
+    assert {c for succ in below.values() for c in succ} == set(below)
+    # and its successors carry two distinct rows of labels
+    assert all(len({catalog._row_cells(height, *d) for d in succ}) == 2
+               for succ in below.values())
+    # n-row paths from the top row's states (shift 0 or 3, by the edge labeling)
+    paths = {c: int(c[1] % 3 == 0) for c in below}
+    for n in range(1, 6):
+        assert sum(paths.values()) == tops * degree ** (n - 1)
+        assert sum(paths.values()) == len(compatible_words(height, n))
+        nxt = dict.fromkeys(below, 0)
+        for c, k in paths.items():
+            for d in below[c]:
+                nxt[d] += k
+        paths = nxt
+
+
+def test_four_row_words_give_48_distinct_markings():
+    # Height 2: distinct words give distinct markings.  Height 1: at each
+    # row's shifts, a and c (and d and e) label their faces alike 3 columns
+    # apart, and b and f are 3-periodic, so every row has two label-equal
+    # choices and every marking comes from 2^4 words.
+    for height, count, per_marking in ((1, 768, 16), (2, 48, 1)):
+        words = compatible_words(height, 4)
+        markings = Counter(frozenset(assemble(w).marks.items()) for w in words)
+        assert len(set(words)) == count
+        assert len(markings) == 48
+        assert set(markings.values()) == {per_marking}
 
 
 def test_assembled_strips_are_valid():

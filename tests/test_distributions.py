@@ -51,6 +51,14 @@ def test_distribution_rejects_axes_outside_window():
         Distribution(frozenset({(0, 0)}), {(1, 1): 0})
 
 
+@pytest.mark.parametrize("axis", [-1, 3, None])
+def test_axes_outside_the_three_are_rejected(axis):
+    with pytest.raises(ValueError, match=r"not in A0, A1, A2: \[\(\(0, 0\), "):
+        Distribution(hex_window(1), {(0, 0): axis})
+    with pytest.raises(ValueError, match="not in A0, A1, A2"):
+        make_distribution({(0, 0): axis, (1, 0): 0})
+
+
 def test_face_parity_needs_all_corners():
     d = make_distribution({(0, 0): 0})
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab import engine, kernel
+from ringlab import distributions, engine, kernel
 from ringlab.catalog import assemble, compatible_words, special_puzzle
 from ringlab.configio import data_text, parse_config, serialize_config
 from ringlab.distributions import (
@@ -35,6 +35,7 @@ from ringlab.engine import (
     propagate,
 )
 from ringlab.lattice import (
+    AXES,
     ball,
     down,
     face_neighbors,
@@ -291,6 +292,13 @@ def test_ring_tables_match_sector_options(mode):
             opts = sector_options(word, s, mode)
             want = tuple(sum(1 << l for l in o) for o in opts) if opts[0] else None
             assert table[code] == want, (word, s)
+            assert table[word] == table[code], (word, s)
+
+
+def test_parity_tables_read_words_as_accept():
+    for u, table in distributions._PARITY_TABLES.items():
+        for axes in itertools.product(AXES, repeat=3):
+            assert bool(table[axes]) == table.accept(axes), (u, axes)
 
 
 BALL2 = frozenset(ball(up(0, 0), 2))
