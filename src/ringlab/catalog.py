@@ -9,8 +9,9 @@ One rule places every strip row (`_row_cells`): at shift s, face row j of
 a strip gives its faces at column x the labels its up and down cycles carry
 at (x - s) mod 6.  Stacks, the interface-table check, the embedding slots
 and survivor certificates all read rows through one face-to-cell index
-(`_cell`), and which rows may stack from one transfer graph built from
-the interface table (`_below`); a strip's mirror reading is its row read through its height's
+(`_cell`), as label bytes in the window's sorted face order, and which
+rows may stack from one transfer graph built from the interface table
+(`_below`); a strip's mirror reading is its row read through its height's
 label-preserving glide (`_GLIDES`).
 
 The embedding tests read a window's images under the label-preserving
@@ -37,17 +38,8 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .configio import data_text, parse_config
-from .engine import Configuration, VALID, check, make_config, propagate
-from .lattice import (
-    A1,
-    A2,
-    Face,
-    Isometry,
-    LABEL_POINT_GROUP,
-    POINT_GROUP,
-    ball,
-    up,
-)
+from .engine import UNSET, Configuration, VALID, check, make_config, propagate, window_order
+from .lattice import A1, A2, Face, Isometry, LABEL_POINT_GROUP, POINT_GROUP, ball, up
 
 RowChoice = Tuple[str, int]
 StackingWord = Sequence[RowChoice]
@@ -97,9 +89,10 @@ INTERFACE_DELTAS: Dict[int, Dict[Tuple[str, str], Tuple[int, ...]]] = {
 }
 
 
-def _read_rows(marks: Dict[Face, int], height: int):
+def _read_rows(config: Configuration, height: int):
     """The strip rows (up cycle, down cycle) per face row 0 down to 1 - height
-    that the marks carry in columns 0 to 5."""
+    that the configuration marks in columns 0 to 5."""
+    marks = config.marks
     return tuple(
         tuple(tuple(marks[Face(x, -j, u)] for x in range(6)) for u in (True, False))
         for j in range(height)
@@ -113,7 +106,7 @@ def strip_variants(height: int) -> Tuple[StripSpec, ...]:
         raise ValueError("height must be 1 or 2")
     return tuple(
         StripSpec(height, i, key, _read_rows(
-            parse_config(data_text(f"strip_h{height}_{key}.txt")).marks, height))
+            parse_config(data_text(f"strip_h{height}_{key}.txt")), height))
         for i, key in enumerate(_STRIP_KEYS[height], start=1)
     )
 
@@ -195,7 +188,7 @@ def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
             )
         prev = (key, shift % 6)
     window = _stack_window(height, len(word), 6 * width_periods)
-    return Configuration(window, _stack_marks(window, _IDENTITY, height, word), 6)
+    return Configuration.from_labels(window, _stack_marks(window, _IDENTITY, height, word), 6)
 
 
 def derive_interface_table(height: int) -> Dict[Tuple[str, str], Tuple[int, ...]]:
@@ -211,7 +204,7 @@ def derive_interface_table(height: int) -> Dict[Tuple[str, str], Tuple[int, ...]
         for b in keys:
             good = tuple(
                 delta for delta in deltas
-                if check(Configuration(window, _stack_marks(
+                if check(Configuration.from_labels(window, _stack_marks(
                     window, _IDENTITY, height, [(a, 0), (b, -delta % 6)]
                 ), 6)).status == VALID
             )
@@ -273,40 +266,31 @@ def special_puzzle(index: int, radius: int) -> Configuration:
     if radius < 1:
         raise ValueError("radius must be at least 1")
     seed = special_seed(index)
-    cfg = make_config(dict(seed.marks), window=ball(up(0, 0), radius))
+    cfg = make_config(seed.marks, window=ball(up(0, 0), radius))
     out = propagate(cfg)
-    if len(out.marks) != len(out.window):
+    if UNSET in out.labels:
         raise ValueError(f"seed {index} does not determine the radius-{radius} ball")
     return out
 
 
 def transform_config(config: Configuration, g: Isometry) -> Configuration:
-    image = {f: g.apply_face(f) for f in config.window}
-    marks = {image[f]: l for f, l in config.marks.items()}
-    return make_config(marks, window=image.values(), period=config.period)
-
-
-def _reads_at(image: Dict[Face, int], target: Dict[Face, int], tx: int, ty: int) -> bool:
-    """Whether image translated by (tx, ty) reads the same labels in target."""
-    return all(
-        target.get(Face(f.x + tx, f.y + ty, f.up)) == l for f, l in image.items()
-    )
+    image = list(map(g.apply_face, config.faces))
+    order = sorted(range(len(image)), key=image.__getitem__)
+    labels = bytes(map(config.labels.__getitem__, order))
+    return Configuration.from_labels(frozenset(image), labels, config.period)
 
 
 @lru_cache(maxsize=8)
-def _congruences(wa: frozenset, wb: frozenset) -> Tuple[
-    Tuple[Face, ...], Tuple[Face, ...], Tuple[Tuple[Isometry, Tuple[int, ...]], ...]
-]:
-    """Both windows' faces in sorted order, and each point-group element, in
-    group order, that carries wa onto wb once its minimum face is translated
-    onto wb's: the translated isometry, and per face of wa in order the
-    position of its image in wb's order.  No element means incongruent."""
+def _congruences(wa: frozenset, wb: frozenset) -> Tuple[Tuple[Isometry, Tuple[int, ...]], ...]:
+    """Each point-group element, in group order, that carries wa onto wb
+    once its minimum face is translated onto wb's: the translated isometry,
+    and per face of wa in sorted order the position of its image in wb's
+    sorted order.  No element means incongruent."""
     mb = min(wb)
-    order_a, order_b = tuple(sorted(wa)), tuple(sorted(wb))
-    index_b = {f: k for k, f in enumerate(order_b)}
+    index_b = window_order(wb)[1]
     moves = []
     for g0 in POINT_GROUP:
-        image = tuple(map(g0.apply_face, order_a))
+        image = tuple(map(g0.apply_face, window_order(wa)[0]))
         m0 = min(image)
         if m0.up != mb.up:
             continue
@@ -316,7 +300,7 @@ def _congruences(wa: frozenset, wb: frozenset) -> Tuple[
             continue
         perm = tuple(map(index_b.__getitem__, placed))
         moves.append((Isometry(g0.rot, g0.ref, tx, ty), perm))
-    return order_a, order_b, tuple(moves)
+    return tuple(moves)
 
 
 def isomorphic(a: Configuration, b: Configuration) -> Optional[Isometry]:
@@ -324,15 +308,13 @@ def isomorphic(a: Configuration, b: Configuration) -> Optional[Isometry]:
 
     Raises when the two windows are not even congruent as shapes.
     """
-    if len(a.marks) != len(a.window) or len(b.marks) != len(b.window):
+    if UNSET in a.labels or UNSET in b.labels:
         raise ValueError("isomorphism needs configurations total on their windows")
-    order_a, order_b, moves = _congruences(a.window, b.window)
+    moves = _congruences(a.window, b.window)
     if not moves:
         raise ValueError("incongruent windows")
-    want = tuple(map(a.marks.__getitem__, order_a))
-    labels = list(map(b.marks.__getitem__, order_b))
     for g, perm in moves:
-        if g.label_preserving() and tuple(map(labels.__getitem__, perm)) == want:
+        if g.label_preserving() and bytes(map(b.labels.__getitem__, perm)) == a.labels:
             return g
     return None
 
@@ -349,8 +331,9 @@ def mirror_strip_rows(spec: StripSpec):
     with its oppositely decorated reading.
     """
     h = spec.height
-    marks = _stack_marks(_stack_window(h, 1, 6), _GLIDES[h], h, [(spec.key, 0)])
-    return _read_rows(marks, h)
+    window = _stack_window(h, 1, 6)
+    labels = _stack_marks(window, _GLIDES[h], h, [(spec.key, 0)])
+    return _read_rows(Configuration.from_labels(window, labels), h)
 
 
 def strip_dedup_classes(height: int = 1) -> List[List[str]]:
@@ -415,14 +398,11 @@ def _slots(placed: Sequence[Face], height: int) -> Tuple[_Slot, ...]:
 
 
 @lru_cache(maxsize=8)
-def _images(
-    faces: frozenset,
-) -> Tuple[Tuple[Face, ...], Tuple[Tuple[Isometry, Tuple[Face, ...]], ...]]:
-    """The faces in sorted order, and each label-preserving point-group
-    element with the image of each of them."""
-    order = tuple(sorted(faces))
-    moves = tuple((g, tuple(map(g.apply_face, order))) for g in LABEL_POINT_GROUP)
-    return order, moves
+def _images(faces: frozenset) -> Tuple[Tuple[Isometry, Tuple[Face, ...]], ...]:
+    """Each label-preserving point-group element with its image of each of
+    the faces, in sorted order."""
+    return tuple((g, tuple(map(g.apply_face, window_order(faces)[0])))
+                 for g in LABEL_POINT_GROUP)
 
 
 @lru_cache(maxsize=8)
@@ -433,7 +413,7 @@ def _strip_placements(
     slots: the label-preserving isometry carrying the faces into the slots,
     and the slots of their images, listed in sorted order of the faces."""
     out = []
-    for g, image in _images(faces)[1]:
+    for g, image in _images(faces):
         y_max = max(f.y for f in image)
         x_min = min(f.x for f in image)
         for y_target in range(0, -height, -1):
@@ -445,13 +425,13 @@ def _strip_placements(
     return tuple(out)
 
 
-def _marked(config: Configuration) -> frozenset:
-    """The marked faces, as the window object itself when the marking is
-    total: the completions of one sweep share it, so the caches above find
-    its entries by identity."""
-    if len(config.marks) == len(config.window):
-        return config.window
-    return frozenset(config.marks)
+def _marked(config: Configuration) -> Tuple[frozenset, bytes]:
+    """The marked faces and their labels in sorted face order.  The faces
+    are the window object itself when the marking is total: the completions
+    of one sweep share it, so the caches above find its entries by identity."""
+    if UNSET in config.labels:
+        return frozenset(config.marks), config.labels.replace(bytes((UNSET,)), b"")
+    return config.window, config.labels
 
 
 def _match_stack(
@@ -483,7 +463,7 @@ def _match_stack(
 # A catalog occurrence: its evidence, and the pull-back of its puzzle onto a
 # window through the label-preserving isometry carrying the configuration's
 # marked faces into the puzzle (see `survivor_certificate`).
-_Match = Tuple[dict, Callable[[frozenset], Optional[Dict[Face, int]]]]
+_Match = Tuple[dict, Callable[[frozenset], Optional[bytes]]]
 
 
 def _strip_match(config: Configuration, height: int) -> Optional[_Match]:
@@ -494,14 +474,13 @@ def _strip_match(config: Configuration, height: int) -> Optional[_Match]:
     face row at 0 or, for height 2, also at -1 (strip slots have two
     vertical phases).
     """
-    faces = _marked(config)
-    labels = [config.marks[f] for f in _images(faces)[0]]
+    faces, labels = _marked(config)
     for g, slots in _strip_placements(faces, height):
         word = _match_stack(labels, slots, height)
         if word is None:
             continue
         pull_back = partial(_stack_marks, g=g, height=height, word=word)
-        if pull_back(faces) == config.marks:
+        if pull_back(faces) == labels:
             return {"kind": f"strip-h{height}", "word": list(word)}, pull_back
     return None
 
@@ -533,22 +512,25 @@ def _special_index() -> Dict[tuple, Tuple[Tuple[int, Face], ...]]:
 
 def _special_match(config: Configuration, center: Face) -> Optional[_Match]:
     """The first occurrence of config in a special puzzle's patch, by
-    point-group element, then puzzle index, then the patch face h the
-    center lands on."""
-    order, moves = _images(_marked(config))
-    labels = [config.marks[f] for f in order]
-    for g, image_faces in moves:
-        image = dict(zip(image_faces, labels))
+    label-preserving point-group element, then puzzle index, then the patch
+    face h the center lands on.  The patches are read by face, through
+    their marks views."""
+    faces, labels = _marked(config)
+    where = window_order(faces)[1]
+    ring1 = [where.get(f) for f in ball(center, 1)]
+    if None in ring1:
+        raise ValueError("config must cover the radius-1 ball of the center")
+    for g, image in _images(faces):
         c_img = g.apply_face(center)
-        ring1 = sorted(ball(c_img, 1))
-        if not all(f in image for f in ring1):
-            raise ValueError("config must cover the radius-1 ball of the center")
-        for index, h in _special_index().get(tuple(image[f] for f in ring1), ()):
+        # the ball's labels in the sorted order of its image
+        key = tuple(labels[k] for _, k in sorted((image[k], k) for k in ring1))
+        for index, h in _special_index().get(key, ()):
             tx, ty = h.x - c_img.x, h.y - c_img.y
             if h.up != c_img.up or (tx - ty) % 3:
                 continue
             patch = special_puzzle(index, _SPECIAL_PATCH_RADIUS)
-            if _reads_at(image, patch.marks, tx, ty):
+            marks = patch.marks  # the image, translated by (tx, ty), reads the labels
+            if all(marks.get(Face(f.x + tx, f.y + ty, f.up)) == l for f, l in zip(image, labels)):
                 pull_back = partial(_patch_marks, g=g._replace(tx=tx, ty=ty), patch=patch)
                 return {"kind": "special", "index": index}, pull_back
     return None
@@ -607,19 +589,15 @@ def _row_cells(height: int, key: str, shift: int) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=32)
-def _stack_cells(
-    window: frozenset, height: int, g: Isometry
-) -> Tuple[Tuple[Face, ...], int, int, itemgetter]:
-    """The window's faces in sorted order, the order `check` reads marks in,
-    the first stack row r0 and the number of rows that g's image of the
-    window meets, and one itemgetter reading each face's label, in the
-    faces' order, off those rows' `_row_cells` laid end to end.  It reads
-    one spare cell last, so it returns a tuple even for a single face."""
-    faces = tuple(sorted(window))
-    located = [_cell(height, *f) for f in _moved(faces, g)]
+def _stack_cells(window: frozenset, height: int, g: Isometry) -> Tuple[int, int, itemgetter]:
+    """The first stack row r0 and the number of rows that g's image of the
+    window meets, and one itemgetter reading each face's label, in sorted
+    face order, off those rows' `_row_cells` laid end to end.  It reads one
+    spare cell last, so it returns a tuple even for a single face."""
+    located = [_cell(height, *f) for f in _moved(window_order(window)[0], g)]
     r0 = min(r for r, _ in located)
     count = max(r for r, _ in located) - r0 + 1
-    return faces, r0, count, itemgetter(*((r - r0) * 12 * height + c for r, c in located), 0)
+    return r0, count, itemgetter(*((r - r0) * 12 * height + c for r, c in located), 0)
 
 
 def _continue_word(height: int, word: StackingWord, first: int, count: int) -> List[RowChoice]:
@@ -636,28 +614,22 @@ def _continue_word(height: int, word: StackingWord, first: int, count: int) -> L
     return rows[:count]
 
 
-def _stack_marks(
-    window: frozenset, g: Isometry, height: int, word: StackingWord
-) -> Dict[Face, int]:
+def _stack_marks(window: frozenset, g: Isometry, height: int, word: StackingWord) -> bytes:
     """The labels the stack continuing `word` gives g's image of each face
-    of the window.  Rows are not checked against each other (`_below`)."""
-    faces, r0, count, read = _stack_cells(window, height, g)
-    labels: List[int] = []
+    of the window, in sorted face order.  Rows are not checked against each
+    other (`_below`)."""
+    r0, count, read = _stack_cells(window, height, g)
+    cells: List[int] = []
     for key, shift in _continue_word(height, word, r0, count):
-        labels += _row_cells(height, key, shift)
-    return dict(zip(faces, read(labels)))
+        cells += _row_cells(height, key, shift)
+    return bytes(read(cells))[:-1]
 
 
-def _patch_marks(
-    window: frozenset, g: Isometry, patch: Configuration
-) -> Optional[Dict[Face, int]]:
-    """The labels the patch gives g's image of each face of the window, or
-    None when the image leaves the patch."""
-    faces = tuple(window)
-    labels = list(map(patch.marks.get, _moved(faces, g)))
-    if None in labels:
-        return None
-    return dict(zip(faces, labels))
+def _patch_marks(window: frozenset, g: Isometry, patch: Configuration) -> Optional[bytes]:
+    """The labels the patch gives g's image of each face of the window, in
+    sorted face order, or None when the image leaves the patch."""
+    labels = list(map(patch.marks.get, _moved(window_order(window)[0], g)))
+    return None if None in labels else bytes(labels)
 
 
 def survivor_certificate(
@@ -681,12 +653,13 @@ def survivor_certificate(
     if found is None:
         return None, None
     evidence, pull_back = found
-    marks = pull_back(window)
-    if marks is None:
+    labels = pull_back(window)
+    if labels is None:
         return evidence, None
-    certificate = Configuration(window, marks, config.period)
+    certificate = Configuration.from_labels(window, labels, config.period)
+    where = window_order(window)[1]
     if check(certificate).status != VALID or any(
-        marks[f] != l for f, l in config.marks.items()
+        labels[where[f]] != l for f, l in zip(config.faces, config.labels) if l != UNSET
     ):
         raise RuntimeError(f"catalog occurrence {evidence} pulls back to no completion")
     return evidence, certificate

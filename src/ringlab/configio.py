@@ -33,7 +33,7 @@ from .lattice import (
     face_vertices,
     runs,
 )
-from .engine import Configuration, make_config
+from .engine import UNSET, Configuration, make_config
 from .distributions import Distribution
 
 CONFIG_HEADER = "ringlab-config v1"
@@ -163,11 +163,10 @@ def serialize_config(config: Configuration) -> str:
     lines = [CONFIG_HEADER]
     if config.period is not None:
         lines.append(f"period {config.period}")
-    for f in sorted(config.window):
-        label = config.marks.get(f)
+    for f, label in zip(config.faces, config.labels):
         lines.append(
             "face %d %d %s %s"
-            % (f.x, f.y, "U" if f.up else "D", "-" if label is None else label)
+            % (f.x, f.y, "U" if f.up else "D", "-" if label == UNSET else label)
         )
     return "\n".join(lines) + "\n"
 

@@ -25,6 +25,7 @@ from .lattice import (
     opposite_axis_at_vertex,
     runs,
     vertices_within,
+    window_vertices,
 )
 from .kernel import Kernel, Table
 from .labeling import vertex_s
@@ -85,14 +86,10 @@ def hex_window(radius: int) -> frozenset:
 
 
 def interior_faces(vertices: Iterable[Vertex]) -> List[Face]:
-    """Faces all three of whose corners lie in the vertex set."""
+    """Faces all three of whose corners lie in the vertex set, sorted."""
     vs = set(vertices)
-    out: Set[Face] = set()
-    for v in vs:
-        for f in link_faces(v):
-            if all(u in vs for u in face_vertices(f)):
-                out.add(f)
-    return sorted(out)
+    faces = {f for v in vs for f in link_faces(v)}
+    return sorted(f for f in faces if vs.issuperset(face_vertices(f)))
 
 
 def _parity_table(up_face: bool) -> Table:
@@ -120,11 +117,10 @@ def face_parity(dist: Distribution, f: Face) -> str:
 def induced_distribution(config) -> Distribution:
     """Axis of the unique multiplicity-1 half-link pair at each interior vertex."""
     axis: Dict[Vertex, int] = {}
-    marked = set(config.marks)
-    for v in sorted({u for f in marked for u in face_vertices(f)}):
-        faces = link_faces(v)
-        if all(f in marked for f in faces):
-            word = tuple(config.marks[f] for f in faces)
+    marks = config.marks
+    for v in sorted(window_vertices(marks)):
+        word = tuple(map(marks.get, link_faces(v)))
+        if None not in word:
             axis[v] = rank_axis(word, vertex_s(v))
     return make_distribution(axis)
 

@@ -1,42 +1,38 @@
 """Partial configurations: checking, propagation, enumeration, dead ends.
 
+A configuration keeps its marking by window position: the window's faces
+in sorted order, from one per-window cache (`window_order`), and their
+labels in that order as bytes, UNSET (3) where a face is free.  Its
+`marks` is a read-only {face: label} view built on first read; assembly,
+`check`, search and the strip matches read the label bytes only.
+
 `propagate`, `enumerate_completions` and `have_completions` run on
 `kernel.Kernel` (see that module for the design), built per call over the
-window at hand: faces are its variables, and every vertex is one ring
-constraint whose table accepts the legal words of its family s.
-`have_completions` probes a batch of configurations on one kernel over the
-target window, assuming each one's marks on the trail and undoing them
-afterwards; `has_completion` is its one-configuration case, and
-`dead_end_report` probes the completions still alive at each radius in one
-batch.  A classification sweep probes only the completions that no catalog
-certificate shows alive; `check` verifies each certificate (see
+window at hand: faces are its variables, given labels by position, and
+every vertex is one ring constraint whose table accepts the legal words of
+its family s.  `have_completions` probes a batch of configurations on one
+kernel over the target window, assuming each one's marks on the trail and
+undoing them afterwards; `has_completion` is its one-configuration case,
+and `dead_end_report` probes the completions still alive at each radius in
+one batch.  A classification sweep probes only the completions that no
+catalog certificate shows alive; `check` verifies each certificate (see
 `catalog.survivor_certificate`).  No kernel outlives the call that built
-it.  `check` reads the same tables by word, gathering the words through a
-per-window plan: the window's faces in sorted order and, per vertex
-family, one itemgetter over the link faces of the family's vertices,
-built once per window and kept in a small cache, so a call reads each
-mark once and gathers each family's words in one step.
+it.  `check` reads the same tables by word, gathered straight from the
+label bytes through a per-window plan: per vertex family, one itemgetter
+over the link faces of the family's vertices, where a face outside the
+window reads a trailing UNSET, which a table word packs as it packs None.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import (
-    Face,
-    Vertex,
-    ball,
-    centroid3,
-    face_vertices,
-    link_faces,
-    norm2,
-    up,
-    window_vertices,
-)
-from .kernel import Kernel, Table
+    Face, Vertex, ball, centroid3, face_vertices, link_faces, norm2, up, window_vertices)
+from .kernel import UNSET, Kernel, Table
 from .labeling import vertex_s
 from .rings import DEFAULT_MODE, legal_words
 
@@ -44,35 +40,74 @@ VALID = "Valid"
 CONTRADICTION = "Contradiction"
 INCOMPLETE = "Incomplete"
 _LABELS = frozenset((0, 1, 2))
+_LABEL_BYTES = bytes((0, 1, 2, UNSET))
 
 
-@dataclass
+@lru_cache(maxsize=64)
+def window_order(window: frozenset) -> Tuple[Tuple[Face, ...], Dict[Face, int]]:
+    """The window's faces in sorted order, and each face's position in it:
+    one entry per window, which its configurations and `check` share."""
+    faces = tuple(sorted(window))
+    return faces, {f: g for g, f in enumerate(faces)}
+
+
 class Configuration:
-    """A finite window of faces with a partial marking."""
+    """A finite window of faces with a partial marking, kept by position:
+    `faces` is the window's faces in sorted order (from `window_order`),
+    and `labels` their labels in that order as bytes, UNSET (3) where
+    unmarked.  `marks` is a read-only {face: label} view of the marked
+    faces, built on first read."""
 
-    window: frozenset
-    marks: Dict[Face, int]
-    period: Optional[int] = None
+    __slots__ = ("window", "faces", "labels", "period", "_marks")
 
-    def __post_init__(self) -> None:
-        self.window = frozenset(self.window)
-        if not self.window.issuperset(self.marks):
-            bad = set(self.marks) - self.window
+    def __init__(self, window: Iterable[Face], marks: Mapping[Face, int],
+                 period: Optional[int] = None) -> None:
+        window = frozenset(window)
+        if not window.issuperset(marks):
+            bad = set(marks) - window
             raise ValueError(f"marks outside window: {sorted(bad)[:3]}")
-        if not _LABELS.issuperset(self.marks.values()):
+        if not _LABELS.issuperset(marks.values()):
             # faces are distinct, so the sort never compares two marks
-            bad = sorted((f, l) for f, l in self.marks.items() if l not in _LABELS)
+            bad = sorted((f, l) for f, l in marks.items() if l not in _LABELS)
             raise ValueError(f"marks not in 0, 1, 2: {bad[:3]}")
+        self._fill(window, [marks.get(f, UNSET) for f in window_order(window)[0]], period)
+
+    @classmethod
+    def from_labels(cls, window: frozenset, labels: bytes,
+                    period: Optional[int] = None) -> "Configuration":
+        """The configuration whose labels, in sorted face order, are given."""
+        config = cls.__new__(cls)
+        config._fill(frozenset(window), labels, period)
+        return config
+
+    def _fill(self, window: frozenset, labels: Iterable[int], period: Optional[int]) -> None:
+        self.faces, self.labels = window_order(window)[0], bytes(labels)
+        if len(self.labels) != len(self.faces):
+            raise ValueError(f"{len(self.labels)} labels for {len(self.faces)} faces")
+        if self.labels.translate(None, _LABEL_BYTES):
+            raise ValueError(f"labels not in 0, 1, 2, 3: {sorted(set(self.labels))}")
+        self.window, self.period, self._marks = window, period, None
+
+    @property
+    def marks(self) -> Mapping[Face, int]:
+        if self._marks is None:
+            self._marks = MappingProxyType(
+                {f: l for f, l in zip(self.faces, self.labels) if l != UNSET})
+        return self._marks
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Configuration) and (self.window, self.labels, self.period) == (
+            other.window, other.labels, other.period)
+
+    def __repr__(self) -> str:
+        return (f"Configuration(window={self.window!r}, marks={dict(self.marks)!r}, "
+                f"period={self.period!r})")
 
 
-def make_config(
-    marks: Dict[Face, int],
-    window: Optional[Iterable[Face]] = None,
-    period: Optional[int] = None,
-) -> Configuration:
-    marked = frozenset(marks)
-    w = marked if window is None else frozenset(window) | marked
-    return Configuration(w, dict(marks), period)
+def make_config(marks: Mapping[Face, int], window: Optional[Iterable[Face]] = None,
+                period: Optional[int] = None) -> Configuration:
+    """The marks on their faces and the window's, as one configuration."""
+    return Configuration(frozenset(marks).union(window or ()), marks, period)
 
 
 class Verdict(NamedTuple):
@@ -89,21 +124,18 @@ class Contradiction(Exception):
         super().__init__("; ".join(w[1] for w in self.witnesses))
 
 
-def link_word(marks: Dict[Face, int], v: Vertex) -> Tuple[Optional[int], ...]:
+def link_word(marks: Mapping[Face, int], v: Vertex) -> Tuple[Optional[int], ...]:
     """The six face marks around v, None where unmarked."""
     return tuple(marks.get(f) for f in link_faces(v))
 
 
 @lru_cache(maxsize=16)
-def _link_plan(
-    window: frozenset,
-) -> Tuple[Tuple[Face, ...], Tuple[Tuple[int, Tuple[Vertex, ...], itemgetter], ...]]:
-    """The window's faces in sorted order and, per vertex family s, the
-    window's vertices of family s in sorted order with one itemgetter over
-    the six link faces of each: it indexes the faces' labels in that order,
-    and a link face outside the window indexes a trailing None slot."""
-    order = tuple(sorted(window))
-    index = {f: g for g, f in enumerate(order)}
+def _link_plan(window: frozenset) -> Tuple[Tuple[int, Tuple[Vertex, ...], itemgetter], ...]:
+    """Per vertex family s, the window's vertices of family s in sorted
+    order with one itemgetter over the six link faces of each: it indexes
+    the labels of the window's faces in sorted order, and a link face
+    outside the window indexes a trailing UNSET slot."""
+    order, index = window_order(window)
     outside = len(order)
     vertices = sorted(window_vertices(order))
     families = []
@@ -112,7 +144,7 @@ def _link_plan(
         if family:  # only the empty window has a family without vertices
             slots = [index.get(f, outside) for v in family for f in link_faces(v)]
             families.append((s, family, itemgetter(*slots)))
-    return order, tuple(families)
+    return tuple(families)
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +154,7 @@ def _ring_table(mode: str, s: int) -> Table:
     return Table(6, words.__contains__)
 
 
-def _words(gathered: Tuple[Optional[int], ...]) -> Iterator[Tuple[Optional[int], ...]]:
+def _words(gathered: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
     """The link words of a gather, six labels each."""
     return zip(*[iter(gathered)] * 6)
 
@@ -133,11 +165,9 @@ def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
     Every vertex of the window is matched: one that no mark touches has the
     all-free link, which some ring always matches.
     """
-    order, families = _link_plan(config.window)
-    labels = list(map(config.marks.get, order))
-    labels.append(None)
+    labels = config.labels + bytes((UNSET,))
     dead: List[Vertex] = []
-    for s, vertices, gather in families:
+    for s, vertices, gather in _link_plan(config.window):
         table = _ring_table(mode, s)
         if not all(map(table.__getitem__, _words(gather(labels)))):
             dead += (v for v, w in zip(vertices, _words(gather(labels))) if table[w] is None)
@@ -145,20 +175,25 @@ def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
         dead.sort()
         witnesses = tuple((v, f"no ring matches the link at {v}") for v in dead)
         return Verdict(CONTRADICTION, witnesses, ())
-    if len(config.marks) < len(order):
-        unmarked = tuple(f for f, l in zip(order, labels) if l is None)
+    if UNSET in config.labels:
+        unmarked = tuple(f for f, l in zip(config.faces, config.labels) if l == UNSET)
         return Verdict(INCOMPLETE, (), unmarked)
     return Verdict(VALID, (), ())
 
 
-def _kernel(faces: Sequence[Face], marks: Dict[Face, int], mode: str) -> Kernel:
+def _kernel(faces: Sequence[Face], given: Dict[int, int], mode: str) -> Kernel:
     """The faces as kernel variables under one ring constraint per vertex,
-    the vertices in sorted order."""
+    the vertices in sorted order; given labels faces by position."""
     index = {f: g for g, f in enumerate(faces)}
     vertices = sorted(window_vertices(faces))
     scopes = [[index.get(f) for f in link_faces(v)] for v in vertices]
     tables = [_ring_table(mode, vertex_s(v)) for v in vertices]
-    return Kernel(len(faces), scopes, tables, {index[f]: l for f, l in marks.items()})
+    return Kernel(len(faces), scopes, tables, given)
+
+
+def _given(config: Configuration, index: Dict[Face, int]) -> Dict[int, int]:
+    """The configuration's marks keyed by the positions index gives their faces."""
+    return {index[f]: l for f, l in zip(config.faces, config.labels) if l != UNSET}
 
 
 def propagate(config: Configuration, mode: str = DEFAULT_MODE) -> Configuration:
@@ -168,8 +203,8 @@ def propagate(config: Configuration, mode: str = DEFAULT_MODE) -> Configuration:
     ring-consistent.  Raises Contradiction when a vertex loses all matches
     or a face loses all labels.
     """
-    faces = sorted(config.window)
-    kernel = _kernel(faces, config.marks, mode)
+    faces, index = window_order(config.window)
+    kernel = _kernel(faces, _given(config, index), mode)
     if kernel.failure is not None:
         c, g = kernel.failure
         if g is None:
@@ -177,8 +212,8 @@ def propagate(config: Configuration, mode: str = DEFAULT_MODE) -> Configuration:
             raise Contradiction([(v, f"no ring matches the link at {v}")])
         f = faces[g]
         raise Contradiction([(face_vertices(f)[0], f"no admissible label for {f}")])
-    marks = {f: l for f, l in zip(faces, kernel.label) if l >= 0}
-    return Configuration(config.window, marks, config.period)
+    labels = bytes(l if l >= 0 else UNSET for l in kernel.label)
+    return Configuration.from_labels(config.window, labels, config.period)
 
 
 def _search_order(target: frozenset) -> Tuple[Face, ...]:
@@ -195,9 +230,7 @@ def _search_order(target: frozenset) -> Tuple[Face, ...]:
 
 
 def _target(config: Configuration, target_window: Optional[Iterable[Face]]) -> frozenset:
-    target = (
-        frozenset(target_window) if target_window is not None else config.window
-    )
+    target = config.window if target_window is None else frozenset(target_window)
     if not target >= config.window:
         raise ValueError("target window must contain the configuration window")
     return target
@@ -211,19 +244,19 @@ def enumerate_completions(
 ) -> List[Configuration]:
     """All total markings of the target window extending the configuration.
 
-    The result is sorted by the marking itself, so it does not depend on
-    search order.  `threads` is accepted for compatibility and ignored: the
-    search is sequential.
+    The result is sorted by the label bytes, which list the marking in
+    sorted face order, so it does not depend on search order.  `threads` is
+    accepted for compatibility and ignored: the search is sequential.
     """
     target = _target(config, target_window)
     order = _search_order(target)
-    found = _kernel(order, config.marks, mode).search()
-    completions = [dict(zip(order, labels)) for labels in found]
-    ordered_faces = tuple(sorted(target))
-    completions.sort(key=lambda m: tuple(m[f] for f in ordered_faces))
-    return [
-        Configuration(target, m, config.period) for m in completions
-    ]
+    index = {f: g for g, f in enumerate(order)}
+    found = _kernel(order, _given(config, index), mode).search()
+    # the labels in sorted face order, with a spare slot last so that a
+    # one-face target still reads a tuple; an empty one reads no slot
+    read = itemgetter(*map(index.__getitem__, window_order(target)[0]), 0)
+    labels = sorted(bytes(read(t))[:-1] for t in found) if target else [b""] * len(found)
+    return [Configuration.from_labels(target, l, config.period) for l in labels]
 
 
 def have_completions(
@@ -246,7 +279,7 @@ def have_completions(
     out = []
     for config in configs:
         _target(config, target)
-        out.append(kernel.extends({index[f]: l for f, l in config.marks.items()}))
+        out.append(kernel.extends(_given(config, index)))
     return out
 
 

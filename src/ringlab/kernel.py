@@ -54,8 +54,8 @@ class Table(dict):
 
     The value of a code holds, per position, a bitmask of the labels some
     accepted completion has there (bit l for label l), or None when no
-    completion is accepted.  A word key (a tuple of labels, None where free)
-    reads its code's entry, which is then stored under the word too.
+    completion is accepted.  A word key (a tuple of labels, None or UNSET
+    where free) reads its code's entry, which is then stored under it too.
     """
 
     def __init__(self, arity: int, accept: Callable[[Tuple[int, ...]], bool]):

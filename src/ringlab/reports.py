@@ -121,10 +121,8 @@ def criterion4_report() -> dict:
     n_uvw = len(enumerate_completions(uvw))
     quad = parse_config(data_text("window_quad.txt"))
     quad_comps = enumerate_completions(quad)
-    ball2_counts = []
-    for c in quad_comps:
-        ext = make_config(dict(c.marks), window=ball(up(0, 0), 2) | c.window)
-        ball2_counts.append(len(enumerate_completions(ext)))
+    ball2_counts = [
+        len(enumerate_completions(c, ball(up(0, 0), 2) | c.window)) for c in quad_comps]
     drawing2 = parse_config(data_text("deadend_quad2.txt"))
     return {
         "completions": {
@@ -180,11 +178,7 @@ def criterion6_report() -> dict:
         if check(cfg).status == VALID:
             n_unique += 1
         seed = special_seed(index)
-        target = ball(up(0, 0), 3)
-        comps = enumerate_completions(
-            make_config(dict(seed.marks), window=target | seed.window)
-        )
-        balls.append(len(comps))
+        balls.append(len(enumerate_completions(seed, ball(up(0, 0), 3) | seed.window)))
         dist = induced_distribution(special_puzzle(index, 4))
         families.append(classify_distribution(dist))
     pairs_distinct = True

@@ -7,7 +7,7 @@ from collections import Counter
 from functools import lru_cache, partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringlab import catalog, reports
@@ -30,8 +30,11 @@ from ringlab.catalog import (
     survivor_certificate,
     transform_config,
 )
+from ringlab.configio import parse_config
 from ringlab.engine import (
+    UNSET,
     VALID,
+    Configuration,
     check,
     enumerate_completions,
     have_completions,
@@ -41,6 +44,7 @@ from ringlab.engine import (
 from ringlab.lattice import A1, A2, POINT_GROUP, Face, Isometry, ball, down, up
 from ringlab.distributions import classify_distribution, induced_distribution
 from ringlab.reports import classification_report
+from ringlab.rings import MODE_ROT, MODE_ROT_REF
 
 
 def test_strip_variants_and_table():
@@ -109,13 +113,16 @@ def test_four_row_words_give_48_distinct_markings():
     # Height 2: distinct words give distinct markings.  Height 1: at each
     # row's shifts, a and c (and d and e) label their faces alike 3 columns
     # apart, and b and f are 3-periodic, so every row has two label-equal
-    # choices and every marking comes from 2^4 words.
-    for height, count, per_marking in ((1, 768, 16), (2, 48, 1)):
-        words = compatible_words(height, 4)
-        markings = Counter(frozenset(assemble(w).marks.items()) for w in words)
-        assert len(set(words)) == count
-        assert len(markings) == 48
-        assert set(markings.values()) == {per_marking}
+    # choices and every n-row marking comes from 2^n words.  Both heights
+    # give 6 * 2^(n - 1) distinct n-row markings (48 at four rows).
+    for rows in range(1, 6):
+        for height, count, per_marking in ((1, 12 * 4 ** (rows - 1), 2 ** rows),
+                                           (2, 6 * 2 ** (rows - 1), 1)):
+            words = compatible_words(height, rows)
+            markings = Counter(assemble(w).labels for w in words)
+            assert len(set(words)) == count
+            assert len(markings) == 6 * 2 ** (rows - 1)
+            assert set(markings.values()) == {per_marking}
 
 
 def test_assembled_strips_are_valid():
@@ -149,12 +156,15 @@ def test_assemble_is_a_row_by_row_placement():
 
 
 def test_assembled_marks_share_no_cached_row():
+    # `.marks` is a read-only view, so no write can reach a cached row; a
+    # fresh stack of the word still reads the labels of the first
     for rows in (1, 3):
         w = compatible_words(1, rows)[0]
         first = assemble(w)
         want = dict(first.marks)
         for f in first.marks:
-            first.marks[f] = (first.marks[f] + 1) % 3
+            with pytest.raises(TypeError):
+                first.marks[f] = (first.marks[f] + 1) % 3
         assert assemble(w).marks == want
 
 
@@ -408,14 +418,14 @@ def test_a_corrupted_certificate_raises(monkeypatch, source, fault):
     window = ball(up(0, 0), 4)
     # all zero fails check; special puzzle 1 checks Valid on the ball, but
     # the completions that occur elsewhere disagree with it
-    other = {f: special_puzzle(1, 4).marks[f] for f in window}
+    other = bytes(special_puzzle(1, 4).marks[f] for f in sorted(window))
     original = catalog._catalog_match
 
     def corrupted(pull_back, w):
-        marks = pull_back(w)
-        if marks is None:
+        labels = pull_back(w)
+        if labels is None:
             return None
-        return {f: 0 for f in marks} if fault == "invalid" else dict(other)
+        return bytes(len(labels)) if fault == "invalid" else other
 
     # corrupt the pull-backs of strip (_stack_marks) or special-puzzle
     # (_patch_marks) occurrences only
@@ -552,3 +562,72 @@ ISOMORPHIC_TRANSCRIPT_SHA256 = (
 def test_isomorphic_results_are_byte_stable():
     text = _isomorphic_transcript()
     assert hashlib.sha256(text.encode()).hexdigest() == ISOMORPHIC_TRANSCRIPT_SHA256
+
+
+PRODUCERS = ("make_config", "parse_config", "assemble", "enumerate_completions",
+             "propagate", "transform_config", "special_puzzle", "survivor_certificate")
+
+
+@st.composite
+def produced_configurations(draw):
+    """A configuration from one of the package's producers, on drawn inputs."""
+    kind = draw(st.sampled_from(PRODUCERS))
+    centre = draw(st.sampled_from((up(0, 0), down(0, 0), up(2, -1))))
+    window = sorted(ball(centre, draw(st.integers(1, 2))))
+    marks = draw(st.dictionaries(st.sampled_from(window), st.integers(0, 2), max_size=8))
+    if kind == "make_config":
+        return make_config(marks, window=window, period=draw(st.sampled_from((None, 6))))
+    if kind == "parse_config":
+        lines = [f"face {f.x} {f.y} {'U' if f.up else 'D'} {marks.get(f, '-')}"
+                 for f in window]
+        return parse_config("\n".join(["ringlab-config v1", "period 6"] + lines))
+    if kind == "assemble":
+        word = draw(st.sampled_from(compatible_words(draw(st.integers(1, 2)),
+                                                     draw(st.integers(1, 3)))))
+        return assemble(word, draw(st.integers(2, 3)))
+    if kind == "enumerate_completions":
+        seed = make_config({centre: draw(st.integers(0, 2))}, window=ball(centre, 1))
+        return draw(st.sampled_from(enumerate_completions(seed)))
+    if kind == "survivor_certificate":
+        certificate = survivor_certificate(draw(st.sampled_from(_completions(2))),
+                                           ball(up(0, 0), 3))[1]
+        assume(certificate is not None)
+        return certificate
+    # a partial marking of a special puzzle propagates without contradiction
+    puzzle = special_puzzle(draw(st.integers(1, 12)), draw(st.integers(1, 3)))
+    if kind == "special_puzzle":
+        return puzzle
+    part = make_config({f: l for f, l in puzzle.marks.items() if f in marks},
+                       window=puzzle.window)
+    if kind == "propagate":
+        return propagate(part)
+    return transform_config(part, draw(st.sampled_from(POINT_GROUP))._replace(
+        tx=draw(st.integers(-3, 3)), ty=draw(st.integers(-3, 3))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(produced_configurations())
+def test_one_marking_two_views(config):
+    """Every producer's label bytes and marks view tell one marking, and
+    the configuration equals, and checks as, its twin built from the view."""
+    order = sorted(config.window)
+    assert config.faces == tuple(order) and len(config.labels) == len(order)
+    assert set(config.marks) <= config.window
+    assert [config.marks.get(f, UNSET) for f in order] == list(config.labels)
+    twin = make_config(dict(config.marks), window=config.window, period=config.period)
+    assert twin == config
+    for mode in (MODE_ROT, MODE_ROT_REF):
+        assert check(config, mode) == check(twin, mode)
+
+
+def test_label_bytes_are_checked_and_the_view_is_read_only():
+    window = ball(up(0, 0), 1)
+    config = Configuration.from_labels(window, bytes([0, 3] * 6 + [1]))
+    assert config == make_config({f: l for f, l in zip(sorted(window), config.labels)
+                                  if l != UNSET}, window=window)
+    with pytest.raises(ValueError, match="labels for"):
+        Configuration.from_labels(window, bytes(12))
+    with pytest.raises(ValueError, match="labels not in"):
+        Configuration.from_labels(window, bytes([4] * 13))
+    with pytest.raises(TypeError):
+        config.marks[up(0, 0)] = 1
