@@ -16,10 +16,11 @@ label-preserving glide (`_GLIDES`).
 
 The embedding tests read a window's images under the label-preserving
 point group, and their placements in the strip slots, from small caches
-that every marking of the window shares.
-Isomorphism reads a small cache keyed by the pair of windows: the
-point-group moves that make them congruent, and the face permutation of
-each, so a call only compares labels.
+that every marking of the window shares; the twelve special patches of one
+radius share one window, one entry in each such cache, and are read by
+position.  Isomorphism reads a small cache keyed by the pair of windows:
+the point-group moves that make them congruent, and the face permutation
+of each, so a call only compares labels.
 
 One query finds catalog occurrences (`_catalog_match`): the first one in a
 height-1 strip stack, then a height-2 one, then a special puzzle.  It keeps
@@ -499,27 +500,30 @@ _SPECIAL_PATCH_RADIUS = 7
 def _special_index() -> Dict[tuple, Tuple[Tuple[int, Face], ...]]:
     """Every (puzzle index, face h) of the twelve special patches whose
     radius-1 ball lies in the patch, keyed by that ball's labels in sorted
-    face order, listed by puzzle and then in patch order."""
+    face order, listed by puzzle and then in patch order, and read off the
+    label bytes through one translated template per orientation of h."""
+    faces, where = window_order(ball(up(0, 0), _SPECIAL_PATCH_RADIUS))
+    templates = {u: sorted(ball(Face(0, 0, u), 1)) for u in (True, False)}
+    placed = [[where.get((f.x + h.x, f.y + h.y, f.up)) for f in templates[h.up]] for h in faces]
+    reads = [(h, itemgetter(*ring1)) for h, ring1 in zip(faces, placed) if None not in ring1]
     out: Dict[tuple, List[Tuple[int, Face]]] = {}
     for index in range(1, 13):
-        marks = special_puzzle(index, _SPECIAL_PATCH_RADIUS).marks
-        for h in marks:
-            ring1 = ball(h, 1)
-            if all(f in marks for f in ring1):
-                out.setdefault(tuple(marks[f] for f in sorted(ring1)), []).append((index, h))
+        labels = special_puzzle(index, _SPECIAL_PATCH_RADIUS).labels
+        for h, read in reads:
+            out.setdefault(read(labels), []).append((index, h))
     return {sig: tuple(entries) for sig, entries in out.items()}
 
 
 def _special_match(config: Configuration, center: Face) -> Optional[_Match]:
     """The first occurrence of config in a special puzzle's patch, by
     label-preserving point-group element, then puzzle index, then the patch
-    face h the center lands on.  The patches are read by face, through
-    their marks views."""
+    face h the center lands on.  The patches are read by position."""
     faces, labels = _marked(config)
     where = window_order(faces)[1]
     ring1 = [where.get(f) for f in ball(center, 1)]
     if None in ring1:
         raise ValueError("config must cover the radius-1 ball of the center")
+    patch_at = window_order(ball(up(0, 0), _SPECIAL_PATCH_RADIUS))[1]
     for g, image in _images(faces):
         c_img = g.apply_face(center)
         # the ball's labels in the sorted order of its image
@@ -529,8 +533,9 @@ def _special_match(config: Configuration, center: Face) -> Optional[_Match]:
             if h.up != c_img.up or (tx - ty) % 3:
                 continue
             patch = special_puzzle(index, _SPECIAL_PATCH_RADIUS)
-            marks = patch.marks  # the image, translated by (tx, ty), reads the labels
-            if all(marks.get(Face(f.x + tx, f.y + ty, f.up)) == l for f, l in zip(image, labels)):
+            read = patch.labels + bytes((UNSET,))  # a face off the patch reads UNSET
+            if all(read[patch_at.get((x + tx, y + ty, u), -1)] == l  # moved by (tx, ty)
+                   for (x, y, u), l in zip(image, labels)):
                 pull_back = partial(_patch_marks, g=g._replace(tx=tx, ty=ty), patch=patch)
                 return {"kind": "special", "index": index}, pull_back
     return None
@@ -628,8 +633,8 @@ def _stack_marks(window: frozenset, g: Isometry, height: int, word: StackingWord
 def _patch_marks(window: frozenset, g: Isometry, patch: Configuration) -> Optional[bytes]:
     """The labels the patch gives g's image of each face of the window, in
     sorted face order, or None when the image leaves the patch."""
-    labels = list(map(patch.marks.get, _moved(window_order(window)[0], g)))
-    return None if None in labels else bytes(labels)
+    at = list(map(window_order(patch.window)[1].get, _moved(window_order(window)[0], g)))
+    return None if None in at else bytes(map(patch.labels.__getitem__, at))
 
 
 def survivor_certificate(

@@ -4,7 +4,7 @@ A configuration keeps its marking by window position: the window's faces
 in sorted order, from one per-window cache (`window_order`), and their
 labels in that order as bytes, UNSET (3) where a face is free.  Its
 `marks` is a read-only {face: label} view built on first read; assembly,
-`check`, search and the strip matches read the label bytes only.
+`check`, search and the catalog matches read the label bytes only.
 
 `propagate`, `enumerate_completions` and `have_completions` run on
 `kernel.Kernel` (see that module for the design), built per call over the
@@ -26,7 +26,7 @@ window reads a trailing UNSET, which a table word packs as it packs None.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -56,9 +56,10 @@ class Configuration:
     `faces` is the window's faces in sorted order (from `window_order`),
     and `labels` their labels in that order as bytes, UNSET (3) where
     unmarked.  `marks` is a read-only {face: label} view of the marked
-    faces, built on first read."""
+    faces, built on first read from fields that are read-only too."""
 
-    __slots__ = ("window", "faces", "labels", "period", "_marks")
+    __slots__ = ("_window", "_faces", "_labels", "_period", "_marks")
+    window, faces, labels, period = map(property, map(attrgetter, __slots__[:4]))
 
     def __init__(self, window: Iterable[Face], marks: Mapping[Face, int],
                  period: Optional[int] = None) -> None:
@@ -81,18 +82,18 @@ class Configuration:
         return config
 
     def _fill(self, window: frozenset, labels: Iterable[int], period: Optional[int]) -> None:
-        self.faces, self.labels = window_order(window)[0], bytes(labels)
-        if len(self.labels) != len(self.faces):
-            raise ValueError(f"{len(self.labels)} labels for {len(self.faces)} faces")
-        if self.labels.translate(None, _LABEL_BYTES):
-            raise ValueError(f"labels not in 0, 1, 2, 3: {sorted(set(self.labels))}")
-        self.window, self.period, self._marks = window, period, None
+        self._faces, self._labels = window_order(window)[0], bytes(labels)
+        if len(self._labels) != len(self._faces):
+            raise ValueError(f"{len(self._labels)} labels for {len(self._faces)} faces")
+        if self._labels.translate(None, _LABEL_BYTES):
+            raise ValueError(f"labels not in 0, 1, 2, 3: {sorted(set(self._labels))}")
+        self._window, self._period, self._marks = window, period, None
 
     @property
     def marks(self) -> Mapping[Face, int]:
         if self._marks is None:
             self._marks = MappingProxyType(
-                {f: l for f, l in zip(self.faces, self.labels) if l != UNSET})
+                {f: l for f, l in zip(self._faces, self._labels) if l != UNSET})
         return self._marks
 
     def __eq__(self, other) -> bool:
@@ -106,8 +107,10 @@ class Configuration:
 
 def make_config(marks: Mapping[Face, int], window: Optional[Iterable[Face]] = None,
                 period: Optional[int] = None) -> Configuration:
-    """The marks on their faces and the window's, as one configuration."""
-    return Configuration(frozenset(marks).union(window or ()), marks, period)
+    """The marks on their faces and the window's, as one configuration; a
+    frozenset window holding the marks is kept, for the per-window caches."""
+    keep = isinstance(window, frozenset) and window.issuperset(marks)
+    return Configuration(window if keep else frozenset(marks).union(window or ()), marks, period)
 
 
 class Verdict(NamedTuple):

@@ -7,6 +7,7 @@ core; squared lengths use the quadratic form a^2 + a*b + b^2.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import AbstractSet, Iterable, List, NamedTuple, Set, Tuple
 
 Vertex = Tuple[int, int]
@@ -153,6 +154,7 @@ def vertices_within(seeds: Iterable[Vertex], d: int) -> Set[Vertex]:
     return seen
 
 
+@lru_cache(maxsize=256)
 def ball(center: Face, r: int) -> frozenset:
     """Faces whose vertex set comes within hex distance r-1 of center's."""
     if r < 1:

@@ -41,7 +41,8 @@ from ringlab.engine import (
     make_config,
     propagate,
 )
-from ringlab.lattice import A1, A2, POINT_GROUP, Face, Isometry, ball, down, up
+from ringlab.lattice import (
+    A1, A2, LABEL_POINT_GROUP, POINT_GROUP, Face, Isometry, ball, down, up)
 from ringlab.distributions import classify_distribution, induced_distribution
 from ringlab.reports import classification_report
 from ringlab.rings import MODE_ROT, MODE_ROT_REF
@@ -631,3 +632,105 @@ def test_label_bytes_are_checked_and_the_view_is_read_only():
         Configuration.from_labels(window, bytes([4] * 13))
     with pytest.raises(TypeError):
         config.marks[up(0, 0)] = 1
+
+
+def test_configuration_fields_are_read_only():
+    # a built marks view cannot go stale: the fields it reads stay as built
+    window = ball(up(0, 0), 1)
+    config = make_config({up(0, 0): 1}, window=window, period=6)
+    assert config.window is window  # a frozenset holding the marks is kept
+    assert dict(config.marks) == {up(0, 0): 1}
+    for name, value in (("window", frozenset()), ("faces", ()), ("labels", b""),
+                        ("period", None)):
+        with pytest.raises(AttributeError):
+            setattr(config, name, value)
+    assert dict(config.marks) == {up(0, 0): 1} and config.period == 6
+
+
+def _first_special_occurrence(config, center):
+    """Brute-force reference for `catalog._special_match`: the first
+    label-preserving move, then puzzle 1..12, then patch face h in sorted
+    order, whose translation of the move carrying center onto h lands every
+    marked face of config on a patch face of the same label; the puzzle
+    index and the translated move, or None."""
+    radius = catalog._SPECIAL_PATCH_RADIUS
+    for g in LABEL_POINT_GROUP:
+        c_img = g.apply_face(center)
+        # the center first, so most misplacements fail at their first face
+        image = sorted((g.apply_face(f) != c_img, g.apply_face(f), l)
+                       for f, l in config.marks.items())
+        for index in range(1, 13):
+            marks = special_puzzle(index, radius).marks
+            for h in sorted(marks):
+                tx, ty = h.x - c_img.x, h.y - c_img.y
+                if h.up != c_img.up or (tx - ty) % 3 or marks[h] != image[0][2]:
+                    continue
+                if all(marks.get(Face(f.x + tx, f.y + ty, f.up)) == l for _, f, l in image):
+                    return index, g._replace(tx=tx, ty=ty)
+    return None
+
+
+def _special_occurrence(config, center):
+    """The puzzle index and translated move of `_special_match`'s occurrence."""
+    found = catalog._special_match(config, center)
+    return None if found is None else (found[0]["index"], found[1].keywords["g"])
+
+
+def test_special_index_matches_the_ball_built_index():
+    # the index as each patch face's own radius-1 ball, read through .marks
+    want = {}
+    for index in range(1, 13):
+        marks = special_puzzle(index, catalog._SPECIAL_PATCH_RADIUS).marks
+        for h in marks:
+            if ball(h, 1) <= marks.keys():
+                key = tuple(marks[f] for f in sorted(ball(h, 1)))
+                want.setdefault(key, []).append((index, h))
+    got = catalog._special_index()
+    assert list(got.items()) == [(key, tuple(entries)) for key, entries in want.items()]
+
+
+def test_special_match_finds_the_first_occurrence_of_each_completion():
+    found = [_special_occurrence(c, up(0, 0)) for c in _completions(2)]
+    assert found == [_first_special_occurrence(c, up(0, 0)) for c in _completions(2)]
+    assert any(found) and not all(found)
+
+
+@lru_cache(maxsize=None)
+def _patch_centres(r):
+    """The patch faces whose radius-r ball lies in the special patches."""
+    window = special_puzzle(1, catalog._SPECIAL_PATCH_RADIUS).window
+    return [c for c in sorted(window) if ball(c, r) <= window]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 3).flatmap(
+    lambda r: st.tuples(st.just(r), st.sampled_from(_patch_centres(r)))), label_isometries)
+def test_special_match_finds_the_first_occurrence_of_moved_sub_balls(index, placed, g):
+    r, c = placed
+    marks = special_puzzle(index, catalog._SPECIAL_PATCH_RADIUS).marks
+    moved = transform_config(make_config({f: marks[f] for f in ball(c, r)}), g)
+    found = _special_occurrence(moved, g.apply_face(c))
+    assert found is not None
+    assert found == _first_special_occurrence(moved, g.apply_face(c))
+
+
+def test_special_match_needs_the_centre_ball_marked():
+    puzzle = special_puzzle(1, 2)
+    with pytest.raises(ValueError, match="must cover the radius-1 ball"):
+        catalog.embeds_in_special(puzzle, center=up(5, 5))
+    partial_ball = make_config({f: l for f, l in puzzle.marks.items() if f != down(0, 0)},
+                               window=puzzle.window)
+    with pytest.raises(ValueError, match="must cover the radius-1 ball"):
+        catalog.embeds_in_special(partial_ball)
+
+
+def test_special_patches_share_one_window_and_are_read_by_position():
+    radius = catalog._SPECIAL_PATCH_RADIUS
+    special_puzzle.cache_clear()  # fresh patches, whose marks views no test has read
+    window = special_puzzle(1, radius).window
+    assert all(special_puzzle(i, radius).window is window for i in range(1, 13))
+    assert any(catalog.embeds_in_special(c) for c in _completions(2))
+    # the certificates of special occurrences read the patches by position too
+    found = [survivor_certificate(c, ball(up(0, 0), 4)) for c in _completions(2)]
+    assert any(e and e["kind"] == "special" and cert for e, cert in found)
+    assert all(special_puzzle(i, radius)._marks is None for i in range(1, 13))
