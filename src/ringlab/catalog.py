@@ -12,7 +12,7 @@ and survivor certificates all read rows through one face-to-cell index
 (`_cell`), as label bytes in the window's sorted face order, and which
 rows may stack from one transfer graph built from the interface table
 (`_below`); a strip's mirror reading is its row read through its height's
-label-preserving glide (`_GLIDES`).
+label-preserving glide (`_GLIDES`); windows move by `Isometry.apply_faces`.
 
 The embedding tests read a window's images under the label-preserving
 point group, and their placements in the strip slots, from small caches
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .configio import data_text, parse_config
 from .engine import UNSET, Configuration, VALID, check, make_config, propagate, window_order
@@ -189,7 +189,7 @@ def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
             )
         prev = (key, shift % 6)
     window = _stack_window(height, len(word), 6 * width_periods)
-    return Configuration.from_labels(window, _stack_marks(window, _IDENTITY, height, word), 6)
+    return Configuration(window, _stack_marks(window, _IDENTITY, height, word), 6)
 
 
 def derive_interface_table(height: int) -> Dict[Tuple[str, str], Tuple[int, ...]]:
@@ -205,7 +205,7 @@ def derive_interface_table(height: int) -> Dict[Tuple[str, str], Tuple[int, ...]
         for b in keys:
             good = tuple(
                 delta for delta in deltas
-                if check(Configuration.from_labels(window, _stack_marks(
+                if check(Configuration(window, _stack_marks(
                     window, _IDENTITY, height, [(a, 0), (b, -delta % 6)]
                 ), 6)).status == VALID
             )
@@ -275,10 +275,10 @@ def special_puzzle(index: int, radius: int) -> Configuration:
 
 
 def transform_config(config: Configuration, g: Isometry) -> Configuration:
-    image = list(map(g.apply_face, config.faces))
+    image = g.apply_faces(config.faces)
     order = sorted(range(len(image)), key=image.__getitem__)
     labels = bytes(map(config.labels.__getitem__, order))
-    return Configuration.from_labels(frozenset(image), labels, config.period)
+    return Configuration(frozenset(map(Face._make, image)), labels, config.period)
 
 
 @lru_cache(maxsize=8)
@@ -291,16 +291,14 @@ def _congruences(wa: frozenset, wb: frozenset) -> Tuple[Tuple[Isometry, Tuple[in
     index_b = window_order(wb)[1]
     moves = []
     for g0 in POINT_GROUP:
-        image = tuple(map(g0.apply_face, window_order(wa)[0]))
-        m0 = min(image)
-        if m0.up != mb.up:
+        x0, y0, u0 = min(g0.apply_faces(wa))
+        if u0 != mb.up:
             continue
-        tx, ty = mb.x - m0.x, mb.y - m0.y
-        placed = [Face(f.x + tx, f.y + ty, f.up) for f in image]
+        g = g0._replace(tx=mb.x - x0, ty=mb.y - y0)
+        placed = g.apply_faces(window_order(wa)[0])
         if set(placed) != wb:
             continue
-        perm = tuple(map(index_b.__getitem__, placed))
-        moves.append((Isometry(g0.rot, g0.ref, tx, ty), perm))
+        moves.append((g, tuple(map(index_b.__getitem__, placed))))
     return tuple(moves)
 
 
@@ -334,7 +332,7 @@ def mirror_strip_rows(spec: StripSpec):
     h = spec.height
     window = _stack_window(h, 1, 6)
     labels = _stack_marks(window, _GLIDES[h], h, [(spec.key, 0)])
-    return _read_rows(Configuration.from_labels(window, labels), h)
+    return _read_rows(Configuration(window, labels), h)
 
 
 def strip_dedup_classes(height: int = 1) -> List[List[str]]:
@@ -402,8 +400,7 @@ def _slots(placed: Sequence[Face], height: int) -> Tuple[_Slot, ...]:
 def _images(faces: frozenset) -> Tuple[Tuple[Isometry, Tuple[Face, ...]], ...]:
     """Each label-preserving point-group element with its image of each of
     the faces, in sorted order."""
-    return tuple((g, tuple(map(g.apply_face, window_order(faces)[0])))
-                 for g in LABEL_POINT_GROUP)
+    return tuple((g, tuple(g.apply_faces(window_order(faces)[0]))) for g in LABEL_POINT_GROUP)
 
 
 @lru_cache(maxsize=8)
@@ -415,14 +412,14 @@ def _strip_placements(
     and the slots of their images, listed in sorted order of the faces."""
     out = []
     for g, image in _images(faces):
-        y_max = max(f.y for f in image)
-        x_min = min(f.x for f in image)
+        y_max = max(y for _, y, _ in image)
+        x_min = min(x for x, _, _ in image)
         for y_target in range(0, -height, -1):
             ty = y_target - y_max
             tx = 3 - x_min
             tx += (ty - tx) % 3
-            placed = tuple(Face(f.x + tx, f.y + ty, f.up) for f in image)
-            out.append((g._replace(tx=tx, ty=ty), _slots(placed, height)))
+            moved = g._replace(tx=tx, ty=ty)
+            out.append((moved, _slots(moved.apply_faces(window_order(faces)[0]), height)))
     return tuple(out)
 
 
@@ -559,21 +556,6 @@ def embeds_in_catalog(config: Configuration, center: Face = up(0, 0)) -> Optiona
     return None if found is None else found[0]
 
 
-def _moved(faces: Iterable[Face], g: Isometry) -> List[Tuple[int, int, bool]]:
-    """g's image (x, y, up) of each face, as a plain tuple equal to the
-    image Face.  On faces g is affine: one linear part, plus per
-    orientation the image of the face at the origin."""
-    origin = {u: tuple(g.apply_face(Face(0, 0, u))) for u in (True, False)}
-    x0, y0, _ = origin[True]
-    ex, ey = g.apply_face(Face(1, 0, True)), g.apply_face(Face(0, 1, True))
-    a, b, d, e = ex.x - x0, ey.x - x0, ex.y - y0, ey.y - y0
-    out = []
-    for x, y, u in faces:
-        c, k, v = origin[u]
-        out.append((a * x + b * y + c, d * x + e * y + k, v))
-    return out
-
-
 def _cell(height: int, x: int, y: int, u: bool) -> Tuple[int, int]:
     """The stack row r (its top face row at -r * height) holding the face
     at (x, y, u), and the face's index in that row's `_row_cells`: face row
@@ -599,7 +581,7 @@ def _stack_cells(window: frozenset, height: int, g: Isometry) -> Tuple[int, int,
     window meets, and one itemgetter reading each face's label, in sorted
     face order, off those rows' `_row_cells` laid end to end.  It reads one
     spare cell last, so it returns a tuple even for a single face."""
-    located = [_cell(height, *f) for f in _moved(window_order(window)[0], g)]
+    located = [_cell(height, *f) for f in g.apply_faces(window_order(window)[0])]
     r0 = min(r for r, _ in located)
     count = max(r for r, _ in located) - r0 + 1
     return r0, count, itemgetter(*((r - r0) * 12 * height + c for r, c in located), 0)
@@ -633,7 +615,7 @@ def _stack_marks(window: frozenset, g: Isometry, height: int, word: StackingWord
 def _patch_marks(window: frozenset, g: Isometry, patch: Configuration) -> Optional[bytes]:
     """The labels the patch gives g's image of each face of the window, in
     sorted face order, or None when the image leaves the patch."""
-    at = list(map(window_order(patch.window)[1].get, _moved(window_order(window)[0], g)))
+    at = list(map(window_order(patch.window)[1].get, g.apply_faces(window_order(window)[0])))
     return None if None in at else bytes(map(patch.labels.__getitem__, at))
 
 
@@ -661,7 +643,7 @@ def survivor_certificate(
     labels = pull_back(window)
     if labels is None:
         return evidence, None
-    certificate = Configuration.from_labels(window, labels, config.period)
+    certificate = Configuration(window, labels, config.period)
     where = window_order(window)[1]
     if check(certificate).status != VALID or any(
         labels[where[f]] != l for f, l in zip(config.faces, config.labels) if l != UNSET

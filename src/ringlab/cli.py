@@ -23,6 +23,7 @@ from .catalog import (
 from .configio import (
     CONFIG_HEADER,
     DIST_HEADER,
+    _content_lines,
     parse_config,
     parse_distribution,
     render_svg,
@@ -303,7 +304,8 @@ def cmd_dist(args) -> int:
 
 def cmd_render(args) -> int:
     text = _read(args.file)
-    head = text.lstrip().splitlines()[0].strip() if text.strip() else ""
+    lines = _content_lines(text)  # the parsers' rule: comments and blank lines skipped
+    head = lines[0][1] if lines else ""
     config = dist = None
     if head == CONFIG_HEADER:
         config = parse_config(text)

@@ -3,7 +3,7 @@
 A distribution assigns one of the three simplicial axes to each vertex.
 A face is Odd when an odd number of its three vertices carry an axis
 different from their opposite-side axis (those vertices count as rank 2;
-the others as rank 3/2).
+the others as rank 3/2).  `induced_distribution` reads `engine.link_plan`.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from .lattice import (
     opposite_axis_at_vertex,
     runs,
     vertices_within,
-    window_vertices,
 )
+from .engine import UNSET, link_plan, link_words
 from .kernel import Kernel, Table
-from .labeling import vertex_s
 from .rings import rank_axis
 
 ODD = "Odd"
@@ -115,13 +114,13 @@ def face_parity(dist: Distribution, f: Face) -> str:
 
 
 def induced_distribution(config) -> Distribution:
-    """Axis of the unique multiplicity-1 half-link pair at each interior vertex."""
+    """Axis of the unique multiplicity-1 half-link pair at each fully marked link."""
+    labels = config.labels + bytes((UNSET,))
     axis: Dict[Vertex, int] = {}
-    marks = config.marks
-    for v in sorted(window_vertices(marks)):
-        word = tuple(map(marks.get, link_faces(v)))
-        if None not in word:
-            axis[v] = rank_axis(word, vertex_s(v))
+    for s, vertices, gather in link_plan(config.window):
+        for v, word in zip(vertices, link_words(gather(labels))):
+            if UNSET not in word:
+                axis[v] = rank_axis(word, s)
     return make_distribution(axis)
 
 

@@ -1,8 +1,8 @@
 """Partial configurations: checking, propagation, enumeration, dead ends.
 
-A configuration keeps its marking by window position: the window's faces
-in sorted order, from one per-window cache (`window_order`), and their
-labels in that order as bytes, UNSET (3) where a face is free.  Its
+A configuration is built from its window and its labels in the window's
+sorted face order (from one per-window cache, `window_order`) as bytes,
+UNSET (3) where a face is free; `make_config` builds one from a dict.  Its
 `marks` is a read-only {face: label} view built on first read; assembly,
 `check`, search and the catalog matches read the label bytes only.
 
@@ -17,10 +17,10 @@ and `dead_end_report` probes the completions still alive at each radius in
 one batch.  A classification sweep probes only the completions that no
 catalog certificate shows alive; `check` verifies each certificate (see
 `catalog.survivor_certificate`).  No kernel outlives the call that built
-it.  `check` reads the same tables by word, gathered straight from the
-label bytes through a per-window plan: per vertex family, one itemgetter
-over the link faces of the family's vertices, where a face outside the
-window reads a trailing UNSET, which a table word packs as it packs None.
+it.  `check` reads the same tables by word through a per-window plan
+(`link_plan`, which `induced_distribution` shares) over the label bytes:
+per vertex family, one itemgetter over the family's link faces, where a
+face outside the window reads a trailing UNSET, which words pack as None.
 """
 
 from __future__ import annotations
@@ -54,34 +54,16 @@ def window_order(window: frozenset) -> Tuple[Tuple[Face, ...], Dict[Face, int]]:
 class Configuration:
     """A finite window of faces with a partial marking, kept by position:
     `faces` is the window's faces in sorted order (from `window_order`),
-    and `labels` their labels in that order as bytes, UNSET (3) where
-    unmarked.  `marks` is a read-only {face: label} view of the marked
+    and `labels`, as given, their labels in that order as bytes, UNSET (3)
+    where unmarked.  `marks` is a read-only {face: label} view of the marked
     faces, built on first read from fields that are read-only too."""
 
     __slots__ = ("_window", "_faces", "_labels", "_period", "_marks")
     window, faces, labels, period = map(property, map(attrgetter, __slots__[:4]))
 
-    def __init__(self, window: Iterable[Face], marks: Mapping[Face, int],
+    def __init__(self, window: Iterable[Face], labels: bytes,
                  period: Optional[int] = None) -> None:
         window = frozenset(window)
-        if not window.issuperset(marks):
-            bad = set(marks) - window
-            raise ValueError(f"marks outside window: {sorted(bad)[:3]}")
-        if not _LABELS.issuperset(marks.values()):
-            # faces are distinct, so the sort never compares two marks
-            bad = sorted((f, l) for f, l in marks.items() if l not in _LABELS)
-            raise ValueError(f"marks not in 0, 1, 2: {bad[:3]}")
-        self._fill(window, [marks.get(f, UNSET) for f in window_order(window)[0]], period)
-
-    @classmethod
-    def from_labels(cls, window: frozenset, labels: bytes,
-                    period: Optional[int] = None) -> "Configuration":
-        """The configuration whose labels, in sorted face order, are given."""
-        config = cls.__new__(cls)
-        config._fill(frozenset(window), labels, period)
-        return config
-
-    def _fill(self, window: frozenset, labels: Iterable[int], period: Optional[int]) -> None:
         self._faces, self._labels = window_order(window)[0], bytes(labels)
         if len(self._labels) != len(self._faces):
             raise ValueError(f"{len(self._labels)} labels for {len(self._faces)} faces")
@@ -109,8 +91,14 @@ def make_config(marks: Mapping[Face, int], window: Optional[Iterable[Face]] = No
                 period: Optional[int] = None) -> Configuration:
     """The marks on their faces and the window's, as one configuration; a
     frozenset window holding the marks is kept, for the per-window caches."""
-    keep = isinstance(window, frozenset) and window.issuperset(marks)
-    return Configuration(window if keep else frozenset(marks).union(window or ()), marks, period)
+    if not _LABELS.issuperset(marks.values()):
+        # faces are distinct, so the sort never compares two marks
+        bad = sorted((f, l) for f, l in marks.items() if l not in _LABELS)
+        raise ValueError(f"marks not in 0, 1, 2: {bad[:3]}")
+    if not (isinstance(window, frozenset) and window.issuperset(marks)):
+        window = frozenset(marks).union(window or ())
+    labels = [marks.get(f, UNSET) for f in window_order(window)[0]]
+    return Configuration(window, labels, period)
 
 
 class Verdict(NamedTuple):
@@ -133,7 +121,7 @@ def link_word(marks: Mapping[Face, int], v: Vertex) -> Tuple[Optional[int], ...]
 
 
 @lru_cache(maxsize=16)
-def _link_plan(window: frozenset) -> Tuple[Tuple[int, Tuple[Vertex, ...], itemgetter], ...]:
+def link_plan(window: frozenset) -> Tuple[Tuple[int, Tuple[Vertex, ...], itemgetter], ...]:
     """Per vertex family s, the window's vertices of family s in sorted
     order with one itemgetter over the six link faces of each: it indexes
     the labels of the window's faces in sorted order, and a link face
@@ -157,7 +145,7 @@ def _ring_table(mode: str, s: int) -> Table:
     return Table(6, words.__contains__)
 
 
-def _words(gathered: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+def link_words(gathered: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
     """The link words of a gather, six labels each."""
     return zip(*[iter(gathered)] * 6)
 
@@ -170,10 +158,10 @@ def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
     """
     labels = config.labels + bytes((UNSET,))
     dead: List[Vertex] = []
-    for s, vertices, gather in _link_plan(config.window):
+    for s, vertices, gather in link_plan(config.window):
         table = _ring_table(mode, s)
-        if not all(map(table.__getitem__, _words(gather(labels)))):
-            dead += (v for v, w in zip(vertices, _words(gather(labels))) if table[w] is None)
+        if not all(map(table.__getitem__, link_words(gather(labels)))):
+            dead += (v for v, w in zip(vertices, link_words(gather(labels))) if table[w] is None)
     if dead:
         dead.sort()
         witnesses = tuple((v, f"no ring matches the link at {v}") for v in dead)
@@ -216,7 +204,7 @@ def propagate(config: Configuration, mode: str = DEFAULT_MODE) -> Configuration:
         f = faces[g]
         raise Contradiction([(face_vertices(f)[0], f"no admissible label for {f}")])
     labels = bytes(l if l >= 0 else UNSET for l in kernel.label)
-    return Configuration.from_labels(config.window, labels, config.period)
+    return Configuration(config.window, labels, config.period)
 
 
 def _search_order(target: frozenset) -> Tuple[Face, ...]:
@@ -259,7 +247,7 @@ def enumerate_completions(
     # one-face target still reads a tuple; an empty one reads no slot
     read = itemgetter(*map(index.__getitem__, window_order(target)[0]), 0)
     labels = sorted(bytes(read(t))[:-1] for t in found) if target else [b""] * len(found)
-    return [Configuration.from_labels(target, l, config.period) for l in labels]
+    return [Configuration(target, l, config.period) for l in labels]
 
 
 def have_completions(

@@ -230,6 +230,20 @@ class Isometry(NamedTuple):
         r = a % 3
         return Face((a - r) // 3, (b - r) // 3, r == 1)
 
+    def apply_faces(self, faces: Iterable[Face]) -> List[Tuple[int, int, bool]]:
+        """The image (x, y, up) of each face, as a plain tuple equal to the
+        image Face.  On faces the map is affine: one linear part, plus per
+        orientation the image of the face at the origin."""
+        origin = {u: tuple(self.apply_face(Face(0, 0, u))) for u in (True, False)}
+        x0, y0, _ = origin[True]
+        ex, ey = self.apply_face(Face(1, 0, True)), self.apply_face(Face(0, 1, True))
+        a, b, d, e = ex.x - x0, ey.x - x0, ex.y - y0, ey.y - y0
+        out = []
+        for x, y, u in faces:
+            c, k, v = origin[u]
+            out.append((a * x + b * y + c, d * x + e * y + k, v))
+        return out
+
     def apply_edge(self, e: Edge) -> Edge:
         p, q = edge_vertices(e)
         return edge_from_vertices(self.apply_vertex(p), self.apply_vertex(q))
@@ -247,4 +261,4 @@ POINT_GROUP = tuple(
     Isometry(rot, ref, 0, 0) for ref in (False, True) for rot in range(6)
 )
 
-LABEL_POINT_GROUP = tuple(g for g in POINT_GROUP if g.rot % 2 == 0)
+LABEL_POINT_GROUP = tuple(g for g in POINT_GROUP if g.label_preserving())

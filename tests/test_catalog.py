@@ -443,16 +443,6 @@ def test_a_corrupted_certificate_raises(monkeypatch, source, fault):
     assert classification_report(2, 4) == _CRITERION8
 
 
-def test_face_moves_are_affine_per_orientation():
-    faces = list(ball(up(2, -1), 3))
-    for g in POINT_GROUP:
-        for tx, ty in ((0, 0), (4, -2), (-3, 5)):
-            moved = g._replace(tx=tx, ty=ty)
-            assert [Face(*h) for h in catalog._moved(faces, moved)] == [
-                moved.apply_face(f) for f in faces
-            ]
-
-
 def test_a_single_face_reads_through_the_stack():
     one = make_config({up(0, 0): 0})
     assert catalog.embeds_in_strips(one, 1) == {"kind": "strip-h1", "word": [("a", 3)]}
@@ -623,13 +613,13 @@ def test_one_marking_two_views(config):
 
 def test_label_bytes_are_checked_and_the_view_is_read_only():
     window = ball(up(0, 0), 1)
-    config = Configuration.from_labels(window, bytes([0, 3] * 6 + [1]))
+    config = Configuration(window, bytes([0, 3] * 6 + [1]))
     assert config == make_config({f: l for f, l in zip(sorted(window), config.labels)
                                   if l != UNSET}, window=window)
     with pytest.raises(ValueError, match="labels for"):
-        Configuration.from_labels(window, bytes(12))
+        Configuration(window, bytes(12))
     with pytest.raises(ValueError, match="labels not in"):
-        Configuration.from_labels(window, bytes([4] * 13))
+        Configuration(window, bytes([4] * 13))
     with pytest.raises(TypeError):
         config.marks[up(0, 0)] = 1
 

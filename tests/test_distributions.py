@@ -25,7 +25,8 @@ from ringlab.distributions import (
     make_distribution,
     verify_lemma_L3,
 )
-from ringlab.engine import enumerate_completions, make_config
+from ringlab.engine import enumerate_completions, link_word, make_config
+from ringlab.labeling import vertex_s
 from ringlab.lattice import (
     AXES,
     LABEL_POINT_GROUP,
@@ -33,7 +34,9 @@ from ringlab.lattice import (
     face_vertices,
     opposite_axis_at_vertex,
     up,
+    window_vertices,
 )
+from ringlab.rings import rank_axis
 
 
 def test_hex_window_sizes():
@@ -83,6 +86,38 @@ def test_induced_distribution_is_equivariant():
             gv = g.apply_vertex(v)
             if gv in moved.axis:
                 assert moved.axis[gv] == g.apply_axis(a)
+
+
+@st.composite
+def partial_markings(draw):
+    """A special patch, or its sub-marking on a ball that may leave the
+    patch, with some faces of the window left unmarked."""
+    puzzle = special_puzzle(draw(st.integers(1, 12)), 3)
+    window = puzzle.window
+    if draw(st.booleans()):
+        window = ball(draw(st.sampled_from(puzzle.faces)), draw(st.integers(1, 3)))
+    unmarked = draw(st.sets(st.sampled_from(sorted(window)), max_size=12))
+    return make_config({f: puzzle.marks[f] for f in window
+                        if f in puzzle.marks and f not in unmarked}, window=window)
+
+
+def _induced_axes(config):
+    """Reference for `induced_distribution`: each vertex read alone, its
+    rank axis taken only where its whole link is marked."""
+    axis = {}
+    for v in window_vertices(config.window):
+        word = link_word(config.marks, v)
+        if None not in word:
+            axis[v] = rank_axis(word, vertex_s(v))
+    return axis
+
+
+@settings(max_examples=60, deadline=None)
+@given(partial_markings())
+def test_induced_distribution_reads_only_complete_links(config):
+    dist = induced_distribution(config)
+    want = _induced_axes(config)
+    assert dist.axis == want and dist.window == frozenset(want)
 
 
 def test_build_d0_small_window():

@@ -320,6 +320,22 @@ def test_cli_render_writes_svg_under_json(tmp_path, capsys):
     assert json.loads(out) == {"svg": svg}
 
 
+@pytest.mark.parametrize("header, body, keyword, parse", [
+    (CONFIG_HEADER, "face 0 0 U 2\nface 0 0 D -\n", "config", parse_config),
+    (DIST_HEADER, "vertex 0 0 A1\nvertex 1 0 -\n", "dist", parse_distribution),
+], ids=["config", "dist"])
+@pytest.mark.parametrize("noted", ["# note\n\n{header}\n{body}", "{header}  # note\n{body}"],
+                         ids=["comment-before", "comment-trailing"])
+def test_cli_render_reads_the_header_past_comments(tmp_path, capsys, header, body, keyword,
+                                                   parse, noted):
+    plain, commented = tmp_path / "plain.txt", tmp_path / "noted.txt"
+    plain.write_text(f"{header}\n{body}")
+    commented.write_text(noted.format(header=header, body=body))
+    rc, svg = run_cli(capsys, "render", str(plain))
+    assert rc == 0 and svg == render_svg(**{keyword: parse(plain.read_text())})
+    assert run_cli(capsys, "render", str(commented)) == (0, svg)
+
+
 def test_cli_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["nonsense"])

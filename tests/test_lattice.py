@@ -128,6 +128,15 @@ def test_isometry_preserves_incidence(g, f):
     assert set(face_edges(g.apply_face(f))) == {g.apply_edge(e) for e in face_edges(f)}
 
 
+def test_face_moves_are_affine_per_orientation():
+    faces = sorted(ball(up(2, -1), 3))
+    assert {f.up for f in faces} == {True, False}
+    for g in POINT_GROUP:
+        for tx, ty in ((0, 0), (4, -2), (-3, 5), (1, 1)):
+            moved = g._replace(tx=tx, ty=ty)
+            assert moved.apply_faces(faces) == list(map(moved.apply_face, faces))
+
+
 @given(isometries, edges)
 def test_isometry_edge_endpoints(g, e):
     p, q = edge_vertices(e)

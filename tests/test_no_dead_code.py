@@ -10,8 +10,9 @@ is a name, an attribute, or a string constant spelling the name (the
 benchmark tracer patches functions by name).  An annotated class field
 must be read somewhere in ``src/`` or ``perfbench/``: as an attribute, a
 keyword argument or an identifier string; a read from a test alone does not
-keep it.  The checks go by name only, so a dead method or field that shares
-its name with a live one is not caught.
+keep it.  Every parameter of a function or method, at any depth, must be
+read in its body; lambdas are exempt.  The checks go by name only, so a
+dead method or field that shares its name with a live one is not caught.
 """
 
 import ast
@@ -35,6 +36,13 @@ REFERENCE_ORACLES = {
     "rings.sector_options",
     # the edge map that the face and vertex maps must agree with
     "lattice.Isometry.apply_edge",
+}
+
+# Parameters that their function's body never reads, kept for a caller that
+# passes them.
+UNREAD_PARAMETERS = {
+    # perfbench's enumerate workload passes threads=2
+    "engine.enumerate_completions(threads)",
 }
 
 
@@ -176,3 +184,34 @@ def test_every_import_is_used():
             if not used[name]:
                 unused.append(f"{path.stem}: {name}")
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _unread_parameters(node: ast.AST, prefix: str) -> Iterator[str]:
+    """prefix.qualname(parameter) of each parameter of a function or method
+    under node that no name load in the function's body reads."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            reads = {sub.id for stmt in child.body for sub in ast.walk(stmt)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            for param in params:
+                if param.arg not in reads:
+                    yield f"{prefix}.{child.name}({param.arg})"
+            yield from _unread_parameters(child, f"{prefix}.{child.name}")
+        elif isinstance(child, ast.ClassDef):
+            yield from _unread_parameters(child, f"{prefix}.{child.name}")
+        else:
+            yield from _unread_parameters(child, prefix)
+
+
+def test_every_parameter_is_read():
+    unread = {
+        where
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in _unread_parameters(_parse(path), path.stem)
+    }
+    assert unread == UNREAD_PARAMETERS, "unread parameters: " + ", ".join(
+        sorted(unread - UNREAD_PARAMETERS)) + "; allowed but read: " + ", ".join(
+        sorted(UNREAD_PARAMETERS - unread))
