@@ -27,7 +27,7 @@ from .lattice import (
     vertices_within,
 )
 from .engine import UNSET, link_plan, link_words
-from .kernel import Kernel, Table
+from .kernel import Kernel, Plan, Table
 from .rings import rank_axis
 
 ODD = "Odd"
@@ -132,10 +132,10 @@ def _parity_kernel(
     vertices = sorted(window)
     index = {v: g for g, v in enumerate(vertices)}
     faces = interior_faces(vertices)
-    scopes = [[index[v] for v in face_vertices(f)] for f in faces]
+    scopes = [tuple(index[v] for v in face_vertices(f)) for f in faces]
     tables = [_PARITY_TABLES[f.up] for f in faces]
     given = {index[v]: a for v, a in axis.items()}
-    return vertices, faces, Kernel(len(vertices), scopes, tables, given)
+    return vertices, faces, Kernel(Plan(len(vertices), scopes, tables), given)
 
 
 def dist_propagate(

@@ -7,20 +7,19 @@ UNSET (3) where a face is free; `make_config` builds one from a dict.  Its
 `check`, search and the catalog matches read the label bytes only.
 
 `propagate`, `enumerate_completions` and `have_completions` run on
-`kernel.Kernel` (see that module for the design), built per call over the
-window at hand: faces are its variables, given labels by position, and
-every vertex is one ring constraint whose table accepts the legal words of
-its family s.  `have_completions` probes a batch of configurations on one
-kernel over the target window, assuming each one's marks on the trail and
-undoing them afterwards; `has_completion` is its one-configuration case,
-and `dead_end_report` probes the completions still alive at each radius in
-one batch.  A classification sweep probes only the completions that no
-catalog certificate shows alive; `check` verifies each certificate (see
-`catalog.survivor_certificate`).  No kernel outlives the call that built
-it.  `check` reads the same tables by word through a per-window plan
-(`link_plan`, which `induced_distribution` shares) over the label bytes:
-per vertex family, one itemgetter over the family's link faces, where a
-face outside the window reads a trailing UNSET, which words pack as None.
+`kernel.Kernel` (see that module for the design) over one cached plan per
+window and mode (`_plan`; the twelve special puzzles of one radius share
+one): faces are its variables in search order, and every vertex is one
+ring constraint whose table accepts the legal words of its family s.  A
+call builds a kernel's state only, given labels by position, and its
+search copies that state once per node.  `have_completions` probes a batch
+on one kernel, assuming each configuration's marks on the trail and
+undoing them; `has_completion` and `dead_end_report` probe through it.  No
+kernel outlives its call.  `check` reads the same tables by word
+through a per-window plan (`link_plan`, which `induced_distribution`
+shares) over the label bytes: per vertex family, one itemgetter over the
+family's link faces, where a face outside the window reads a trailing
+UNSET, which words pack as None.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional
 
 from .lattice import (
     Face, Vertex, ball, centroid3, face_vertices, link_faces, norm2, up, window_vertices)
-from .kernel import UNSET, Kernel, Table
+from .kernel import UNSET, Kernel, Plan, Table
 from .labeling import vertex_s
 from .rings import DEFAULT_MODE, legal_words
 
@@ -172,14 +171,19 @@ def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
     return Verdict(VALID, (), ())
 
 
-def _kernel(faces: Sequence[Face], given: Dict[int, int], mode: str) -> Kernel:
-    """The faces as kernel variables under one ring constraint per vertex,
-    the vertices in sorted order; given labels faces by position."""
-    index = {f: g for g, f in enumerate(faces)}
-    vertices = sorted(window_vertices(faces))
-    scopes = [[index.get(f) for f in link_faces(v)] for v in vertices]
-    tables = [_ring_table(mode, vertex_s(v)) for v in vertices]
-    return Kernel(len(faces), scopes, tables, given)
+@lru_cache(maxsize=16)
+def _plan(window: frozenset, mode: str) -> tuple:
+    """The faces in search order and their positions, the vertices sorted,
+    the kernel plan, and a reader of labels into sorted face order with a
+    spare slot last: one face still reads a tuple, an empty window none."""
+    order = _search_order(window)
+    index = {f: g for g, f in enumerate(order)}
+    vertices = tuple(sorted(window_vertices(order)))
+    scopes = [tuple(index.get(f) for f in link_faces(v)) for v in vertices]
+    plan = Plan(len(order), scopes, [_ring_table(mode, vertex_s(v)) for v in vertices])
+    positions = map(index.__getitem__, window_order(window)[0])
+    read = itemgetter(*positions, 0) if window else itemgetter(slice(0))
+    return order, index, vertices, plan, read
 
 
 def _given(config: Configuration, index: Dict[Face, int]) -> Dict[int, int]:
@@ -194,16 +198,16 @@ def propagate(config: Configuration, mode: str = DEFAULT_MODE) -> Configuration:
     ring-consistent.  Raises Contradiction when a vertex loses all matches
     or a face loses all labels.
     """
-    faces, index = window_order(config.window)
-    kernel = _kernel(faces, _given(config, index), mode)
+    order, index, vertices, plan, read = _plan(config.window, mode)
+    kernel = Kernel(plan, _given(config, index))
     if kernel.failure is not None:
         c, g = kernel.failure
         if g is None:
-            v = sorted(window_vertices(faces))[c]
+            v = vertices[c]
             raise Contradiction([(v, f"no ring matches the link at {v}")])
-        f = faces[g]
+        f = order[g]
         raise Contradiction([(face_vertices(f)[0], f"no admissible label for {f}")])
-    labels = bytes(l if l >= 0 else UNSET for l in kernel.label)
+    labels = bytes(l if l >= 0 else UNSET for l in read(kernel.label))[:-1]
     return Configuration(config.window, labels, config.period)
 
 
@@ -240,13 +244,9 @@ def enumerate_completions(
     accepted for compatibility and ignored: the search is sequential.
     """
     target = _target(config, target_window)
-    order = _search_order(target)
-    index = {f: g for g, f in enumerate(order)}
-    found = _kernel(order, _given(config, index), mode).search()
-    # the labels in sorted face order, with a spare slot last so that a
-    # one-face target still reads a tuple; an empty one reads no slot
-    read = itemgetter(*map(index.__getitem__, window_order(target)[0]), 0)
-    labels = sorted(bytes(read(t))[:-1] for t in found) if target else [b""] * len(found)
+    _, index, _, plan, read = _plan(target, mode)
+    found = Kernel(plan, _given(config, index)).search()
+    labels = sorted(bytes(read(t))[:-1] for t in found)
     return [Configuration(target, l, config.period) for l in labels]
 
 
@@ -264,9 +264,8 @@ def have_completions(
     kernel and its search order.
     """
     target = frozenset(target_window)
-    order = _search_order(target)
-    index = {f: g for g, f in enumerate(order)}
-    kernel = _kernel(order, {}, mode)
+    _, index, _, plan, _ = _plan(target, mode)
+    kernel = Kernel(plan, {})
     out = []
     for config in configs:
         _target(config, target)

@@ -10,10 +10,11 @@ The package's three local-constraint systems all run on `Kernel`:
   labels around a vertex alternate between two values (which makes every
   face see all three labels; that is checked on the result).
 
-A client numbers its variables and constraints and gives, per constraint,
-its variables by position and a `Table`; each variable then lists its
-(constraint, position) sites, flat in one tuple, so a large window costs
-no object per site:
+A client numbers its variables and constraints and builds a `Plan`: per
+constraint, its variables by position and a `Table`; per variable, its
+(constraint, position) sites flat in one tuple, so a large window costs
+no object per site.  No kernel changes its plan, so one plan may serve
+many kernels (`engine` keeps one per window).  A kernel holds state:
 
 - each constraint keeps its labels as a base-4 code (position k in bits 2k
   and 2k+1, `UNSET` = 3 for a free position), updated in place, and the
@@ -26,13 +27,18 @@ no object per site:
   assignment only the free variables of the constraints whose code changed
   are re-examined, and a variable is forced when exactly one label is
   allowed at all of its sites;
-- assignments go on a trail and are undone back to a trail mark (after the
-  MiniSat design, Een and Sorensson 2003), so a search node or a trial
-  probe copies nothing;
+- a search node copies the labels, codes and masks once and restores them
+  by copy after each branch, whose propagation makes many assignments; a
+  trial probe or a query's assumptions make few, so they go on a trail and
+  are undone back to a mark (trailing against copying: Schulte 1999; the
+  trail after MiniSat, Een and Sorensson 2003);
 - labels are given only as assumptions on the trail (again as in MiniSat):
   construction assumes the given labels; `extends` assumes a query's,
   searches for one total labeling and undoes back to the mark, so a batch
   of queries over one problem shares its construction and its tables.
+
+`nodes` counts search nodes, and `forced` the labels propagation forces
+after assumptions and at search nodes (not in probes).
 
 The forcing rule does not depend on the order variables are examined in,
 so the propagated fixed point and every completion set are the same as a
@@ -83,42 +89,48 @@ class Table(dict):
         return value
 
 
-class Kernel:
-    """Propagation, probes and depth-first search over one indexed problem.
+class Plan:
+    """One problem of n variables: scopes[c] lists constraint c's variable
+    at each position, None where a position has none (it stays free), and
+    tables[c] is its table.  `around` lists each constraint's variables,
+    and `unset` its code with every position free."""
 
-    There are n variables; scopes[c] lists constraint c's variable at each
-    position, None where a position has none (it stays free), tables[c] is
-    its table, and given maps variables to their labels.  Construction
-    assumes the given labels, queueing every constraint in index order.
-    `failure` is then None, or (c, None) when constraint c accepts no
-    completion of the given labels, or (c, g) when constraint c left
-    variable g without a label.  The search assigns free variables in index
-    order.
-    """
+    __slots__ = ("sites", "around", "tables", "unset")
 
-    def __init__(
-        self,
-        n: int,
-        scopes: Sequence[Sequence[Optional[int]]],
-        tables: Sequence[Table],
-        given: Dict[int, int],
-    ):
+    def __init__(self, n: int, scopes: Sequence[Sequence[Optional[int]]],
+                 tables: Sequence[Table]):
         sites: List[Tuple[int, ...]] = [()] * n
         for c, scope in enumerate(scopes):
             for k, g in enumerate(scope):
                 if g is not None:
                     sites[g] += (c, k)
-        self.sites = sites
-        self.around = [
-            scope if None not in scope else [g for g in scope if g is not None]
-            for scope in scopes
-        ]
-        self.tables = tables
-        self.code = [4**t.arity - 1 for t in tables]  # every position UNSET
-        self.masks: List[Optional[Tuple[int, ...]]] = [None] * len(tables)
-        self.label = [-1] * n
+        self.sites = tuple(sites)
+        # a tuple scope with every position filled is kept, not copied
+        self.around = tuple(
+            tuple(scope) if None not in scope else tuple(g for g in scope if g is not None)
+            for scope in scopes)
+        self.tables = tuple(tables)
+        self.unset = tuple(4**t.arity - 1 for t in tables)
+
+
+class Kernel:
+    """Propagation, probes and depth-first search over one plan.
+
+    Construction assumes the given {variable: label} map, queueing every
+    constraint in index order.  `failure` is then None, or (c, None) when
+    constraint c accepts no completion of the given labels, or (c, g) when
+    constraint c left variable g without a label.  The search assigns free
+    variables in index order.
+    """
+
+    def __init__(self, plan: Plan, given: Dict[int, int]):
+        self.sites, self.around, self.tables = plan.sites, plan.around, plan.tables
+        self.code = list(plan.unset)
+        self.masks: List[Optional[Tuple[int, ...]]] = [None] * len(plan.tables)
+        self.label = [-1] * len(plan.sites)
         self.trail: List[int] = []
-        self.failure = self._assume(given, list(range(len(tables))))
+        self.nodes = self.forced = 0
+        self.failure = self._assume(given, list(range(len(plan.tables))))
 
     def allowed(self, g: int) -> int:
         """Bitmask of the labels all of g's sites allow."""
@@ -145,7 +157,7 @@ class Kernel:
 
     def assign(self, g: int, l: int) -> bool:
         """Assign an allowed label and propagate; False on a contradiction,
-        which leaves the state to be undone."""
+        which leaves the state to be undone or restored."""
         queue: List[int] = []
         self._assign(g, l, queue)
         return self._fixpoint(queue) is None
@@ -205,7 +217,9 @@ class Kernel:
             masks[c] = tables[c][code[c]]
             if masks[c] is None:
                 return c, None
+        assumed = len(self.trail)
         g = self._fixpoint(queue)
+        self.forced += len(self.trail) - assumed
         return None if g is None else (self.blame(g)[0], g)
 
     def _assign(self, g: int, l: int, queue: List[int]) -> None:
@@ -257,13 +271,14 @@ class Kernel:
                 masks[c] = tables[c][x]
 
     def search(self, stop_at: Optional[int] = None) -> List[Tuple[int, ...]]:
-        """Total labelings of the variables, at most stop_at of them."""
+        """At most stop_at total labelings; the state is left as it was."""
         found: List[Tuple[int, ...]] = []
         if self.failure is None:
             self._search(0, found, stop_at)
         return found
 
     def _search(self, pos: int, found: list, stop_at: Optional[int]) -> None:
+        self.nodes += 1
         label = self.label
         while pos < len(label) and label[pos] >= 0:
             pos += 1
@@ -271,11 +286,15 @@ class Kernel:
             found.append(tuple(label))
             return
         allowed = self.allowed(pos)
+        code, masks, trail, mark = self.code, self.masks, self.trail, len(self.trail)
+        saved = label[:], code[:], masks[:]
         for l in (0, 1, 2):
             if stop_at is not None and len(found) >= stop_at:
                 return
             if allowed >> l & 1:
-                mark = len(self.trail)
-                if self.assign(pos, l):
+                ok = self.assign(pos, l)
+                self.forced += len(trail) - mark - 1
+                if ok:
                     self._search(pos + 1, found, stop_at)
-                self._undo(mark)
+                label[:], code[:], masks[:] = saved
+                del trail[mark:]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from .kernel import Kernel, Table
+from .kernel import Kernel, Plan, Table
 from .lattice import (
     A0,
     A1,
@@ -76,9 +76,9 @@ def derive_edge_labels(window: Iterable[Face]) -> Dict[Edge, int]:
         for e in face_edges(f):
             index.setdefault(e, len(index))
     vertices = sorted(window_vertices(faces))
-    scopes = [[index.get(e) for e in incident_edges(v)] for v in vertices]
+    scopes = [tuple(index.get(e) for e in incident_edges(v)) for v in vertices]
     given = {index[e]: l for e, l in ANCHOR_LABELS.items()}
-    kernel = Kernel(len(index), scopes, [_VERTEX_RULE] * len(vertices), given)
+    kernel = Kernel(Plan(len(index), scopes, [_VERTEX_RULE] * len(vertices)), given)
     label = kernel.label
     if kernel.failure is not None:
         # the anchor labels keep the rule, so the failure is an edge two

@@ -416,13 +416,103 @@ def test_batched_probes_agree_with_enumeration(configs, mode):
     for order in (range(len(configs)), dead_first):
         assert have_completions([configs[i] for i in order], BALL2, mode) == [
             want[i] for i in order]
-    faces = engine._search_order(BALL2)
-    index = {f: g for g, f in enumerate(faces)}
-    k = engine._kernel(faces, {}, mode)
+    _, index, _, plan, _ = engine._plan(BALL2, mode)
+    k = kernel.Kernel(plan, {})
     before = (list(k.label), list(k.code), list(k.masks), list(k.trail))
     for i in dead_first:
         assert k.extends({index[f]: l for f, l in configs[i].marks.items()}) == want[i]
         assert (k.label, k.code, k.masks, k.trail) == before
+
+
+def _outcome(call, *args):
+    """A call's result, or the witnesses of the contradiction it raised."""
+    try:
+        return call(*args)
+    except Contradiction as exc:
+        return exc.witnesses
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda r: st.lists(st.tuples(
+           st.sampled_from(("propagate", "enumerate", "probe")),
+           window_markings(sorted(ball(up(0, 0), r)))), min_size=2, max_size=6)),
+       st.sampled_from((MODE_ROT, MODE_ROT_REF)))
+def test_a_shared_window_plan_gives_what_a_fresh_one_does(calls, mode):
+    """Interleaved calls over one window read one cached plan, and give what
+    each call gives on a plan built for it alone."""
+    ops = {
+        "propagate": lambda c: propagate(c, mode),
+        "enumerate": lambda c: enumerate_completions(c, mode=mode),
+        "probe": lambda c: have_completions([c], c.window, mode),
+    }
+    shared = [_outcome(ops[op], c) for op, c in calls]
+    fresh = []
+    for op, c in calls:
+        engine._plan.cache_clear()
+        fresh.append(_outcome(ops[op], c))
+    assert shared == fresh
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda r: st.lists(
+           window_markings(sorted(ball(up(0, 0), r))), min_size=2, max_size=2)),
+       st.sampled_from((MODE_ROT, MODE_ROT_REF)))
+def test_search_and_extends_leave_the_kernel_as_they_found_it(configs, mode):
+    base, query = configs
+    _, index, _, plan, _ = engine._plan(base.window, mode)
+    k = kernel.Kernel(plan, engine._given(base, index))
+    before = (list(k.label), list(k.code), list(k.masks), list(k.trail))
+    for run in (k.search, lambda: k.search(stop_at=1),
+                lambda: k.extends(engine._given(query, index))):
+        run()
+        assert (k.label, k.code, k.masks, k.trail) == before
+
+
+def backtrack_completions(config, mode):
+    """The completions' label bytes, the slow way: free faces labelled in
+    sorted order, each partial marking kept only while `check` finds no
+    contradiction; no kernel."""
+    labels = bytearray(config.labels)
+    free = [k for k, l in enumerate(labels) if l == kernel.UNSET]
+    found = []
+
+    def extend(i):
+        if check(engine.Configuration(config.window, labels), mode).status == CONTRADICTION:
+            return
+        if i == len(free):
+            found.append(bytes(labels))
+            return
+        for l in (0, 1, 2):
+            labels[free[i]] = l
+            extend(i + 1)
+        labels[free[i]] = kernel.UNSET
+
+    extend(0)
+    return found
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda r: window_markings(sorted(ball(up(0, 0), r)))),
+       st.sampled_from((MODE_ROT, MODE_ROT_REF)))
+def test_search_agrees_with_a_backtracker_without_kernel(cfg, mode):
+    comps = enumerate_completions(cfg, mode=mode)
+    assert [c.labels for c in comps] == backtrack_completions(cfg, mode)
+
+
+# Search nodes and forced labels of the radius-3 enumerations from one mark
+# on Up(0,0), as the trail-undo search of earlier versions made them: 4,413
+# nodes and 35,474 forced labels in all, so the search tree is unchanged.
+RADIUS3_SEARCH_COUNTS = {0: (1471, 11796), 1: (1471, 11827), 2: (1471, 11851)}
+
+
+def test_search_counters_are_frozen():
+    f = up(0, 0)
+    for l, counts in RADIUS3_SEARCH_COUNTS.items():
+        cfg = make_config({f: l}, window=ball(f, 3))
+        _, index, _, plan, _ = engine._plan(cfg.window, engine.DEFAULT_MODE)
+        k = kernel.Kernel(plan, engine._given(cfg, index))
+        assert len(k.search()) == 736
+        assert (k.nodes, k.forced) == counts
 
 
 def _check_transcript() -> str:
