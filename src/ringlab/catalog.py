@@ -302,16 +302,20 @@ def _congruences(wa: frozenset, wb: frozenset) -> Tuple[Tuple[Isometry, Tuple[in
     return tuple(moves)
 
 
+class IncongruentWindows(ValueError):
+    """The windows of two configurations are not congruent as shapes."""
+
+
 def isomorphic(a: Configuration, b: Configuration) -> Optional[Isometry]:
     """A label-preserving isometry carrying a onto b, or None.
 
-    Raises when the two windows are not even congruent as shapes.
+    Raises IncongruentWindows when the windows are not congruent as shapes.
     """
     if UNSET in a.labels or UNSET in b.labels:
         raise ValueError("isomorphism needs configurations total on their windows")
     moves = _congruences(a.window, b.window)
     if not moves:
-        raise ValueError("incongruent windows")
+        raise IncongruentWindows("incongruent windows")
     for g, perm in moves:
         if g.label_preserving() and bytes(map(b.labels.__getitem__, perm)) == a.labels:
             return g

@@ -13,6 +13,7 @@ from functools import lru_cache
 
 from . import reports
 from .catalog import (
+    IncongruentWindows,
     assemble,
     get_strip,
     isomorphic,
@@ -242,9 +243,7 @@ def cmd_iso(args) -> int:
     b = parse_config(_read(args.file2))
     try:
         g = isomorphic(a, b)
-    except ValueError as exc:
-        if "incongruent" not in str(exc):
-            raise
+    except IncongruentWindows:
         _emit(args, "iso", {"isomorphic": False, "isometry": None}, "not isomorphic")
         return 1
     obj = {

@@ -130,12 +130,9 @@ def _parity_kernel(
     """The window's vertices as kernel variables over its interior faces'
     parity constraints, with the given axes propagated."""
     vertices = sorted(window)
-    index = {v: g for g, v in enumerate(vertices)}
     faces = interior_faces(vertices)
-    scopes = [tuple(index[v] for v in face_vertices(f)) for f in faces]
-    tables = [_PARITY_TABLES[f.up] for f in faces]
-    given = {index[v]: a for v, a in axis.items()}
-    return vertices, faces, Kernel(Plan(len(vertices), scopes, tables), given)
+    plan = Plan(vertices, ((face_vertices(f), _PARITY_TABLES[f.up]) for f in faces))
+    return vertices, faces, Kernel(plan, axis.items())
 
 
 def dist_propagate(

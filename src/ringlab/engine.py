@@ -9,10 +9,11 @@ UNSET (3) where a face is free; `make_config` builds one from a dict.  Its
 `propagate`, `enumerate_completions` and `have_completions` run on
 `kernel.Kernel` (see that module for the design) over one cached plan per
 window and mode (`_plan`; the twelve special puzzles of one radius share
-one): faces are its variables in search order, and every vertex is one
+one): faces are its variables, numbered in sorted face order as the label
+bytes list them and searched in `_search_order`, and every vertex is one
 ring constraint whose table accepts the legal words of its family s.  A
-call builds a kernel's state only, given labels by position, and its
-search copies that state once per node.  `have_completions` probes a batch
+call builds a kernel's state only, given the faces with their label
+bytes, and reads its labels as label bytes.  `have_completions` probes a batch
 on one kernel, assuming each configuration's marks on the trail and
 undoing them; `has_completion` and `dead_end_report` probe through it.  No
 kernel outlives its call.  `check` reads the same tables by word
@@ -172,23 +173,14 @@ def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
 
 
 @lru_cache(maxsize=16)
-def _plan(window: frozenset, mode: str) -> tuple:
-    """The faces in search order and their positions, the vertices sorted,
-    the kernel plan, and a reader of labels into sorted face order with a
-    spare slot last: one face still reads a tuple, an empty window none."""
-    order = _search_order(window)
-    index = {f: g for g, f in enumerate(order)}
-    vertices = tuple(sorted(window_vertices(order)))
-    scopes = [tuple(index.get(f) for f in link_faces(v)) for v in vertices]
-    plan = Plan(len(order), scopes, [_ring_table(mode, vertex_s(v)) for v in vertices])
-    positions = map(index.__getitem__, window_order(window)[0])
-    read = itemgetter(*positions, 0) if window else itemgetter(slice(0))
-    return order, index, vertices, plan, read
-
-
-def _given(config: Configuration, index: Dict[Face, int]) -> Dict[int, int]:
-    """The configuration's marks keyed by the positions index gives their faces."""
-    return {index[f]: l for f, l in zip(config.faces, config.labels) if l != UNSET}
+def _plan(window: frozenset, mode: str) -> Tuple[Tuple[Vertex, ...], Plan]:
+    """The window's vertices sorted, and its kernel plan: the faces in
+    sorted order are the variables, searched in `_search_order`, and each
+    vertex's link is one ring constraint."""
+    faces = window_order(window)[0]
+    vertices = tuple(sorted(window_vertices(faces)))
+    links = ((link_faces(v), _ring_table(mode, vertex_s(v))) for v in vertices)
+    return vertices, Plan(faces, links, _search_order(window))
 
 
 def propagate(config: Configuration, mode: str = DEFAULT_MODE) -> Configuration:
@@ -198,16 +190,16 @@ def propagate(config: Configuration, mode: str = DEFAULT_MODE) -> Configuration:
     ring-consistent.  Raises Contradiction when a vertex loses all matches
     or a face loses all labels.
     """
-    order, index, vertices, plan, read = _plan(config.window, mode)
-    kernel = Kernel(plan, _given(config, index))
+    vertices, plan = _plan(config.window, mode)
+    kernel = Kernel(plan, zip(config.faces, config.labels))
     if kernel.failure is not None:
         c, g = kernel.failure
         if g is None:
             v = vertices[c]
             raise Contradiction([(v, f"no ring matches the link at {v}")])
-        f = order[g]
+        f = config.faces[g]
         raise Contradiction([(face_vertices(f)[0], f"no admissible label for {f}")])
-    labels = bytes(l if l >= 0 else UNSET for l in read(kernel.label))[:-1]
+    labels = bytes(l if l >= 0 else UNSET for l in kernel.label)
     return Configuration(config.window, labels, config.period)
 
 
@@ -244,9 +236,8 @@ def enumerate_completions(
     accepted for compatibility and ignored: the search is sequential.
     """
     target = _target(config, target_window)
-    _, index, _, plan, read = _plan(target, mode)
-    found = Kernel(plan, _given(config, index)).search()
-    labels = sorted(bytes(read(t))[:-1] for t in found)
+    found = Kernel(_plan(target, mode)[1], zip(config.faces, config.labels)).search()
+    labels = sorted(map(bytes, found))
     return [Configuration(target, l, config.period) for l in labels]
 
 
@@ -264,12 +255,11 @@ def have_completions(
     kernel and its search order.
     """
     target = frozenset(target_window)
-    _, index, _, plan, _ = _plan(target, mode)
-    kernel = Kernel(plan, {})
+    kernel = Kernel(_plan(target, mode)[1], ())
     out = []
     for config in configs:
         _target(config, target)
-        out.append(kernel.extends(_given(config, index)))
+        out.append(kernel.extends(zip(config.faces, config.labels)))
     return out
 
 

@@ -10,11 +10,11 @@ The package's three local-constraint systems all run on `Kernel`:
   labels around a vertex alternate between two values (which makes every
   face see all three labels; that is checked on the result).
 
-A client numbers its variables and constraints and builds a `Plan`: per
-constraint, its variables by position and a `Table`; per variable, its
-(constraint, position) sites flat in one tuple, so a large window costs
-no object per site.  No kernel changes its plan, so one plan may serve
-many kernels (`engine` keeps one per window).  A kernel holds state:
+A client builds a `Plan` from its variables' names, each constraint's
+names by position with its `Table`, and a search order by name; the plan
+numbers the variables in the order given, so a client reads `Kernel.label`
+in its own order and keeps no map.  A plan is read-only, so many kernels
+may share one (`engine` keeps one per window).  A kernel holds state:
 
 - each constraint keeps its labels as a base-4 code (position k in bits 2k
   and 2k+1, `UNSET` = 3 for a free position), updated in place, and the
@@ -40,16 +40,16 @@ many kernels (`engine` keeps one per window).  A kernel holds state:
 `nodes` counts search nodes, and `forced` the labels propagation forces
 after assumptions and at search nodes (not in probes).
 
-The forcing rule does not depend on the order variables are examined in,
-so the propagated fixed point and every completion set are the same as a
-full-sweep propagation would give; only which contradiction is reported
-first may differ.
+The forcing rule depends neither on how the variables are numbered nor on
+the order they are examined in, so the propagated fixed point and every
+completion set are the same as a full-sweep propagation would give; only
+which contradiction is reported first may differ.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 UNSET = 3
 _FORCED = {1: 0, 2: 1, 4: 2}  # single-label bitmask -> label
@@ -90,40 +90,50 @@ class Table(dict):
 
 
 class Plan:
-    """One problem of n variables: scopes[c] lists constraint c's variable
-    at each position, None where a position has none (it stays free), and
-    tables[c] is its table.  `around` lists each constraint's variables,
-    and `unset` its code with every position free."""
+    """One problem over named variables, numbered in the order given; a
+    repeated name keeps its first number.  Each constraint is a pair: its
+    names by position, and its `Table`; a name that is None or no variable
+    leaves its position free.  `order` is the search order by name, by
+    default the numbering.  `index` and `names` map names to numbers and
+    back; per variable, `sites` holds its (constraint, position) pairs flat
+    in one tuple, so a large window costs no object per site; `around`
+    lists each constraint's variables, and `unset` its code with every
+    position free."""
 
-    __slots__ = ("sites", "around", "tables", "unset")
+    __slots__ = ("index", "names", "order", "sites", "around", "tables", "unset")
 
-    def __init__(self, n: int, scopes: Sequence[Sequence[Optional[int]]],
-                 tables: Sequence[Table]):
-        sites: List[Tuple[int, ...]] = [()] * n
-        for c, scope in enumerate(scopes):
+    def __init__(self, variables: Iterable[Hashable],
+                 constraints: Iterable[Tuple[Sequence[Optional[Hashable]], Table]],
+                 order: Optional[Iterable[Hashable]] = None):
+        self.names = names = tuple(dict.fromkeys(variables))
+        self.index = index = {name: g for g, name in enumerate(names)}
+        sites: List[Tuple[int, ...]] = [()] * len(names)
+        around, tables = [], []
+        for c, (scope_names, table) in enumerate(constraints):
+            scope = tuple(map(index.get, scope_names))
             for k, g in enumerate(scope):
                 if g is not None:
                     sites[g] += (c, k)
-        self.sites = tuple(sites)
-        # a tuple scope with every position filled is kept, not copied
-        self.around = tuple(
-            tuple(scope) if None not in scope else tuple(g for g in scope if g is not None)
-            for scope in scopes)
-        self.tables = tuple(tables)
+            around.append(scope if None not in scope else tuple(g for g in scope if g is not None))
+            tables.append(table)
+        # the default order is a range: a tuple would hold one int per variable
+        self.order = range(len(names)) if order is None else tuple(map(index.__getitem__, order))
+        self.sites, self.around, self.tables = tuple(sites), tuple(around), tuple(tables)
         self.unset = tuple(4**t.arity - 1 for t in tables)
 
 
 class Kernel:
     """Propagation, probes and depth-first search over one plan.
 
-    Construction assumes the given {variable: label} map, queueing every
-    constraint in index order.  `failure` is then None, or (c, None) when
-    constraint c accepts no completion of the given labels, or (c, g) when
-    constraint c left variable g without a label.  The search assigns free
-    variables in index order.
+    Construction assumes the given (name, label) pairs, UNSET labels
+    skipped, queueing every constraint in index order.  `failure` is then
+    None, or (c, None) when constraint c accepts no completion of the given
+    labels, or (c, g) when constraint c left variable g without a label.
+    The search assigns free variables in the plan's order.
     """
 
-    def __init__(self, plan: Plan, given: Dict[int, int]):
+    def __init__(self, plan: Plan, given: Iterable[Tuple[Hashable, int]]):
+        self.index, self.order = plan.index, plan.order
         self.sites, self.around, self.tables = plan.sites, plan.around, plan.tables
         self.code = list(plan.unset)
         self.masks: List[Optional[Tuple[int, ...]]] = [None] * len(plan.tables)
@@ -170,9 +180,9 @@ class Kernel:
         self._undo(mark)
         return ok
 
-    def extends(self, given: Dict[int, int]) -> bool:
-        """Whether the given labels extend to a total labeling; the state is
-        left as it was.
+    def extends(self, given: Iterable[Tuple[Hashable, int]]) -> bool:
+        """Whether the given (name, label) pairs, UNSET labels skipped,
+        extend to a total labeling; the state is left as it was.
 
         The labels are assumed on the trail, one search for a single
         labeling runs, and the trail is undone to where it stood.  A label
@@ -187,9 +197,9 @@ class Kernel:
         return ok
 
     def _assume(
-        self, given: Dict[int, int], queue: Optional[List[int]] = None
+        self, given: Iterable[Tuple[Hashable, int]], queue: Optional[List[int]] = None
     ) -> Optional[Tuple[Optional[int], Optional[int]]]:
-        """Assign the given labels and propagate from the queued constraints,
+        """Assign the given pairs and propagate from the queued constraints,
         by default those the labels touch; None, or a failure as `failure`
         reads it, or (None, g) when g's label differs from one already set.
 
@@ -197,13 +207,14 @@ class Kernel:
         so a table fills only the codes the labels reach, and the first
         queued constraint left dead is the one reported.
         """
-        code, label, sites = self.code, self.label, self.sites
+        code, label, sites, index = self.code, self.label, self.sites, self.index
         touched: List[int] = []
-        for g, l in given.items():
-            if label[g] >= 0:
-                if label[g] != l:
-                    return None, g
+        for name, l in given:
+            g = index[name]
+            if l == UNSET or label[g] == l:
                 continue
+            if label[g] >= 0:
+                return None, g
             label[g] = l
             self.trail.append(g)
             it = iter(sites[g])
@@ -279,20 +290,21 @@ class Kernel:
 
     def _search(self, pos: int, found: list, stop_at: Optional[int]) -> None:
         self.nodes += 1
-        label = self.label
-        while pos < len(label) and label[pos] >= 0:
+        label, order = self.label, self.order
+        while pos < len(order) and label[order[pos]] >= 0:
             pos += 1
-        if pos == len(label):
+        if pos == len(order):
             found.append(tuple(label))
             return
-        allowed = self.allowed(pos)
+        g = order[pos]
+        allowed = self.allowed(g)
         code, masks, trail, mark = self.code, self.masks, self.trail, len(self.trail)
         saved = label[:], code[:], masks[:]
         for l in (0, 1, 2):
             if stop_at is not None and len(found) >= stop_at:
                 return
             if allowed >> l & 1:
-                ok = self.assign(pos, l)
+                ok = self.assign(g, l)
                 self.forced += len(trail) - mark - 1
                 if ok:
                     self._search(pos + 1, found, stop_at)

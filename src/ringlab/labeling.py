@@ -71,29 +71,25 @@ def derive_edge_labels(window: Iterable[Face]) -> Dict[Edge, int]:
     faces = sorted(set(window))
     if ANCHOR_FACE not in faces:
         raise ValueError("window must contain the initial up triangle")
-    index: Dict[Edge, int] = {}
-    for f in faces:
-        for e in face_edges(f):
-            index.setdefault(e, len(index))
     vertices = sorted(window_vertices(faces))
-    scopes = [tuple(index.get(e) for e in incident_edges(v)) for v in vertices]
-    given = {index[e]: l for e, l in ANCHOR_LABELS.items()}
-    kernel = Kernel(Plan(len(index), scopes, [_VERTEX_RULE] * len(vertices)), given)
-    label = kernel.label
+    plan = Plan((e for f in faces for e in face_edges(f)),
+                ((incident_edges(v), _VERTEX_RULE) for v in vertices))
+    kernel = Kernel(plan, ANCHOR_LABELS.items())
     if kernel.failure is not None:
         # the anchor labels keep the rule, so the failure is an edge two
         # vertices give different labels: name the lowest label of each
         c, g = kernel.failure
         have, want = ((m & -m).bit_length() - 1 for m in kernel.blame(g)[1:])
-        raise LabelContradiction(list(index)[g], have, want, f"vertex {vertices[c]}")
+        raise LabelContradiction(plan.names[g], have, want, f"vertex {vertices[c]}")
+    out = {e: l for e, l in zip(plan.names, kernel.label) if l >= 0}
     for f in faces:
         edges = face_edges(f)
-        labels = [label[index[e]] for e in edges]
+        labels = [out.get(e, -1) for e in edges]
         for k, l in enumerate(labels):
             if l >= 0 and l in labels[:k]:
                 want = min({0, 1, 2} - set(labels[:k] + labels[k + 1:]))
                 raise LabelContradiction(edges[k], l, want, f"face {f}")
-    return {e: label[g] for e, g in index.items() if label[g] >= 0}
+    return out
 
 
 def square_window(n: int) -> List[Face]:

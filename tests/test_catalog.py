@@ -138,6 +138,18 @@ def test_assemble_rejects_incompatible_shifts():
         assemble(bad)
 
 
+@pytest.mark.parametrize("word, message", [
+    ((), "empty stacking word"),
+    ((("a", 0), ("1", 2)), "rows of different strip heights"),
+    ((("z", 0),), "unknown strip key 'z'"),
+    # the shift keeps the edge labeling, but ('a', 2) may not sit below ('a', 0)
+    ((("a", 0), ("a", 2)), r"row 0 \(a\) over row 1 \(a\) at offset 4"),
+])
+def test_assemble_rejects_malformed_words(word, message):
+    with pytest.raises(ValueError, match=message):
+        assemble(word)
+
+
 def test_assemble_is_a_row_by_row_placement():
     for height in (1, 2):
         variants = {s.key: s for s in strip_variants(height)}
@@ -286,7 +298,7 @@ def test_isomorphic_rejects_different_specials():
 def test_isomorphic_raises_on_incongruent_windows():
     a = special_puzzle(1, 1)
     b = special_puzzle(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(catalog.IncongruentWindows):
         isomorphic(a, b)
 
 
@@ -323,6 +335,23 @@ def test_a_partial_marking_embeds_by_its_marked_faces():
     marks = {f: l for f, l in stack.marks.items() if f.y < 0}
     found = catalog.embeds_in_strips(make_config(marks, window=stack.window), 1)
     assert found == {"kind": "strip-h1", "word": [("d", 3), ("a", 5)]}
+
+
+def test_strip_match_backtracks_past_dead_top_rows():
+    # two faces on two strip rows: the top slot's first two label rows have
+    # no row below them that gives the second face its label, so the
+    # stacking word starts at the slot's third choice
+    config = make_config({down(0, 0): 2, down(3, -1): 0})
+    faces, labels = catalog._marked(config)
+    _, slots = catalog._strip_placements(faces, 1)[0]
+    top, below_it = (choices[bytes(labels[p] for p in positions)]
+                     for positions, choices in slots)
+    assert top[:3] == [("b", 0), ("b", 3), ("d", 3)]
+    below = catalog._below(1)
+    assert not any(c in below[first] for first in top[:2] for c in below_it)
+    assert catalog._match_stack(labels, slots, 1) == (("d", 3), ("b", 2))
+    found = catalog.embeds_in_strips(config, 1)
+    assert found == {"kind": "strip-h1", "word": [("d", 3), ("b", 2)]}
 
 
 @lru_cache(maxsize=None)

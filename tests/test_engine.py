@@ -416,11 +416,10 @@ def test_batched_probes_agree_with_enumeration(configs, mode):
     for order in (range(len(configs)), dead_first):
         assert have_completions([configs[i] for i in order], BALL2, mode) == [
             want[i] for i in order]
-    _, index, _, plan, _ = engine._plan(BALL2, mode)
-    k = kernel.Kernel(plan, {})
+    k = kernel.Kernel(engine._plan(BALL2, mode)[1], ())
     before = (list(k.label), list(k.code), list(k.masks), list(k.trail))
     for i in dead_first:
-        assert k.extends({index[f]: l for f, l in configs[i].marks.items()}) == want[i]
+        assert k.extends(configs[i].marks.items()) == want[i]
         assert (k.label, k.code, k.masks, k.trail) == before
 
 
@@ -459,11 +458,10 @@ def test_a_shared_window_plan_gives_what_a_fresh_one_does(calls, mode):
        st.sampled_from((MODE_ROT, MODE_ROT_REF)))
 def test_search_and_extends_leave_the_kernel_as_they_found_it(configs, mode):
     base, query = configs
-    _, index, _, plan, _ = engine._plan(base.window, mode)
-    k = kernel.Kernel(plan, engine._given(base, index))
+    k = kernel.Kernel(engine._plan(base.window, mode)[1], zip(base.faces, base.labels))
     before = (list(k.label), list(k.code), list(k.masks), list(k.trail))
     for run in (k.search, lambda: k.search(stop_at=1),
-                lambda: k.extends(engine._given(query, index))):
+                lambda: k.extends(zip(query.faces, query.labels))):
         run()
         assert (k.label, k.code, k.masks, k.trail) == before
 
@@ -509,10 +507,25 @@ def test_search_counters_are_frozen():
     f = up(0, 0)
     for l, counts in RADIUS3_SEARCH_COUNTS.items():
         cfg = make_config({f: l}, window=ball(f, 3))
-        _, index, _, plan, _ = engine._plan(cfg.window, engine.DEFAULT_MODE)
-        k = kernel.Kernel(plan, engine._given(cfg, index))
+        plan = engine._plan(cfg.window, engine.DEFAULT_MODE)[1]
+        k = kernel.Kernel(plan, zip(cfg.faces, cfg.labels))
         assert len(k.search()) == 736
         assert (k.nodes, k.forced) == counts
+
+
+def test_a_plan_numbers_its_names_in_the_order_given():
+    differ = kernel.Table(2, lambda w: w[0] != w[1])
+    # "a" repeats, "z" and None are no variables, the search runs c, b, a
+    plan = kernel.Plan("abca", [("ab", differ), ("cz", differ), ((None, "a"), differ)], "cba")
+    assert plan.index == {"a": 0, "b": 1, "c": 2} and plan.names == ("a", "b", "c")
+    assert plan.around == ((0, 1), (2,), (0,)) and plan.order == (2, 1, 0)
+    assert plan.sites == ((0, 0, 2, 1), (0, 1), (1, 0))
+    assert kernel.Plan("ab", []).order == range(2)
+    k = kernel.Kernel(plan, [("a", 0), ("b", kernel.UNSET)])
+    assert k.label == [0, -1, -1]
+    # labels listed by number, found with c varying slowest
+    assert k.search() == [(0, b, c) for c in (0, 1, 2) for b in (1, 2)]
+    assert k.extends([("c", 1), ("a", 0)]) and not k.extends([("a", 1)])
 
 
 def _check_transcript() -> str:

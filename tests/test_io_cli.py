@@ -27,8 +27,8 @@ from ringlab.configio import (
     to_json,
     validate_report,
 )
-from ringlab.distributions import build_D0, hex_window, make_distribution
-from ringlab.engine import make_config
+from ringlab.distributions import T0_SEED, build_D0, hex_window, make_distribution
+from ringlab.engine import enumerate_completions, make_config
 from ringlab.lattice import ball, down, up
 
 BALL3 = sorted(ball(up(0, 0), 3))
@@ -221,6 +221,12 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     rc, _ = run_cli(capsys, "check", str(tmp_path / "missing.txt"))
     assert rc == 2
 
+    for period, error in (("period x", "expected 'period <n>'"),
+                          ("period 6\nperiod 6", "line 4: duplicate period")):
+        ok.write_text(f"{CONFIG_HEADER}\nface 0 0 U 0\n{period}\n")
+        assert cli.main(["check", str(ok)]) == 2
+        assert error in capsys.readouterr().err
+
 
 def test_cli_json_outputs_validate(tmp_path, capsys):
     quad = tmp_path / "quad.txt"
@@ -232,6 +238,14 @@ def test_cli_json_outputs_validate(tmp_path, capsys):
     assert obj["completions"] == 4
     for text in obj["configurations"]:
         parse_config(text)
+    rc, out = run_cli(capsys, "--json", "enumerate", str(quad), "--radius", "2")
+    assert rc == 0
+    obj = json.loads(out)
+    validate_report("enumerate", obj)
+    cfg = parse_config(quad.read_text())
+    want = enumerate_completions(cfg, cfg.window | ball(up(0, 0), 2))
+    assert obj["completions"] == len(want) == 9
+    assert list(map(parse_config, obj["configurations"])) == want
 
 
 def test_cli_deadends_exit_code(tmp_path, capsys):
@@ -253,6 +267,14 @@ def test_cli_strip_and_iso(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["isomorphic"] is True
     rc, out = run_cli(capsys, "--json", "iso", str(a), str(b))
     assert rc == 1 and json.loads(out)["isomorphic"] is False
+    one = tmp_path / "one.txt"
+    one.write_text(f"{CONFIG_HEADER}\nface 0 0 U 0\n")
+    rc, out = run_cli(capsys, "--json", "iso", str(a), str(one))
+    assert rc == 1 and json.loads(out) == {"isometry": None, "isomorphic": False}
+    partial = tmp_path / "partial.txt"
+    partial.write_text(f"{CONFIG_HEADER}\nface 0 0 U -\n")
+    assert cli.main(["--json", "iso", str(partial), str(one)]) == 2
+    assert "total on their windows" in capsys.readouterr().err
 
 
 def test_cli_special_round_trip(tmp_path, capsys):
@@ -270,6 +292,14 @@ def test_cli_dist_pipeline(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["all_odd"] is True
     rc, out = run_cli(capsys, "--json", "dist", "classify", str(f))
     assert rc == 0 and json.loads(out)["family"] == "SpecialD0"
+    seed = tmp_path / "seed.txt"
+    seed.write_text(serialize_distribution(make_distribution(T0_SEED, window=hex_window(2))))
+    rc, out = run_cli(capsys, "--json", "dist", "propagate", str(seed), "--refute")
+    assert rc == 0
+    obj = json.loads(out)
+    validate_report("dist-propagate", obj)
+    assert obj["assigned"] == obj["vertices"] == 19
+    assert obj["distribution"] == f.read_text()
 
 
 def test_cli_classifies_a_d0_beyond_radius_nine(tmp_path, capsys):
@@ -307,6 +337,9 @@ def test_cli_render_writes_svg(tmp_path, capsys):
     rc, _ = run_cli(capsys, "render", str(src), "-o", str(out_path))
     assert rc == 0
     assert out_path.read_text().startswith("<svg ")
+    src.write_text("ringlab-other v1\nface 0 0 U 2\n")
+    assert cli.main(["render", str(src)]) == 2
+    assert "unrecognized header 'ringlab-other v1'" in capsys.readouterr().err
 
 
 def test_cli_render_writes_svg_under_json(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Canonical edge labeling: closed form, derivation, symmetries."""
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from ringlab.labeling import (
     vertex_s,
 )
 from ringlab.lattice import (
+    A0,
     AXES,
     Edge,
     Isometry,
@@ -111,6 +113,20 @@ def test_a_face_breaking_the_face_rule_is_named(monkeypatch):
     monkeypatch.setattr(labeling, "Kernel", Mislabelling)
     with pytest.raises(LabelContradiction, match=r"0 vs 2 \(face Up\(0,0\)\)"):
         derive_edge_labels([up(0, 0)])
+
+
+def test_a_mislabelled_given_edge_names_an_edge_and_its_vertex(monkeypatch):
+    # Edge(3,0,A0) carries 0; given 1, the vertex rule meets the anchor's
+    # consequences at an edge two vertices label differently
+    monkeypatch.setattr(labeling, "ANCHOR_LABELS", {**ANCHOR_LABELS, Edge(3, 0, A0): 1})
+    with pytest.raises(LabelContradiction) as info:
+        derive_edge_labels(square_window(5))
+    match = re.fullmatch(r"edge .*: (\d) vs (\d) \(vertex \((-?\d+), (-?\d+)\)\)",
+                         str(info.value))
+    assert match, str(info.value)
+    have, want, x, y = map(int, match.groups())
+    assert have != want
+    assert info.value.edge in incident_edges((x, y))
 
 
 BALL3 = frozenset(ball(up(0, 0), 3))
