@@ -175,12 +175,13 @@ def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
 @lru_cache(maxsize=16)
 def _plan(window: frozenset, mode: str) -> Tuple[Tuple[Vertex, ...], Plan]:
     """The window's vertices sorted, and its kernel plan: the faces in
-    sorted order are the variables, searched in `_search_order`, and each
-    vertex's link is one ring constraint."""
-    faces = window_order(window)[0]
+    sorted order are the variables, numbered by the window's own position
+    map and searched in `_search_order`, and each vertex's link is one ring
+    constraint."""
+    faces, index = window_order(window)
     vertices = tuple(sorted(window_vertices(faces)))
     links = ((link_faces(v), _ring_table(mode, vertex_s(v))) for v in vertices)
-    return vertices, Plan(faces, links, _search_order(window))
+    return vertices, Plan(index, links, _search_order(window))
 
 
 def propagate(config: Configuration, mode: str = DEFAULT_MODE) -> Configuration:

@@ -19,14 +19,17 @@ may share one (`engine` keeps one per window).  A kernel holds state:
 - each constraint keeps its labels as a base-4 code (position k in bits 2k
   and 2k+1, `UNSET` = 3 for a free position), updated in place, and the
   code's per-position label bitmasks, read from its table;
-- a table fills a code on first use by testing the code's at most
-  3^arity completions against an accept predicate; None marks a dead code,
-  one no completion of which is accepted.  Clients outside a kernel may
-  read a table by word (see `Table`); the kernel reads codes only;
+- a table fills a code on first use by ORing the labels of its accepted
+  words (listed on its first fill) whose digits match the code's set ones,
+  tested with bit masks; None marks a dead code, one no accepted word
+  matches.  Clients outside a kernel may read a table by word (see
+  `Table`); the kernel reads codes only;
 - propagation is a worklist (AC-3 style, after Mackworth 1977): after an
   assignment only the free variables of the constraints whose code changed
-  are re-examined, and a variable is forced when exactly one label is
-  allowed at all of its sites;
+  are re-examined, read off the code's UNSET positions (one list per
+  arity), and a variable is forced when exactly one label is allowed at
+  all of its sites, which a variable at three (every engine face) reads
+  and updates unrolled;
 - a search node copies the labels, codes and masks once and restores them
   by copy after each branch, whose propagation makes many assignments; a
   trial probe or a query's assumptions make few, so they go on a trail and
@@ -48,11 +51,26 @@ which contradiction is reported first may differ.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 UNSET = 3
-_FORCED = {1: 0, 2: 1, 4: 2}  # single-label bitmask -> label
+# label bitmask -> its one label, -1 for none, UNSET for two or more
+_FORCED = (-1, 0, 1, UNSET, 2, UNSET, UNSET, UNSET)
+# what labelling position k with l takes off a code, by l and k (k < 16)
+_STEPS = tuple(tuple((UNSET - l) << 2 * k for k in range(16)) for l in (0, 1, 2))
+
+
+@lru_cache(maxsize=None)
+def _free_positions(arity: int) -> Tuple[Tuple[int, ...], ...]:
+    """Per code of the arity, its UNSET positions in order; equal position
+    sets share one tuple, so an arity holds at most 2^arity of them."""
+    free: Tuple[Tuple[int, ...], ...] = ((),)
+    for k in range(arity):  # position k's digit is the slowest: 0, 1, 2, then UNSET
+        top = {p: p + (k,) for p in set(free)}
+        free = free * 3 + tuple(map(top.__getitem__, free))
+    return free
 
 
 class Table(dict):
@@ -68,6 +86,8 @@ class Table(dict):
         super().__init__()
         self.arity = arity
         self.accept = accept
+        # the accepted words as (code, labels one-hot in 3 bits a position)
+        self.words: Optional[List[Tuple[int, int]]] = None
 
     def __missing__(self, code) -> Optional[Tuple[int, ...]]:
         if isinstance(code, tuple):  # a word: read its code's entry
@@ -76,49 +96,59 @@ class Table(dict):
                 code = code << 2 | (UNSET if l is None else l)
             value = self[word] = self[code]
             return value
-        choices = []
-        for k in range(self.arity):
-            d = (code >> 2 * k) & 3
-            choices.append((0, 1, 2) if d == UNSET else (d,))
-        masks = [0] * self.arity
-        for word in filter(self.accept, product(*choices)):
-            for k, l in enumerate(word):
-                masks[k] |= 1 << l
-        value = tuple(masks) if masks[0] else None
+        if self.words is None:
+            self.words = [(sum(l << 2 * k for k, l in enumerate(w)),
+                           sum(1 << 3 * k + l for k, l in enumerate(w)))
+                          for w in filter(self.accept, product((0, 1, 2), repeat=self.arity))]
+        full = 4**self.arity - 1
+        # a word matches the code's set digits; free digits (UNSET: 11) are masked out
+        fixed = full ^ (code & code >> 1 & full // 3) * 3
+        bits = 0
+        for w, one_hot in self.words:
+            if not (w ^ code) & fixed:
+                bits |= one_hot
+        value = tuple(bits >> 3 * k & 7 for k in range(self.arity)) if bits else None
         self[code] = value
         return value
 
 
 class Plan:
-    """One problem over named variables, numbered in the order given; a
+    """One problem over named variables, numbered in the order given (a
+    dict numbering 0, 1, ... in its order is kept as the numbering); a
     repeated name keeps its first number.  Each constraint is a pair: its
-    names by position, and its `Table`; a name that is None or no variable
-    leaves its position free.  `order` is the search order by name, by
-    default the numbering.  `index` and `names` map names to numbers and
-    back; per variable, `sites` holds its (constraint, position) pairs flat
-    in one tuple, so a large window costs no object per site; `around`
-    lists each constraint's variables, and `unset` its code with every
-    position free."""
+    names by position, each at most once, and its `Table`; a name that is
+    None or no variable leaves its position free.  `order` is the search
+    order by name, by default the numbering.  `index` and `names` map names
+    to numbers and back; per variable, `sites` holds its (constraint,
+    position) pairs flat in one tuple, so a large window costs no object per
+    site; `around` lists each constraint's variables by position, None for
+    none; `free` its UNSET positions by code, and `unset` its code with
+    every position free."""
 
-    __slots__ = ("index", "names", "order", "sites", "around", "tables", "unset")
+    __slots__ = ("index", "names", "order", "sites", "around", "tables", "free", "unset")
 
     def __init__(self, variables: Iterable[Hashable],
                  constraints: Iterable[Tuple[Sequence[Optional[Hashable]], Table]],
                  order: Optional[Iterable[Hashable]] = None):
         self.names = names = tuple(dict.fromkeys(variables))
-        self.index = index = {name: g for g, name in enumerate(names)}
+        self.index = index = variables if isinstance(variables, dict) else {
+            name: g for g, name in enumerate(names)}
         sites: List[Tuple[int, ...]] = [()] * len(names)
-        around, tables = [], []
+        around, tables, last = [], [], [-1] * len(names)
         for c, (scope_names, table) in enumerate(constraints):
             scope = tuple(map(index.get, scope_names))
             for k, g in enumerate(scope):
                 if g is not None:
+                    if last[g] == c:  # a pop visits each free position once
+                        raise ValueError(f"{names[g]!r} twice in constraint {c}")
+                    last[g] = c
                     sites[g] += (c, k)
-            around.append(scope if None not in scope else tuple(g for g in scope if g is not None))
+            around.append(scope)
             tables.append(table)
         # the default order is a range: a tuple would hold one int per variable
         self.order = range(len(names)) if order is None else tuple(map(index.__getitem__, order))
         self.sites, self.around, self.tables = tuple(sites), tuple(around), tuple(tables)
+        self.free = tuple(_free_positions(t.arity) for t in tables)
         self.unset = tuple(4**t.arity - 1 for t in tables)
 
 
@@ -134,7 +164,8 @@ class Kernel:
 
     def __init__(self, plan: Plan, given: Iterable[Tuple[Hashable, int]]):
         self.index, self.order = plan.index, plan.order
-        self.sites, self.around, self.tables = plan.sites, plan.around, plan.tables
+        self.sites, self.around, self.tables, self.free = (
+            plan.sites, plan.around, plan.tables, plan.free)
         self.code = list(plan.unset)
         self.masks: List[Optional[Tuple[int, ...]]] = [None] * len(plan.tables)
         self.label = [-1] * len(plan.sites)
@@ -251,22 +282,43 @@ class Kernel:
     def _fixpoint(self, queue: List[int]) -> Optional[int]:
         """Force variables around the queued constraints until nothing moves.
 
-        Returns a variable left with no allowed label, or None.
+        A pop visits the free positions its constraint's code has at the pop:
+        only the visited variable is labelled during the pop, and a variable
+        at three sites is assigned inline, as `_assign` would.  Returns a
+        variable left with no allowed label, or None.
         """
-        label, masks, sites, around = self.label, self.masks, self.sites, self.around
+        label, code, masks, tables = self.label, self.code, self.masks, self.tables
+        sites, around, free, trail = self.sites, self.around, self.free, self.trail
         while queue:
-            for g in around[queue.pop()]:
-                if label[g] >= 0:
+            c = queue.pop()
+            scope = around[c]
+            for k in free[c][code[c]]:
+                g = scope[k]
+                if g is None:
                     continue
-                allowed = 7
-                it = iter(sites[g])
-                for c in it:
-                    allowed &= masks[c][next(it)]
-                if allowed not in _FORCED:
-                    if allowed:
-                        continue
+                s = sites[g]
+                if len(s) == 6:
+                    c0, k0, c1, k1, c2, k2 = s
+                    l = _FORCED[masks[c0][k0] & masks[c1][k1] & masks[c2][k2]]
+                else:
+                    l = _FORCED[self.allowed(g)]
+                if l == UNSET:
+                    continue
+                if l < 0:
                     return g
-                self._assign(g, _FORCED[allowed], queue)
+                if len(s) != 6:
+                    self._assign(g, l, queue)
+                    continue
+                label[g] = l
+                trail.append(g)
+                step = _STEPS[l]
+                x = code[c0] = code[c0] - step[k0]
+                masks[c0] = tables[c0][x]
+                x = code[c1] = code[c1] - step[k1]
+                masks[c1] = tables[c1][x]
+                x = code[c2] = code[c2] - step[k2]
+                masks[c2] = tables[c2][x]
+                queue += c0, c1, c2
         return None
 
     def _undo(self, mark: int) -> None:

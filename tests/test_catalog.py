@@ -400,6 +400,19 @@ def test_classification_one_ring_further_out():
     }
 
 
+def test_a_seed_of_0_on_up00_loses_no_generality():
+    """Every valid marking of the radius-1 ball marks some face 0, and the
+    label-preserving point-group moves carry Up(0,0) into all six face
+    classes (orientation, (x - y) mod 3), within which label-preserving
+    translations are transitive: every valid marking moves to one with
+    Up(0,0) = 0."""
+    markings = enumerate_completions(make_config({}, window=ball(up(0, 0), 1)))
+    assert len(markings) == 84
+    assert all(0 in m.labels for m in markings)
+    classes = {(f.up, (f.x - f.y) % 3) for f in (g.apply_face(up(0, 0)) for g in LABEL_POINT_GROUP)}
+    assert len(classes) == 6
+
+
 @pytest.mark.parametrize("r, probe", [(2, 4), (3, 5)])
 def test_certified_survival_matches_the_full_probe(r, probe):
     # the full probe of every completion is the oracle for certify-then-probe

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab import distributions, engine, kernel
+from ringlab import distributions, engine, kernel, labeling
 from ringlab.catalog import assemble, compatible_words, special_puzzle
 from ringlab.configio import data_text, parse_config, serialize_config
 from ringlab.distributions import (
@@ -295,6 +295,28 @@ def test_parity_tables_read_words_as_accept():
             assert bool(table[axes]) == table.accept(axes), (u, axes)
 
 
+def _entry_by_definition(table, code):
+    """A code's table entry as defined: the product of per-position choices
+    (the set label, or all three where free) filtered by `accept`, with the
+    labels of each position ORed into its mask; None when none is accepted."""
+    digits = [code >> 2 * k & 3 for k in range(table.arity)]
+    choices = [(0, 1, 2) if d == kernel.UNSET else (d,) for d in digits]
+    masks = [0] * table.arity
+    for word in filter(table.accept, itertools.product(*choices)):
+        for k, l in enumerate(word):
+            masks[k] |= 1 << l
+    return tuple(masks) if masks[0] else None
+
+
+@pytest.mark.parametrize("table", [labeling._VERTEX_RULE, *distributions._PARITY_TABLES.values()],
+                         ids=["vertex-rule", "parity-up", "parity-down"])
+def test_table_fills_match_the_definition(table):
+    # a fresh table, so every code is filled by the word scan
+    fresh = kernel.Table(table.arity, table.accept)
+    for code in range(4**table.arity):
+        assert fresh[code] == _entry_by_definition(fresh, code), code
+
+
 BALL2 = frozenset(ball(up(0, 0), 2))
 
 
@@ -513,13 +535,101 @@ def test_search_counters_are_frozen():
         assert (k.nodes, k.forced) == counts
 
 
+class _GenericKernel(kernel.Kernel):
+    """The kernel with the generic propagation of earlier versions, as the
+    reference for the order of its steps: a pop visits every variable of its
+    constraint, skipping labelled ones, and each visit and assignment walks
+    the variable's sites."""
+
+    def _assign(self, g, l, queue):
+        code, masks, tables = self.code, self.masks, self.tables
+        self.label[g] = l
+        self.trail.append(g)
+        it = iter(self.sites[g])
+        for c in it:
+            x = code[c] = code[c] - ((kernel.UNSET - l) << 2 * next(it))
+            masks[c] = tables[c][x]
+            queue.append(c)
+
+    def _fixpoint(self, queue):
+        label, masks, sites, around = self.label, self.masks, self.sites, self.around
+        forced = {1: 0, 2: 1, 4: 2}
+        while queue:
+            for g in around[queue.pop()]:
+                if g is None or label[g] >= 0:
+                    continue
+                allowed = 7
+                it = iter(sites[g])
+                for c in it:
+                    allowed &= masks[c][next(it)]
+                if allowed not in forced:
+                    if allowed:
+                        continue
+                    return g
+                self._assign(g, forced[allowed], queue)
+        return None
+
+
+def _assert_same_steps(plan, given):
+    """The kernel assigns what the generic reference does, in its order, and
+    fails where it does; then both search alike."""
+    given = list(given)
+    fast, ref = kernel.Kernel(plan, given), _GenericKernel(plan, given)
+    first = next((i for i, (a, b) in enumerate(zip(fast.trail, ref.trail)) if a != b),
+                 min(len(fast.trail), len(ref.trail)))
+    assert fast.trail == ref.trail, f"step {first}: {fast.trail[first:first + 1]} " \
+                                    f"against {ref.trail[first:first + 1]}"
+    assert (fast.failure, fast.code, fast.masks, fast.forced) == (
+        ref.failure, ref.code, ref.masks, ref.forced)
+    assert fast.search(stop_at=3) == ref.search(stop_at=3)
+    assert (fast.nodes, fast.forced) == (ref.nodes, ref.forced)
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_markings(sorted(BALL2)), st.sampled_from((MODE_ROT, MODE_ROT_REF)))
+def test_face_propagation_steps_as_the_generic_loop_does(cfg, mode):
+    # every face of a ball is a variable at three sites: the unrolled case
+    plan = engine._plan(cfg.window, mode)[1]
+    assert {len(s) for s in plan.sites} == {6}
+    _assert_same_steps(plan, zip(cfg.faces, cfg.labels))
+
+
+@st.composite
+def hex_axes(draw):
+    """A radius-2 or 3 hex window, and some axes: D0's with some blanked and
+    a few changed, or at random."""
+    window = hex_window(draw(st.integers(2, 3)))
+    vertices = sorted(window)
+    axes = {}
+    if draw(st.booleans()):
+        axes = dict(distributions.build_D0(window).axis)
+        for v in draw(st.sets(st.sampled_from(vertices))):
+            del axes[v]
+    axes.update(draw(st.dictionaries(st.sampled_from(vertices), st.sampled_from(AXES),
+                                     max_size=3 if axes else len(vertices))))
+    return window, axes
+
+
+@settings(max_examples=60, deadline=None)
+@given(hex_axes())
+def test_axis_propagation_steps_as_the_generic_loop_does(window_axes):
+    # vertices at the window's edge have fewer faces than inner ones
+    window, axes = window_axes
+    plan = distributions._parity_plan(window)[2]
+    assert len({len(s) for s in plan.sites}) > 1
+    _assert_same_steps(plan, axes.items())
+
+
 def test_a_plan_numbers_its_names_in_the_order_given():
     differ = kernel.Table(2, lambda w: w[0] != w[1])
     # "a" repeats, "z" and None are no variables, the search runs c, b, a
     plan = kernel.Plan("abca", [("ab", differ), ("cz", differ), ((None, "a"), differ)], "cba")
     assert plan.index == {"a": 0, "b": 1, "c": 2} and plan.names == ("a", "b", "c")
-    assert plan.around == ((0, 1), (2,), (0,)) and plan.order == (2, 1, 0)
+    assert plan.around == ((0, 1), (2, None), (None, 0)) and plan.order == (2, 1, 0)
     assert plan.sites == ((0, 0, 2, 1), (0, 1), (1, 0))
+    assert plan.free[0][plan.unset[0]] == (0, 1)
+    with pytest.raises(ValueError):
+        kernel.Plan("ab", [("aba", kernel.Table(3, any))])
     assert kernel.Plan("ab", []).order == range(2)
     k = kernel.Kernel(plan, [("a", 0), ("b", kernel.UNSET)])
     assert k.label == [0, -1, -1]
