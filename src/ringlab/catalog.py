@@ -14,13 +14,16 @@ rows may stack from one transfer graph built from the interface table
 (`_below`); a strip's mirror reading is its row read through its height's
 label-preserving glide (`_GLIDES`); windows move by `Isometry.apply_faces`.
 
-The embedding tests read a window's images under the label-preserving
-point group, and their placements in the strip slots, from small caches
-that every marking of the window shares; the twelve special patches of one
-radius share one window, one entry in each such cache, and are read by
-position.  Isomorphism reads a small cache keyed by the pair of windows:
-the point-group moves that make them congruent, and the face permutation
-of each, so a call only compares labels.
+The embedding tests read small caches that every marking of a window
+shares: its images under the label-preserving point group (`_images`),
+their strip slots (`_strip_placements`), read top down one gather a slot
+until the first slot no row choice gives, one itemgetter per image for the
+special-puzzle key (`_special_keys`), and the certificate agreement's
+gather (`_gather`).  The twelve special patches of one radius share one
+window, one entry in each such cache, and are read by position.
+Isomorphism reads a small cache keyed by the pair of windows: the
+point-group moves that make them congruent, and the face permutation of
+each, so a call only compares labels.
 
 One query finds catalog occurrences (`_catalog_match`): the first one in a
 height-1 strip stack, then a height-2 one, then a special puzzle.  It keeps
@@ -437,13 +440,17 @@ def _marked(config: Configuration) -> Tuple[frozenset, bytes]:
 
 
 def _match_stack(
-    labels: Sequence[int], slots: Sequence[_Slot], height: int
+    labels: bytes, slots: Sequence[_Slot], height: int
 ) -> Optional[StackingWord]:
-    """A compatible stacking word whose strip rows give the labels."""
-    options = [choices.get(bytes([labels[p] for p in positions]), ())
-               for positions, choices in slots]
-    if not all(options):
-        return None
+    """A compatible stacking word whose strip rows give the labels.  The
+    slots are read top down, each key one gather of the labels at its
+    positions, and the first slot that no row choice gives ends the match."""
+    options = []
+    for positions, choices in slots:
+        found = choices.get(bytes(map(labels.__getitem__, positions)))
+        if found is None:
+            return None
+        options.append(found)
     below = _below(height)
     word: List[RowChoice] = []
 
@@ -515,21 +522,27 @@ def _special_index() -> Dict[tuple, Tuple[Tuple[int, Face], ...]]:
     return {sig: tuple(entries) for sig, entries in out.items()}
 
 
+@lru_cache(maxsize=8)
+def _special_keys(faces: frozenset, center: Face) -> Tuple[tuple, ...]:
+    """Per image of the faces (`_images`): the element, the image, the
+    center's image, and an itemgetter reading the `_special_index` key, the
+    labels of the center's radius-1 ball in the sorted order of their images."""
+    where = window_order(faces)[1]
+    ring1 = [where.get(f) for f in ball(center, 1)]
+    if None in ring1:
+        raise ValueError("config must cover the radius-1 ball of the center")
+    return tuple((g, image, g.apply_face(center), itemgetter(*sorted(ring1, key=image.__getitem__)))
+                 for g, image in _images(faces))
+
+
 def _special_match(config: Configuration, center: Face) -> Optional[_Match]:
     """The first occurrence of config in a special puzzle's patch, by
     label-preserving point-group element, then puzzle index, then the patch
     face h the center lands on.  The patches are read by position."""
     faces, labels = _marked(config)
-    where = window_order(faces)[1]
-    ring1 = [where.get(f) for f in ball(center, 1)]
-    if None in ring1:
-        raise ValueError("config must cover the radius-1 ball of the center")
     patch_at = window_order(ball(up(0, 0), _SPECIAL_PATCH_RADIUS))[1]
-    for g, image in _images(faces):
-        c_img = g.apply_face(center)
-        # the ball's labels in the sorted order of its image
-        key = tuple(labels[k] for _, k in sorted((image[k], k) for k in ring1))
-        for index, h in _special_index().get(key, ()):
+    for g, image, c_img, key in _special_keys(faces, center):
+        for index, h in _special_index().get(key(labels), ()):
             tx, ty = h.x - c_img.x, h.y - c_img.y
             if h.up != c_img.up or (tx - ty) % 3:
                 continue
@@ -623,6 +636,15 @@ def _patch_marks(window: frozenset, g: Isometry, patch: Configuration) -> Option
     return None if None in at else bytes(map(patch.labels.__getitem__, at))
 
 
+@lru_cache(maxsize=8)
+def _gather(window: frozenset, faces: frozenset) -> itemgetter:
+    """An itemgetter reading, off label bytes in the window's sorted face
+    order, the labels of the faces (all in the window) in their sorted order,
+    then one spare label, so it returns a tuple even for a single face."""
+    at = window_order(window)[1]
+    return itemgetter(*map(at.__getitem__, window_order(faces)[0]), 0)
+
+
 def survivor_certificate(
     config: Configuration, window: frozenset
 ) -> Tuple[Optional[dict], Optional[Configuration]]:
@@ -648,9 +670,7 @@ def survivor_certificate(
     if labels is None:
         return evidence, None
     certificate = Configuration(window, labels, config.period)
-    where = window_order(window)[1]
-    if check(certificate).status != VALID or any(
-        labels[where[f]] != l for f, l in zip(config.faces, config.labels) if l != UNSET
-    ):
+    faces, marked = _marked(config)
+    if check(certificate).status != VALID or bytes(_gather(window, faces)(labels))[:-1] != marked:
         raise RuntimeError(f"catalog occurrence {evidence} pulls back to no completion")
     return evidence, certificate

@@ -26,10 +26,10 @@ may share one (`engine` keeps one per window).  A kernel holds state:
   `Table`); the kernel reads codes only;
 - propagation is a worklist (AC-3 style, after Mackworth 1977): after an
   assignment only the free variables of the constraints whose code changed
-  are re-examined, read off the code's UNSET positions (one list per
-  arity), and a variable is forced when exactly one label is allowed at
-  all of its sites, which a variable at three (every engine face) reads
-  and updates unrolled;
+  are re-examined, read off the code's UNSET positions that have a
+  variable (one list per arity), and a variable is forced when exactly one
+  label is allowed at all of its sites, which a variable at three (every
+  engine face) reads and updates unrolled;
 - a search node copies the labels, codes and masks once and restores them
   by copy after each branch, whose propagation makes many assignments; a
   trial probe or a query's assumptions make few, so they go on a trail and
@@ -86,6 +86,7 @@ class Table(dict):
         super().__init__()
         self.arity = arity
         self.accept = accept
+        self.unset = 4**arity - 1  # the code with every position free
         # the accepted words as (code, labels one-hot in 3 bits a position)
         self.words: Optional[List[Tuple[int, int]]] = None
 
@@ -100,7 +101,7 @@ class Table(dict):
             self.words = [(sum(l << 2 * k for k, l in enumerate(w)),
                            sum(1 << 3 * k + l for k, l in enumerate(w)))
                           for w in filter(self.accept, product((0, 1, 2), repeat=self.arity))]
-        full = 4**self.arity - 1
+        full = self.unset
         # a word matches the code's set digits; free digits (UNSET: 11) are masked out
         fixed = full ^ (code & code >> 1 & full // 3) * 3
         bits = 0
@@ -122,10 +123,10 @@ class Plan:
     to numbers and back; per variable, `sites` holds its (constraint,
     position) pairs flat in one tuple, so a large window costs no object per
     site; `around` lists each constraint's variables by position, None for
-    none; `free` its UNSET positions by code, and `unset` its code with
-    every position free."""
+    none; `free` its UNSET positions by code, and `held` the code mask
+    (digits 3) of its positions that have a variable."""
 
-    __slots__ = ("index", "names", "order", "sites", "around", "tables", "free", "unset")
+    __slots__ = ("index", "names", "order", "sites", "around", "tables", "free", "held")
 
     def __init__(self, variables: Iterable[Hashable],
                  constraints: Iterable[Tuple[Sequence[Optional[Hashable]], Table]],
@@ -134,22 +135,26 @@ class Plan:
         self.index = index = variables if isinstance(variables, dict) else {
             name: g for g, name in enumerate(names)}
         sites: List[Tuple[int, ...]] = [()] * len(names)
-        around, tables, last = [], [], [-1] * len(names)
+        around, tables, held, last = [], [], [], [-1] * len(names)
         for c, (scope_names, table) in enumerate(constraints):
             scope = tuple(map(index.get, scope_names))
+            mask = table.unset  # shared, unless a position has no variable
             for k, g in enumerate(scope):
-                if g is not None:
-                    if last[g] == c:  # a pop visits each free position once
-                        raise ValueError(f"{names[g]!r} twice in constraint {c}")
-                    last[g] = c
-                    sites[g] += (c, k)
+                if g is None:
+                    mask -= UNSET << 2 * k
+                    continue
+                if last[g] == c:  # a pop visits each free position once
+                    raise ValueError(f"{names[g]!r} twice in constraint {c}")
+                last[g] = c
+                sites[g] += (c, k)
             around.append(scope)
             tables.append(table)
+            held.append(mask)
         # the default order is a range: a tuple would hold one int per variable
         self.order = range(len(names)) if order is None else tuple(map(index.__getitem__, order))
         self.sites, self.around, self.tables = tuple(sites), tuple(around), tuple(tables)
         self.free = tuple(_free_positions(t.arity) for t in tables)
-        self.unset = tuple(4**t.arity - 1 for t in tables)
+        self.held = tuple(held)
 
 
 class Kernel:
@@ -164,9 +169,9 @@ class Kernel:
 
     def __init__(self, plan: Plan, given: Iterable[Tuple[Hashable, int]]):
         self.index, self.order = plan.index, plan.order
-        self.sites, self.around, self.tables, self.free = (
-            plan.sites, plan.around, plan.tables, plan.free)
-        self.code = list(plan.unset)
+        self.sites, self.around, self.tables, self.free, self.held = (
+            plan.sites, plan.around, plan.tables, plan.free, plan.held)
+        self.code = [t.unset for t in plan.tables]
         self.masks: List[Optional[Tuple[int, ...]]] = [None] * len(plan.tables)
         self.label = [-1] * len(plan.sites)
         self.trail: List[int] = []
@@ -282,20 +287,19 @@ class Kernel:
     def _fixpoint(self, queue: List[int]) -> Optional[int]:
         """Force variables around the queued constraints until nothing moves.
 
-        A pop visits the free positions its constraint's code has at the pop:
-        only the visited variable is labelled during the pop, and a variable
-        at three sites is assigned inline, as `_assign` would.  Returns a
-        variable left with no allowed label, or None.
+        A pop visits the free positions that have a variable (`Plan.held`)
+        in its constraint's code at the pop: only the visited variable is
+        labelled during the pop, and a variable at three sites is assigned
+        inline, as `_assign` would.  Returns a variable left with no allowed
+        label, or None.
         """
         label, code, masks, tables = self.label, self.code, self.masks, self.tables
-        sites, around, free, trail = self.sites, self.around, self.free, self.trail
+        sites, around, free, held, trail = self.sites, self.around, self.free, self.held, self.trail
         while queue:
             c = queue.pop()
             scope = around[c]
-            for k in free[c][code[c]]:
+            for k in free[c][code[c] & held[c]]:
                 g = scope[k]
-                if g is None:
-                    continue
                 s = sites[g]
                 if len(s) == 6:
                     c0, k0, c1, k1, c2, k2 = s

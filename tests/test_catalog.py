@@ -40,6 +40,7 @@ from ringlab.engine import (
     have_completions,
     make_config,
     propagate,
+    window_order,
 )
 from ringlab.lattice import (
     A1, A2, LABEL_POINT_GROUP, POINT_GROUP, Face, Isometry, ball, down, up)
@@ -388,6 +389,28 @@ def test_radius3_embedding_evidence_is_byte_stable():
     assert (len(evidence), evidence.count(None)) == (736, 84)
     digest = hashlib.sha256(json.dumps(evidence).encode()).hexdigest()
     assert digest == RADIUS3_EVIDENCE_SHA256
+
+
+# SHA-256 of the JSON list, per completion in completion order, of its
+# survivor certificate on the probe ball: the evidence, and the
+# certificate's label bytes in hex or None, as the per-face readers of
+# earlier versions gave them.
+CERTIFICATE_SHA256 = {
+    (2, 4): "4e0d3964faa7798d37dca5273007c1165ecb690626b0490d0ccb30be6d8b1233",
+    (3, 5): "c7451bfa2f6dcfe9065d16e486dd1e40f35e78cc7bafab4782c6cb62cf3b0386",
+}
+
+
+@pytest.mark.parametrize("r, probe, certified", [(2, 4, 184), (3, 5, 604)])
+def test_survivor_certificates_are_byte_stable(r, probe, certified):
+    window = ball(up(0, 0), probe)
+    rows = []
+    for c in _completions(r):
+        found, certificate = survivor_certificate(c, window)
+        rows.append([found, None if certificate is None else certificate.labels.hex()])
+    assert sum(labels is not None for _, labels in rows) == certified
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == CERTIFICATE_SHA256[r, probe]
 
 
 def test_classification_one_ring_further_out():
@@ -766,3 +789,77 @@ def test_special_patches_share_one_window_and_are_read_by_position():
     found = [survivor_certificate(c, ball(up(0, 0), 4)) for c in _completions(2)]
     assert any(e and e["kind"] == "special" and cert for e, cert in found)
     assert all(special_puzzle(i, radius)._marks is None for i in range(1, 13))
+
+
+def _first_word(options, below):
+    """The first stacking word, depth first in the order of the per-row
+    options, whose rows the transfer graph lets stack."""
+    word = []
+
+    def rec(r):
+        if r == len(options):
+            return True
+        for choice in options[r]:
+            if not word or choice in below[word[-1]]:
+                word.append(choice)
+                if rec(r + 1):
+                    return True
+                word.pop()
+        return False
+
+    return tuple(word) if rec(0) else None
+
+
+def _per_face_strip_match(config, height):
+    """Reference for `catalog._strip_match`, reading every slot's key face
+    by face before testing any: the evidence and the pull-back, or None."""
+    faces, labels = catalog._marked(config)
+    for g, slots in catalog._strip_placements(faces, height):
+        options = [choices.get(bytes([labels[p] for p in positions]), ())
+                   for positions, choices in slots]
+        word = _first_word(options, catalog._below(height)) if all(options) else None
+        if word is not None and catalog._stack_marks(faces, g, height, word) == labels:
+            pull_back = partial(catalog._stack_marks, g=g, height=height, word=word)
+            return {"kind": f"strip-h{height}", "word": list(word)}, pull_back
+    return None
+
+
+@st.composite
+def partial_completions(draw):
+    """A radius-2 or radius-3 completion with some marks outside the
+    radius-1 ball of Up(0,0) dropped (or none), on the same window."""
+    r = draw(st.sampled_from((2, 3)))
+    c = draw(st.sampled_from(_completions(r)))
+    rng = draw(st.randoms(use_true_random=False))
+    keep = draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+    core = ball(up(0, 0), 1)
+    marks = {f: l for f, l in c.marks.items() if f in core or rng.random() < keep}
+    return r, make_config(marks, window=c.window)
+
+
+@settings(max_examples=40, deadline=None)
+@given(partial_completions())
+def test_partial_markings_embed_as_the_per_face_readers_do(drawn):
+    r, config = drawn
+    strips = [_per_face_strip_match(config, h) for h in (1, 2)]
+    assert [catalog.embeds_in_strips(config, h) for h in (1, 2)] == [s and s[0] for s in strips]
+    special = _first_special_occurrence(config, up(0, 0))
+    if special is not None:
+        index, g = special
+        pull_back = partial(catalog._patch_marks, g=g,
+                            patch=special_puzzle(index, catalog._SPECIAL_PATCH_RADIUS))
+        special = {"kind": "special", "index": index}, pull_back
+    assert catalog.embeds_in_special(config) == (special and special[0])
+    # the certificate: the first occurrence pulled back, agreeing face by face
+    window = ball(up(0, 0), r + 2)
+    found, certificate = survivor_certificate(config, window)
+    evidence, pull_back = strips[0] or strips[1] or special or (None, None)
+    labels = pull_back and pull_back(window)
+    assert (found, certificate and certificate.labels) == (evidence, labels)
+    where = window_order(window)[1]
+    if labels is not None:
+        assert all(labels[where[f]] == l for f, l in config.marks.items())
+    # the agreement gather reads each marked face's position in the window
+    faces, marked = catalog._marked(config)
+    read = catalog._gather(window, faces)(bytes(range(len(where))))
+    assert bytes(read)[:-1] == bytes(map(where.__getitem__, sorted(faces)))

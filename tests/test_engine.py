@@ -627,7 +627,8 @@ def test_a_plan_numbers_its_names_in_the_order_given():
     assert plan.index == {"a": 0, "b": 1, "c": 2} and plan.names == ("a", "b", "c")
     assert plan.around == ((0, 1), (2, None), (None, 0)) and plan.order == (2, 1, 0)
     assert plan.sites == ((0, 0, 2, 1), (0, 1), (1, 0))
-    assert plan.free[0][plan.unset[0]] == (0, 1)
+    assert plan.free[0][plan.tables[0].unset] == (0, 1)
+    assert plan.held == (0b1111, 0b0011, 0b1100)  # digits 3 where a variable is
     with pytest.raises(ValueError):
         kernel.Plan("ab", [("aba", kernel.Table(3, any))])
     assert kernel.Plan("ab", []).order == range(2)
