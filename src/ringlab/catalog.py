@@ -191,8 +191,11 @@ def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
                 f"({key}) at offset {(prev[1] - shift) % 6}"
             )
         prev = (key, shift % 6)
-    window = _stack_window(height, len(word), 6 * width_periods)
-    return Configuration(window, _stack_marks(window, _IDENTITY, height, word), 6)
+    # sorted face order is x-major and a stack's labels repeat along x with
+    # period 6, so the window's labels are one period's, repeated
+    period = _stack_marks(_stack_window(height, len(word), 6), _IDENTITY, height, word)
+    return Configuration(_stack_window(height, len(word), 6 * width_periods),
+                         period * width_periods, 6)
 
 
 def derive_interface_table(height: int) -> Dict[Tuple[str, str], Tuple[int, ...]]:

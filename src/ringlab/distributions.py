@@ -3,7 +3,9 @@
 A distribution assigns one of the three simplicial axes to each vertex.
 A face is Odd when an odd number of its three vertices carry an axis
 different from their opposite-side axis (those vertices count as rank 2;
-the others as rank 3/2).  `induced_distribution` reads `engine.link_plan`.
+the others as rank 3/2).  `induced_distribution` reads the two link bytes
+of each vertex off `engine.link_bytes` (the grid plan that `check` reads)
+and takes each total link's rank axis through a memo keyed by them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .lattice import (
     runs,
     vertices_within,
 )
-from .engine import UNSET, link_plan, link_words
+from .engine import UNSET, link_bytes
 from .kernel import Kernel, Plan, Table
 from .rings import rank_axis
 
@@ -113,14 +115,21 @@ def face_parity(dist: Distribution, f: Face) -> str:
     return ODD if _PARITY_TABLES[f.up][axes] else EVEN
 
 
+@lru_cache(maxsize=None)
+def _link_axis(low: int, high: int) -> Optional[int]:
+    """The rank axis of the link with these two link bytes (see
+    `engine.link_bytes`), or None when a position is free."""
+    word = tuple(b >> 2 * k & 3 for b in (low, high) for k in range(3))
+    return None if UNSET in word else rank_axis(word, low >> 6)
+
+
 def induced_distribution(config) -> Distribution:
     """Axis of the unique multiplicity-1 half-link pair at each fully marked link."""
-    labels = config.labels + bytes((UNSET,))
     axis: Dict[Vertex, int] = {}
-    for s, vertices, gather in link_plan(config.window):
-        for v, word in zip(vertices, link_words(gather(labels))):
-            if UNSET not in word:
-                axis[v] = rank_axis(word, s)
+    for box, low, high in link_bytes(config):
+        for i, a in enumerate(map(_link_axis, low, high)):
+            if a is not None:
+                axis[box.vertex(i)] = a
     return make_distribution(axis)
 
 

@@ -16,16 +16,24 @@ call builds a kernel's state only, given the faces with their label
 bytes, and reads its labels as label bytes.  `have_completions` probes a batch
 on one kernel, assuming each configuration's marks on the trail and
 undoing them; `has_completion` and `dead_end_report` probe through it.  No
-kernel outlives its call.  `check` reads the same tables by word
-through a per-window plan (`link_plan`, which `induced_distribution`
-shares) over the label bytes: per vertex family, one itemgetter over the
-family's link faces, where a face outside the window reads a trailing
-UNSET, which words pack as None.
+kernel outlives its call.
+
+`check` reads every vertex link of a window at once, in bytes and big-int
+operations, through one cached plan per window (`link_grid`).  The plan
+gathers the label bytes, by slices, onto a padded grid in sorted face
+order, where each link position of every vertex is one strided slice; a
+sparse window is covered by several small grids (boxes), not one over its
+bounding box.  `link_bytes` packs each vertex's link into two bytes, family
+and three labels each, and `induced_distribution` reads those.  `check`
+maps them through `bytes.translate` tables built from the legal words
+(`_link_tables`, which agree with the ring tables) and finds a dead vertex
+as a zero byte.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -120,22 +128,114 @@ def link_word(marks: Mapping[Face, int], v: Vertex) -> Tuple[Optional[int], ...]
     return tuple(marks.get(f) for f in link_faces(v))
 
 
+# A box's grid holds at most _GRID_PER_VERTEX bytes a vertex of the box,
+# plus _GRID_SLACK, so a sparse window is read in several small grids, not
+# in one over its bounding box.
+_GRID_PER_VERTEX = 4
+_GRID_SLACK = 64
+
+
+class LinkBox:
+    """One pass over the vertices of a window in one box.
+
+    The box's grid lists its face cells in sorted face order: columns x from
+    gx, each the face rows y from gy, Down then Up, ending in one padding
+    row.  `read` gathers it off the labels with the plan's tail appended, as
+    runs of label positions and of UNSET padding.  Vertex cell i is the cell
+    of Down(x, y) for (x, y) = `vertex(i)`, and link position k of every
+    vertex cell is one strided slice from `starts[k]`.  `families` holds each
+    vertex cell's family s as s << 6, one big-endian byte a cell.
+    """
+
+    __slots__ = ("read", "starts", "size", "families", "gx", "gy", "height")
+
+    def __init__(self, read: itemgetter, gx: int, gy: int, height: int, columns: int) -> None:
+        self.read, self.gx, self.gy, self.height = read, gx, gy, height
+        # vertex cells start at column 1, row 1, so no link step leaves the grid
+        self.size = height * (columns - 1) - 1
+        self.starts = tuple(2 * height + 2 + step for step in
+                            (1, -2 * height, 1 - 2 * height, -2 - 2 * height, -1, -2))
+        families = bytes(vertex_s(v) << 6 for v in map(self.vertex, range(self.size)))
+        self.families = int.from_bytes(families, "big")
+
+    def vertex(self, i: int) -> Vertex:
+        j = i + self.height + 1
+        return (self.gx + j // self.height, self.gy + j % self.height)
+
+
+def _boxes(vertices: Sequence[Vertex]) -> Iterator[Tuple[int, int, int, int]]:
+    """Boxes (x0, y0, x1, y1) covering runs of the vertices, in sorted order.
+
+    A box's grid has the columns x0 - 1 .. x1 and the face rows y0 - 1 .. y1
+    plus one padding row, two cells a face; a run grows while its grid stays
+    within _GRID_PER_VERTEX bytes a vertex plus _GRID_SLACK.
+    """
+    n = 0
+    for x, y in vertices:
+        if n:
+            low, high = min(y0, y), max(y1, y)
+            if 2 * (x - x0 + 2) * (high - low + 3) <= _GRID_PER_VERTEX * (n + 1) + _GRID_SLACK:
+                y0, y1, x1, n = low, high, x, n + 1
+                continue
+            yield x0, y0, x1, y1
+        x0, y0, x1, y1, n = x, y, x, y, 1
+    if n:
+        yield x0, y0, x1, y1
+
+
 @lru_cache(maxsize=16)
-def link_plan(window: frozenset) -> Tuple[Tuple[int, Tuple[Vertex, ...], itemgetter], ...]:
-    """Per vertex family s, the window's vertices of family s in sorted
-    order with one itemgetter over the six link faces of each: it indexes
-    the labels of the window's faces in sorted order, and a link face
-    outside the window indexes a trailing UNSET slot."""
+def link_grid(window: frozenset) -> Tuple[Tuple[LinkBox, ...], bytes]:
+    """The boxes over the window's vertices, and the UNSET tail their
+    padding reads past the labels.
+
+    A vertex (x, y) reads its link at the steps +1, -2H, -2H + 1, -2H - 2,
+    -1 and -2 from the cell of Down(x, y), H the rows of a column with its
+    padding row.  Every vertex of the box reads its whole link.  A cell in
+    a column's first row reads the padding row of the columns before it for
+    link positions 3-5, and a cell in the padding row reads padding for
+    positions 0-2: each reads part of its own vertex's link, the rest free,
+    so a vertex it finds dead is dead.
+    """
     order, index = window_order(window)
     outside = len(order)
-    vertices = sorted(window_vertices(order))
-    families = []
-    for s in range(3):
-        family = tuple(v for v in vertices if vertex_s(v) == s)
-        if family:  # only the empty window has a family without vertices
-            slots = [index.get(f, outside) for v in family for f in link_faces(v)]
-            families.append((s, family, itemgetter(*slots)))
-    return tuple(families)
+    boxes, tail = [], 0
+    for x0, y0, x1, y1 in _boxes(sorted(window_vertices(order))):
+        gx, gy, height = x0 - 1, y0 - 1, y1 - y0 + 3
+        positions, pad = [], 0  # padding cells number up from `outside`, per run
+        for x in range(gx, x1 + 1):
+            for y in range(gy, y1 + 2):
+                for u in (False, True):
+                    g = index.get(Face(x, y, u)) if y <= y1 else None
+                    if g is None:
+                        g, pad = outside + pad, pad + 1
+                        tail = max(tail, pad)
+                    else:
+                        pad = 0
+                    positions.append(g)
+        runs = [[g for _, g in run] for _, run in
+                groupby(enumerate(positions), lambda ig: ig[1] - ig[0])]
+        read = itemgetter(*(slice(run[0], run[-1] + 1) for run in runs))
+        boxes.append(LinkBox(read, gx, gy, height, x1 - gx + 1))
+    return tuple(boxes), bytes((UNSET,)) * tail
+
+
+def link_bytes(config: Configuration) -> Iterator[Tuple[LinkBox, bytes, bytes]]:
+    """Per box of the window's `link_grid`, the two link bytes of each vertex
+    cell: s << 6 of its family s, ORed with its labels at link positions 0,
+    1, 2 (then 3, 4, 5) in bits 0-1, 2-3 and 4-5, UNSET where free."""
+    boxes, tail = link_grid(config.window)
+    labels = config.labels + tail
+    for box in boxes:
+        grid = b"".join(box.read(labels))
+        s0, s1, s2, s3, s4, s5 = box.starts
+        span = 2 * box.size
+        low = (box.families | int.from_bytes(grid[s0:s0 + span:2], "big")
+               | int.from_bytes(grid[s1:s1 + span:2], "big") << 2
+               | int.from_bytes(grid[s2:s2 + span:2], "big") << 4)
+        high = (box.families | int.from_bytes(grid[s3:s3 + span:2], "big")
+                | int.from_bytes(grid[s4:s4 + span:2], "big") << 2
+                | int.from_bytes(grid[s5:s5 + span:2], "big") << 4)
+        yield box, low.to_bytes(box.size, "big"), high.to_bytes(box.size, "big")
 
 
 @lru_cache(maxsize=None)
@@ -145,9 +245,27 @@ def _ring_table(mode: str, s: int) -> Table:
     return Table(6, words.__contains__)
 
 
-def link_words(gathered: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-    """The link words of a gather, six labels each."""
-    return zip(*[iter(gathered)] * 6)
+@lru_cache(maxsize=None)
+def _link_tables(mode: str) -> Tuple[Tuple[bytes, bytes], ...]:
+    """Translate tables for link bytes (`link_bytes`), one pair per eight
+    legal words of a family.  Word t of family s is bit t % 8 of pair t // 8;
+    the pair's low (high) table maps a link byte of family s to the bits of
+    the words whose positions 0-2 (3-5) it matches, an UNSET label matching
+    any.  A link is live iff the images of its two bytes share a bit in some
+    pair: the tables read the words that `_ring_table` accepts."""
+    families = [[w for t, w in legal_words(mode) if t == s] for s in range(3)]
+    halves = ([0] * 256, [0] * 256)
+    for s, words in enumerate(families):
+        for t, word in enumerate(words):
+            for half, bits in enumerate(halves):
+                labels = word[3 * half:3 * half + 3]
+                for free in range(8):
+                    byte = s << 6 | sum((UNSET if free >> k & 1 else l) << 2 * k
+                                        for k, l in enumerate(labels))
+                    bits[byte] |= 1 << t
+    pairs = range((max(map(len, families)) + 7) // 8)
+    return tuple(tuple(bytes(b >> 8 * j & 255 for b in bits) for bits in halves)
+                 for j in pairs)
 
 
 def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
@@ -156,15 +274,18 @@ def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
     Every vertex of the window is matched: one that no mark touches has the
     all-free link, which some ring always matches.
     """
-    labels = config.labels + bytes((UNSET,))
-    dead: List[Vertex] = []
-    for s, vertices, gather in link_plan(config.window):
-        table = _ring_table(mode, s)
-        if not all(map(table.__getitem__, link_words(gather(labels)))):
-            dead += (v for v, w in zip(vertices, link_words(gather(labels))) if table[w] is None)
+    tables = _link_tables(mode)
+    dead = set()
+    for box, low, high in link_bytes(config):
+        live = 0
+        for low_table, high_table in tables:
+            live |= (int.from_bytes(low.translate(low_table), "big")
+                     & int.from_bytes(high.translate(high_table), "big"))
+        live = live.to_bytes(box.size, "big")
+        if 0 in live:
+            dead.update(box.vertex(i) for i, b in enumerate(live) if not b)
     if dead:
-        dead.sort()
-        witnesses = tuple((v, f"no ring matches the link at {v}") for v in dead)
+        witnesses = tuple((v, f"no ring matches the link at {v}") for v in sorted(dead))
         return Verdict(CONTRADICTION, witnesses, ())
     if UNSET in config.labels:
         unmarked = tuple(f for f, l in zip(config.faces, config.labels) if l == UNSET)

@@ -152,21 +152,24 @@ def test_assemble_rejects_malformed_words(word, message):
 
 
 def test_assemble_is_a_row_by_row_placement():
+    # assemble reads one six-column period and repeats it, so every face of
+    # a wider stack must still read its own row's label
     for height in (1, 2):
         variants = {s.key: s for s in strip_variants(height)}
-        for rows in range(1, 5):
+        for rows in range(1, 6):
             for w in compatible_words(height, rows):
-                want = {}
-                for r, (key, shift) in enumerate(w):
-                    for j, (ups, downs) in enumerate(variants[key].rows):
-                        y = -r * height - j
-                        for x in range(12):
-                            want[up(x, y)] = ups[(x - shift) % 6]
-                            want[down(x, y)] = downs[(x - shift) % 6]
-                cfg = assemble(w)
-                assert cfg.marks == want
-                assert cfg.window == frozenset(want)
-                assert cfg.period == 6
+                for periods in (2, 3):
+                    want = {}
+                    for r, (key, shift) in enumerate(w):
+                        for j, (ups, downs) in enumerate(variants[key].rows):
+                            y = -r * height - j
+                            for x in range(6 * periods):
+                                want[up(x, y)] = ups[(x - shift) % 6]
+                                want[down(x, y)] = downs[(x - shift) % 6]
+                    cfg = assemble(w, periods)
+                    assert cfg.marks == want
+                    assert cfg.window == frozenset(want)
+                    assert cfg.period == 6
 
 
 def test_assembled_marks_share_no_cached_row():

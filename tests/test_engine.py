@@ -35,6 +35,7 @@ from ringlab.engine import (
 )
 from ringlab.lattice import (
     AXES,
+    Face,
     ball,
     down,
     face_neighbors,
@@ -422,6 +423,72 @@ def ball_markings(draw):
 @settings(max_examples=150, deadline=None)
 @given(ball_markings(), st.sampled_from((MODE_ROT, MODE_ROT_REF)))
 def test_check_agrees_with_the_link_word_reference(cfg, mode):
+    assert check(cfg, mode) == reference_check(cfg, mode)
+
+
+@pytest.mark.parametrize("mode", [MODE_ROT, MODE_ROT_REF])
+def test_link_tables_read_the_ring_tables(mode):
+    """Every six-label code of every family, free labels included: the
+    translate tables call it live iff its ring table has an entry."""
+    tables = engine._link_tables(mode)
+    for s in range(3):
+        ring = engine._ring_table(mode, s)
+        for code in range(4**6):
+            low, high = s << 6 | code & 63, s << 6 | code >> 6
+            live = any(t[low] & u[high] for t, u in tables)
+            assert live == (ring[code] is not None), (s, code)
+
+
+@pytest.mark.parametrize("step", [(1, 1), (1, -1)])
+def test_a_sparse_window_is_read_in_small_grids(step):
+    """A 400-face line along a diagonal: each box's grid stays within the
+    bound for the window's vertices it holds, not the line's bounding box."""
+    window = frozenset(up(i * step[0], i * step[1]) for i in range(400))
+    vertices = window_vertices(window)
+    boxes, tail = engine.link_grid(window)
+    labels = make_config({}, window=window).labels + tail
+    total = 0
+    for box in boxes:
+        grid = b"".join(box.read(labels))
+        columns = len(grid) // (2 * box.height)
+        assert len(grid) == 2 * box.height * columns and box.size == box.height * (columns - 1) - 1
+        held = sum(box.gx < x < box.gx + columns and box.gy < y < box.gy + box.height - 1
+                   for x, y in vertices)
+        assert len(grid) <= engine._GRID_PER_VERTEX * held + engine._GRID_SLACK
+        total += len(grid)
+    assert {v for box in boxes for v in map(box.vertex, range(box.size))} >= vertices
+    assert total <= 10 * len(vertices)
+
+
+@st.composite
+def sparse_markings(draw):
+    """A window far from a ball, marked at random: a line of faces along a
+    lattice direction, small clusters of faces up to 10^6 apart, or one
+    face; coordinates may be negative."""
+    kind = draw(st.sampled_from(("line", "far", "single")))
+    x, y = draw(st.integers(-10**6, 10**6)), draw(st.integers(-10**6, 10**6))
+    if kind == "line":
+        dx, dy = draw(st.sampled_from(((1, 0), (0, 1), (1, 1), (1, -1), (2, -1), (-1, 2))))
+        n = draw(st.integers(1, 40))
+        window = {Face(x + i * dx, y + i * dy, u) for i in range(n) for u in (True, False)}
+    elif kind == "far":
+        window = set()
+        for _ in range(draw(st.integers(2, 4))):
+            window |= ball(Face(x, y, draw(st.booleans())), 1)
+            x += draw(st.sampled_from((-10**6, -37, 5, 10**6)))
+            y += draw(st.sampled_from((-10**6, -3, 11, 10**6)))
+    else:
+        window = {Face(x, y, draw(st.booleans()))}
+    window = sorted(window)
+    window = [f for f in window if draw(st.integers(0, 4))] or window[:1]
+    labels = draw(st.lists(st.sampled_from((None, 0, 1, 2)),
+                           min_size=len(window), max_size=len(window)))
+    return make_config({f: l for f, l in zip(window, labels) if l is not None}, window=window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_markings(), st.sampled_from((MODE_ROT, MODE_ROT_REF)))
+def test_check_agrees_with_the_reference_on_sparse_windows(cfg, mode):
     assert check(cfg, mode) == reference_check(cfg, mode)
 
 
