@@ -31,7 +31,8 @@ the occurrence's placement, the label-preserving isometry carrying the
 configuration into the puzzle, with the stacking word or the special patch.
 The embedding evidence is read from it, and pulling the puzzle back through
 it onto a larger window gives a survivor certificate
-(`survivor_certificate`), which `check` verifies.
+(`survivor_certificate`).  A match is read once: the certificate's `check`
+and its agreement with the configuration are the one soundness guard.
 """
 
 from __future__ import annotations
@@ -418,8 +419,9 @@ def _strip_placements(
     faces: frozenset, height: int
 ) -> Tuple[Tuple[Isometry, Tuple[_Slot, ...]], ...]:
     """Per image of the faces, and then per vertical phase of the strip
-    slots: the label-preserving isometry carrying the faces into the slots,
-    and the slots of their images, listed in sorted order of the faces."""
+    slots: the image's element translated by the (tx, ty) that carries the
+    faces into the slots, and the slots of the image so moved, in sorted
+    order of the faces."""
     out = []
     for g, image in _images(faces):
         y_max = max(y for _, y, _ in image)
@@ -428,8 +430,8 @@ def _strip_placements(
             ty = y_target - y_max
             tx = 3 - x_min
             tx += (ty - tx) % 3
-            moved = g._replace(tx=tx, ty=ty)
-            out.append((moved, _slots(moved.apply_faces(window_order(faces)[0]), height)))
+            placed = [(x + tx, y + ty, u) for x, y, u in image]
+            out.append((g._replace(tx=tx, ty=ty), _slots(placed, height)))
     return tuple(out)
 
 
@@ -479,20 +481,19 @@ _Match = Tuple[dict, Callable[[frozenset], Optional[bytes]]]
 
 
 def _strip_match(config: Configuration, height: int) -> Optional[_Match]:
-    """The first strip-stack occurrence of config.  A match is re-read
-    through its pull-back, the reader its survivor certificate uses.
+    """The first strip-stack occurrence of config: the first word
+    `_match_stack` finds, not read again.
 
     Each image of config is translated, label-preservingly, to put its top
     face row at 0 or, for height 2, also at -1 (strip slots have two
-    vertical phases).
+    vertical phases): in stack row 0 either way, so the pull-back gives the
+    marked faces the very cells the slots matched.
     """
     faces, labels = _marked(config)
     for g, slots in _strip_placements(faces, height):
         word = _match_stack(labels, slots, height)
-        if word is None:
-            continue
-        pull_back = partial(_stack_marks, g=g, height=height, word=word)
-        if pull_back(faces) == labels:
+        if word is not None:
+            pull_back = partial(_stack_marks, g=g, height=height, word=word)
             return {"kind": f"strip-h{height}", "word": list(word)}, pull_back
     return None
 
@@ -513,7 +514,7 @@ def _special_index() -> Dict[tuple, Tuple[Tuple[int, Face], ...]]:
     radius-1 ball lies in the patch, keyed by that ball's labels in sorted
     face order, listed by puzzle and then in patch order, and read off the
     label bytes through one translated template per orientation of h."""
-    faces, where = window_order(ball(up(0, 0), _SPECIAL_PATCH_RADIUS))
+    faces, where, _ = window_order(ball(up(0, 0), _SPECIAL_PATCH_RADIUS))
     templates = {u: sorted(ball(Face(0, 0, u), 1)) for u in (True, False)}
     placed = [[where.get((f.x + h.x, f.y + h.y, f.up)) for f in templates[h.up]] for h in faces]
     reads = [(h, itemgetter(*ring1)) for h, ring1 in zip(faces, placed) if None not in ring1]

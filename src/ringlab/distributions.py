@@ -107,12 +107,13 @@ _PARITY_TABLES = {u: _parity_table(u) for u in (True, False)}
 
 
 def face_parity(dist: Distribution, f: Face) -> str:
-    """Odd or Even count of rank-2 corners of f; needs all three assigned."""
+    """Odd or Even count of rank-2 corners of f, read by their axes' code; needs all three."""
     vs = face_vertices(f)
     axes = tuple(map(dist.axis.get, vs))
     if None in axes:
         raise ValueError(f"insufficient data at {vs[axes.index(None)]} for face {f}")
-    return ODD if _PARITY_TABLES[f.up][axes] else EVEN
+    a, b, c = axes
+    return ODD if _PARITY_TABLES[f.up][a | b << 2 | c << 4] else EVEN
 
 
 @lru_cache(maxsize=None)

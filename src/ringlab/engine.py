@@ -1,10 +1,10 @@
 """Partial configurations: checking, propagation, enumeration, dead ends.
 
 A configuration is built from its window and its labels in the window's
-sorted face order (from one per-window cache, `window_order`) as bytes,
-UNSET (3) where a face is free; `make_config` builds one from a dict.  Its
-`marks` is a read-only {face: label} view built on first read; assembly,
-`check`, search and the catalog matches read the label bytes only.
+sorted face order as bytes, UNSET (3) where a face is free; `make_config`
+builds one from a dict.  Its `marks` is a read-only {face: label} view
+built on first read; assembly, `check`, search and the catalog matches
+read the label bytes only.
 
 `propagate`, `enumerate_completions` and `have_completions` run on
 `kernel.Kernel` (see that module for the design) over one cached plan per
@@ -27,7 +27,8 @@ bounding box.  `link_bytes` packs each vertex's link into two bytes, family
 and three labels each, and `induced_distribution` reads those.  `check`
 maps them through `bytes.translate` tables built from the legal words
 (`_link_tables`, which agree with the ring tables) and finds a dead vertex
-as a zero byte.
+as a zero byte.  Both plans read the window's vertices as `window_order`
+sorts them, once a window, and neither plan builds the other.
 """
 
 from __future__ import annotations
@@ -52,11 +53,14 @@ _LABEL_BYTES = bytes((0, 1, 2, UNSET))
 
 
 @lru_cache(maxsize=64)
-def window_order(window: frozenset) -> Tuple[Tuple[Face, ...], Dict[Face, int]]:
-    """The window's faces in sorted order, and each face's position in it:
-    one entry per window, which its configurations and `check` share."""
+def window_order(
+    window: frozenset,
+) -> Tuple[Tuple[Face, ...], Dict[Face, int], Tuple[Vertex, ...]]:
+    """The window's faces in sorted order, each face's position in it, and
+    the window's vertices in sorted order: one entry per window, which its
+    configurations, `check` (`link_grid`) and the kernel plan (`_plan`) share."""
     faces = tuple(sorted(window))
-    return faces, {f: g for g, f in enumerate(faces)}
+    return faces, {f: g for g, f in enumerate(faces)}, tuple(sorted(window_vertices(faces)))
 
 
 class Configuration:
@@ -196,10 +200,10 @@ def link_grid(window: frozenset) -> Tuple[Tuple[LinkBox, ...], bytes]:
     positions 0-2: each reads part of its own vertex's link, the rest free,
     so a vertex it finds dead is dead.
     """
-    order, index = window_order(window)
+    order, index, vertices = window_order(window)
     outside = len(order)
     boxes, tail = [], 0
-    for x0, y0, x1, y1 in _boxes(sorted(window_vertices(order))):
+    for x0, y0, x1, y1 in _boxes(vertices):
         gx, gy, height = x0 - 1, y0 - 1, y1 - y0 + 3
         positions, pad = [], 0  # padding cells number up from `outside`, per run
         for x in range(gx, x1 + 1):
@@ -294,15 +298,14 @@ def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
 
 
 @lru_cache(maxsize=16)
-def _plan(window: frozenset, mode: str) -> Tuple[Tuple[Vertex, ...], Plan]:
-    """The window's vertices sorted, and its kernel plan: the faces in
-    sorted order are the variables, numbered by the window's own position
-    map and searched in `_search_order`, and each vertex's link is one ring
-    constraint."""
-    faces, index = window_order(window)
-    vertices = tuple(sorted(window_vertices(faces)))
+def _plan(window: frozenset, mode: str) -> Plan:
+    """The window's kernel plan: the faces in sorted order are the
+    variables, numbered by the window's own position map and searched in
+    `_search_order`, and the link of each vertex, in the window's sorted
+    vertex order, is one ring constraint."""
+    _, index, vertices = window_order(window)
     links = ((link_faces(v), _ring_table(mode, vertex_s(v))) for v in vertices)
-    return vertices, Plan(index, links, _search_order(window))
+    return Plan(index, links, _search_order(window))
 
 
 def propagate(config: Configuration, mode: str = DEFAULT_MODE) -> Configuration:
@@ -312,12 +315,11 @@ def propagate(config: Configuration, mode: str = DEFAULT_MODE) -> Configuration:
     ring-consistent.  Raises Contradiction when a vertex loses all matches
     or a face loses all labels.
     """
-    vertices, plan = _plan(config.window, mode)
-    kernel = Kernel(plan, zip(config.faces, config.labels))
+    kernel = Kernel(_plan(config.window, mode), zip(config.faces, config.labels))
     if kernel.failure is not None:
         c, g = kernel.failure
         if g is None:
-            v = vertices[c]
+            v = window_order(config.window)[2][c]
             raise Contradiction([(v, f"no ring matches the link at {v}")])
         f = config.faces[g]
         raise Contradiction([(face_vertices(f)[0], f"no admissible label for {f}")])
@@ -358,7 +360,7 @@ def enumerate_completions(
     accepted for compatibility and ignored: the search is sequential.
     """
     target = _target(config, target_window)
-    found = Kernel(_plan(target, mode)[1], zip(config.faces, config.labels)).search()
+    found = Kernel(_plan(target, mode), zip(config.faces, config.labels)).search()
     labels = sorted(map(bytes, found))
     return [Configuration(target, l, config.period) for l in labels]
 
@@ -377,7 +379,7 @@ def have_completions(
     kernel and its search order.
     """
     target = frozenset(target_window)
-    kernel = Kernel(_plan(target, mode)[1], ())
+    kernel = Kernel(_plan(target, mode), ())
     out = []
     for config in configs:
         _target(config, target)
@@ -428,5 +430,5 @@ def dead_end_report(
         "completions": len(comps),
         "survivors": survivors,
         "dead_ends": dead,
-        "is_dead_end": survivors.get(str(r_probe), len(comps)) == 0,
+        "is_dead_end": survivors[str(r_probe)] == 0,
     }

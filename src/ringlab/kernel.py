@@ -22,8 +22,7 @@ may share one (`engine` keeps one per window).  A kernel holds state:
 - a table fills a code on first use by ORing the labels of its accepted
   words (listed on its first fill) whose digits match the code's set ones,
   tested with bit masks; None marks a dead code, one no accepted word
-  matches.  Clients outside a kernel may read a table by word (see
-  `Table`); the kernel reads codes only;
+  matches.  Every reader, in a kernel or not, keys a table by code;
 - propagation is a worklist (AC-3 style, after Mackworth 1977): after an
   assignment only the free variables of the constraints whose code changed
   are re-examined, read off the code's UNSET positions that have a
@@ -78,8 +77,8 @@ class Table(dict):
 
     The value of a code holds, per position, a bitmask of the labels some
     accepted completion has there (bit l for label l), or None when no
-    completion is accepted.  A word key (a tuple of labels, None or UNSET
-    where free) reads its code's entry, which is then stored under it too.
+    completion is accepted.  A table is keyed by code only: a reader packs
+    a word of labels into its code itself.
     """
 
     def __init__(self, arity: int, accept: Callable[[Tuple[int, ...]], bool]):
@@ -90,13 +89,7 @@ class Table(dict):
         # the accepted words as (code, labels one-hot in 3 bits a position)
         self.words: Optional[List[Tuple[int, int]]] = None
 
-    def __missing__(self, code) -> Optional[Tuple[int, ...]]:
-        if isinstance(code, tuple):  # a word: read its code's entry
-            word, code = code, 0
-            for l in reversed(word):
-                code = code << 2 | (UNSET if l is None else l)
-            value = self[word] = self[code]
-            return value
+    def __missing__(self, code: int) -> Optional[Tuple[int, ...]]:
         if self.words is None:
             self.words = [(sum(l << 2 * k for k, l in enumerate(w)),
                            sum(1 << 3 * k + l for k, l in enumerate(w)))

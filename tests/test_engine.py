@@ -287,13 +287,16 @@ def test_ring_tables_match_sector_options(mode):
             opts = sector_options(word, s, mode)
             want = tuple(sum(1 << l for l in o) for o in opts) if opts[0] else None
             assert table[code] == want, (word, s)
-            assert table[word] == table[code], (word, s)
 
 
 def test_parity_tables_read_words_as_accept():
+    # face_parity reads a table by the code of the corners' axes, as the kernel does
     for u, table in distributions._PARITY_TABLES.items():
+        f = Face(0, 0, u)
         for axes in itertools.product(AXES, repeat=3):
-            assert bool(table[axes]) == table.accept(axes), (u, axes)
+            dist = make_distribution(dict(zip(face_vertices(f), axes)))
+            odd = distributions.face_parity(dist, f) == distributions.ODD
+            assert odd == table.accept(axes), (u, axes)
 
 
 def _entry_by_definition(table, code):
@@ -460,6 +463,24 @@ def test_a_sparse_window_is_read_in_small_grids(step):
     assert total <= 10 * len(vertices)
 
 
+def test_search_and_check_build_only_their_own_window_plans():
+    """A window that is only searched builds no link grid, and one that is
+    only checked builds no kernel plan: both read the window's one vertex
+    sort, but a grid costs a searched window time it never gets back."""
+    searched = make_config({up(40, 40): 0}, window=ball(up(40, 40), 2))
+    grids = engine.link_grid.cache_info()
+    enumerate_completions(searched)
+    have_completions([searched], searched.window)
+    propagate(searched)
+    assert engine.link_grid.cache_info() == grids
+    checked = make_config({up(-40, 40): 0}, window=ball(up(-40, 40), 2))
+    plans = engine._plan.cache_info()
+    check(checked)
+    assert engine._plan.cache_info() == plans
+    vertices = tuple(sorted(window_vertices(searched.window)))
+    assert engine.window_order(searched.window)[2] == vertices
+
+
 @st.composite
 def sparse_markings(draw):
     """A window far from a ball, marked at random: a line of faces along a
@@ -505,7 +526,7 @@ def test_batched_probes_agree_with_enumeration(configs, mode):
     for order in (range(len(configs)), dead_first):
         assert have_completions([configs[i] for i in order], BALL2, mode) == [
             want[i] for i in order]
-    k = kernel.Kernel(engine._plan(BALL2, mode)[1], ())
+    k = kernel.Kernel(engine._plan(BALL2, mode), ())
     before = (list(k.label), list(k.code), list(k.masks), list(k.trail))
     for i in dead_first:
         assert k.extends(configs[i].marks.items()) == want[i]
@@ -547,7 +568,7 @@ def test_a_shared_window_plan_gives_what_a_fresh_one_does(calls, mode):
        st.sampled_from((MODE_ROT, MODE_ROT_REF)))
 def test_search_and_extends_leave_the_kernel_as_they_found_it(configs, mode):
     base, query = configs
-    k = kernel.Kernel(engine._plan(base.window, mode)[1], zip(base.faces, base.labels))
+    k = kernel.Kernel(engine._plan(base.window, mode), zip(base.faces, base.labels))
     before = (list(k.label), list(k.code), list(k.masks), list(k.trail))
     for run in (k.search, lambda: k.search(stop_at=1),
                 lambda: k.extends(zip(query.faces, query.labels))):
@@ -596,7 +617,7 @@ def test_search_counters_are_frozen():
     f = up(0, 0)
     for l, counts in RADIUS3_SEARCH_COUNTS.items():
         cfg = make_config({f: l}, window=ball(f, 3))
-        plan = engine._plan(cfg.window, engine.DEFAULT_MODE)[1]
+        plan = engine._plan(cfg.window, engine.DEFAULT_MODE)
         k = kernel.Kernel(plan, zip(cfg.faces, cfg.labels))
         assert len(k.search()) == 736
         assert (k.nodes, k.forced) == counts
@@ -656,7 +677,7 @@ def _assert_same_steps(plan, given):
 @given(window_markings(sorted(BALL2)), st.sampled_from((MODE_ROT, MODE_ROT_REF)))
 def test_face_propagation_steps_as_the_generic_loop_does(cfg, mode):
     # every face of a ball is a variable at three sites: the unrolled case
-    plan = engine._plan(cfg.window, mode)[1]
+    plan = engine._plan(cfg.window, mode)
     assert {len(s) for s in plan.sites} == {6}
     _assert_same_steps(plan, zip(cfg.faces, cfg.labels))
 

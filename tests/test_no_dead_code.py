@@ -41,7 +41,7 @@ REFERENCE_ORACLES = {
 # Parameters that their function's body never reads, kept for a caller that
 # passes them.
 UNREAD_PARAMETERS = {
-    # perfbench's enumerate workload passes threads=2
+    # perfbench's classify workload passes threads=2 at its small size
     "engine.enumerate_completions(threads)",
 }
 
