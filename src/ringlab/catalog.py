@@ -12,18 +12,20 @@ and survivor certificates all read rows through one face-to-cell index
 (`_cell`), as label bytes in the window's sorted face order, and which
 rows may stack from one transfer graph built from the interface table
 (`_below`); a strip's mirror reading is its row read through its height's
-label-preserving glide (`_GLIDES`); windows move by `Isometry.apply_faces`.
+label-preserving glide (`_GLIDES`); windows move by `Isometry.apply_faces`,
+and where a moved window lands in another is read once (`_positions`) by
+the congruence test, a special patch's pull-back and the certificate's
+agreement test.
 
 The embedding tests read small caches that every marking of a window
 shares: its images under the label-preserving point group (`_images`),
 their strip slots (`_strip_placements`), read top down one gather a slot
-until the first slot no row choice gives, one itemgetter per image for the
-special-puzzle key (`_special_keys`), and the certificate agreement's
-gather (`_gather`).  The twelve special patches of one radius share one
-window, one entry in each such cache, and are read by position.
-Isomorphism reads a small cache keyed by the pair of windows: the
-point-group moves that make them congruent, and the face permutation of
-each, so a call only compares labels.
+until the first slot no row choice gives, and one itemgetter per image for
+the special-puzzle key (`_special_keys`).  The twelve special patches of
+one radius share one window, one entry in each such cache, and are read by
+position.  Isomorphism reads a small cache keyed by the pair of windows:
+the point-group moves that make them congruent, and the face permutation
+of each, so a call only compares labels.
 
 One query finds catalog occurrences (`_catalog_match`): the first one in a
 height-1 strip stack, then a height-2 one, then a special puzzle.  It keeps
@@ -293,19 +295,19 @@ def _congruences(wa: frozenset, wb: frozenset) -> Tuple[Tuple[Isometry, Tuple[in
     """Each point-group element, in group order, that carries wa onto wb
     once its minimum face is translated onto wb's: the translated isometry,
     and per face of wa in sorted order the position of its image in wb's
-    sorted order.  No element means incongruent."""
+    sorted order (`_positions`).  No element means incongruent."""
+    if len(wa) != len(wb):
+        return ()
     mb = min(wb)
-    index_b = window_order(wb)[1]
     moves = []
     for g0 in POINT_GROUP:
         x0, y0, u0 = min(g0.apply_faces(wa))
         if u0 != mb.up:
             continue
         g = g0._replace(tx=mb.x - x0, ty=mb.y - y0)
-        placed = g.apply_faces(window_order(wa)[0])
-        if set(placed) != wb:
-            continue
-        moves.append((g, tuple(map(index_b.__getitem__, placed))))
+        at = _positions(wa, g, wb)
+        if None not in at:
+            moves.append((g, at))
     return tuple(moves)
 
 
@@ -633,20 +635,18 @@ def _stack_marks(window: frozenset, g: Isometry, height: int, word: StackingWord
     return bytes(read(cells))[:-1]
 
 
+@lru_cache(maxsize=8)
+def _positions(window: frozenset, g: Isometry, target: frozenset) -> Tuple[Optional[int], ...]:
+    """Per face of the window in sorted order, the position of its image
+    under g in the target's sorted order, or None where it leaves the target."""
+    return tuple(map(window_order(target)[1].get, g.apply_faces(window_order(window)[0])))
+
+
 def _patch_marks(window: frozenset, g: Isometry, patch: Configuration) -> Optional[bytes]:
     """The labels the patch gives g's image of each face of the window, in
     sorted face order, or None when the image leaves the patch."""
-    at = list(map(window_order(patch.window)[1].get, g.apply_faces(window_order(window)[0])))
+    at = _positions(window, g, patch.window)
     return None if None in at else bytes(map(patch.labels.__getitem__, at))
-
-
-@lru_cache(maxsize=8)
-def _gather(window: frozenset, faces: frozenset) -> itemgetter:
-    """An itemgetter reading, off label bytes in the window's sorted face
-    order, the labels of the faces (all in the window) in their sorted order,
-    then one spare label, so it returns a tuple even for a single face."""
-    at = window_order(window)[1]
-    return itemgetter(*map(at.__getitem__, window_order(faces)[0]), 0)
 
 
 def survivor_certificate(
@@ -675,6 +675,7 @@ def survivor_certificate(
         return evidence, None
     certificate = Configuration(window, labels, config.period)
     faces, marked = _marked(config)
-    if check(certificate).status != VALID or bytes(_gather(window, faces)(labels))[:-1] != marked:
+    agrees = bytes(map(labels.__getitem__, _positions(faces, _IDENTITY, window))) == marked
+    if check(certificate).status != VALID or not agrees:
         raise RuntimeError(f"catalog occurrence {evidence} pulls back to no completion")
     return evidence, certificate

@@ -22,11 +22,9 @@ from .catalog import (
     strip_variants,
 )
 from .configio import (
-    CONFIG_HEADER,
-    DIST_HEADER,
-    _content_lines,
     parse_config,
     parse_distribution,
+    parse_file,
     render_svg,
     serialize_config,
     serialize_distribution,
@@ -302,16 +300,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_render(args) -> int:
-    text = _read(args.file)
-    lines = _content_lines(text)  # the parsers' rule: comments and blank lines skipped
-    head = lines[0][1] if lines else ""
-    config = dist = None
-    if head == CONFIG_HEADER:
-        config = parse_config(text)
-    elif head == DIST_HEADER:
-        dist = parse_distribution(text)
-    else:
-        raise ValueError("unrecognized header %r" % head)
+    config, dist = parse_file(_read(args.file))
     svg = render_svg(
         config=config,
         dist=dist,

@@ -129,7 +129,7 @@ def parse_config(text: str) -> Configuration:
     for lineno, line in lines[1:]:
         parts = line.split()
         if parts[0] == "period":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise ValueError(f"line {lineno}: expected 'period <n>'")
             if period is not None:
                 raise ValueError(f"line {lineno}: duplicate period")
@@ -157,6 +157,18 @@ def parse_config(text: str) -> Configuration:
     if not window:
         raise ValueError("no faces given")
     return make_config(marks, window=window, period=period)
+
+
+def parse_file(text: str) -> Tuple[Optional[Configuration], Optional[Distribution]]:
+    """A configuration file as (config, None) or a distribution file as
+    (None, dist), told apart by the header line."""
+    lines = _content_lines(text)
+    head = lines[0][1] if lines else ""
+    if head == CONFIG_HEADER:
+        return parse_config(text), None
+    if head == DIST_HEADER:
+        return None, parse_distribution(text)
+    raise ValueError("unrecognized header %r" % head)
 
 
 def serialize_config(config: Configuration) -> str:

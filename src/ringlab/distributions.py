@@ -67,11 +67,8 @@ class Distribution:
         return set(self.axis) == set(self.window)
 
 
-def make_distribution(
-    axis: Dict[Vertex, int], window: Optional[Iterable[Vertex]] = None
-) -> Distribution:
-    w = frozenset(window) if window is not None else frozenset(axis)
-    return Distribution(w | frozenset(axis), dict(axis))
+def make_distribution(axis: Dict[Vertex, int]) -> Distribution:
+    return Distribution(frozenset(axis), dict(axis))
 
 
 class DistContradiction(Exception):
@@ -167,7 +164,7 @@ def dist_propagate(
     while progress:
         progress = False
         for g, v in enumerate(vertices):
-            if kernel.label[g] >= 0:
+            if kernel.label[g] != UNSET:
                 continue
             allowed = kernel.allowed(g)
             survivors = [a for a in AXES if allowed >> a & 1 and kernel.probe(g, a)]
@@ -176,7 +173,7 @@ def dist_propagate(
             if len(survivors) == 1:
                 kernel.assign(g, survivors[0])
                 progress = True
-    axis = {v: a for v, a in zip(vertices, kernel.label) if a >= 0}
+    axis = {v: a for v, a in zip(vertices, kernel.label) if a != UNSET}
     return Distribution(dist.window, axis)
 
 
@@ -356,7 +353,7 @@ def verify_lemma_L3(n: int = 4) -> dict:
         if bigger.failure is not None:
             results["unextendable"] += 1
             continue
-        forced = {v: a for v, a in zip(outer, bigger.label) if a >= 0}
+        forced = {v: a for v, a in zip(outer, bigger.label) if a != UNSET}
         if _has_rank32_segment(forced, set(enlarged)):
             results["forced_on_enlargement"] += 1
         else:

@@ -23,16 +23,19 @@ operations, through one cached plan per window (`link_grid`).  The plan
 gathers the label bytes, by slices, onto a padded grid in sorted face
 order, where each link position of every vertex is one strided slice; a
 sparse window is covered by several small grids (boxes), not one over its
-bounding box.  `link_bytes` packs each vertex's link into two bytes, family
-and three labels each, and `induced_distribution` reads those.  `check`
-maps them through `bytes.translate` tables built from the legal words
-(`_link_tables`, which agree with the ring tables) and finds a dead vertex
-as a zero byte.  Both plans read the window's vertices as `window_order`
-sorts them, once a window, and neither plan builds the other.
+bounding box.  A box places its columns' faces, found by bisection, at
+their cells and reads the rest as padding past the labels.  `link_bytes`
+packs each vertex's link into two bytes, family and three labels each,
+and `induced_distribution` reads those.  `check` maps them through
+`bytes.translate` tables built from the legal words (`_link_tables`,
+which agree with the ring tables) and finds a dead vertex as a zero byte.
+Both plans read the window's vertices as `window_order` sorts them, once a
+window, and neither plan builds the other.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter, itemgetter
@@ -192,6 +195,10 @@ def link_grid(window: frozenset) -> Tuple[Tuple[LinkBox, ...], bytes]:
     """The boxes over the window's vertices, and the UNSET tail their
     padding reads past the labels.
 
+    A box bisects the sorted faces for each of its columns and puts face
+    (x, y, u) at cell 2((x - gx)H + y - gy) + u.  Any other cell c is
+    padding, read at `outside + c` in the tail, which is the largest grid long.
+
     A vertex (x, y) reads its link at the steps +1, -2H, -2H + 1, -2H - 2,
     -1 and -2 from the cell of Down(x, y), H the rows of a column with its
     padding row.  Every vertex of the box reads its whole link.  A cell in
@@ -200,22 +207,18 @@ def link_grid(window: frozenset) -> Tuple[Tuple[LinkBox, ...], bytes]:
     positions 0-2: each reads part of its own vertex's link, the rest free,
     so a vertex it finds dead is dead.
     """
-    order, index, vertices = window_order(window)
+    order, _, vertices = window_order(window)
     outside = len(order)
     boxes, tail = [], 0
     for x0, y0, x1, y1 in _boxes(vertices):
         gx, gy, height = x0 - 1, y0 - 1, y1 - y0 + 3
-        positions, pad = [], 0  # padding cells number up from `outside`, per run
+        positions = list(range(outside, outside + 2 * height * (x1 - gx + 1)))
+        tail = max(tail, len(positions))
         for x in range(gx, x1 + 1):
-            for y in range(gy, y1 + 2):
-                for u in (False, True):
-                    g = index.get(Face(x, y, u)) if y <= y1 else None
-                    if g is None:
-                        g, pad = outside + pad, pad + 1
-                        tail = max(tail, pad)
-                    else:
-                        pad = 0
-                    positions.append(g)
+            # the column's faces in rows gy .. y1; its padding row holds none
+            for g in range(bisect_left(order, (x, gy)), bisect_left(order, (x, y1 + 1))):
+                _, y, u = order[g]
+                positions[2 * ((x - gx) * height + y - gy) + u] = g
         runs = [[g for _, g in run] for _, run in
                 groupby(enumerate(positions), lambda ig: ig[1] - ig[0])]
         read = itemgetter(*(slice(run[0], run[-1] + 1) for run in runs))
@@ -323,8 +326,7 @@ def propagate(config: Configuration, mode: str = DEFAULT_MODE) -> Configuration:
             raise Contradiction([(v, f"no ring matches the link at {v}")])
         f = config.faces[g]
         raise Contradiction([(face_vertices(f)[0], f"no admissible label for {f}")])
-    labels = bytes(l if l >= 0 else UNSET for l in kernel.label)
-    return Configuration(config.window, labels, config.period)
+    return Configuration(config.window, bytes(kernel.label), config.period)
 
 
 def _search_order(target: frozenset) -> Tuple[Face, ...]:

@@ -13,8 +13,9 @@ The package's three local-constraint systems all run on `Kernel`:
 A client builds a `Plan` from its variables' names, each constraint's
 names by position with its `Table`, and a search order by name; the plan
 numbers the variables in the order given, so a client reads `Kernel.label`
-in its own order and keeps no map.  A plan is read-only, so many kernels
-may share one (`engine` keeps one per window).  A kernel holds state:
+(UNSET for a free variable, as in a code) in its own order and keeps no
+map.  A plan is read-only, so many kernels may share one (`engine` keeps
+one per window).  A kernel holds state:
 
 - each constraint keeps its labels as a base-4 code (position k in bits 2k
   and 2k+1, `UNSET` = 3 for a free position), updated in place, and the
@@ -166,7 +167,7 @@ class Kernel:
             plan.sites, plan.around, plan.tables, plan.free, plan.held)
         self.code = [t.unset for t in plan.tables]
         self.masks: List[Optional[Tuple[int, ...]]] = [None] * len(plan.tables)
-        self.label = [-1] * len(plan.sites)
+        self.label = [UNSET] * len(plan.sites)
         self.trail: List[int] = []
         self.nodes = self.forced = 0
         self.failure = self._assume(given, list(range(len(plan.tables))))
@@ -242,7 +243,7 @@ class Kernel:
             g = index[name]
             if l == UNSET or label[g] == l:
                 continue
-            if label[g] >= 0:
+            if label[g] != UNSET:
                 return None, g
             label[g] = l
             self.trail.append(g)
@@ -324,7 +325,7 @@ class Kernel:
         while len(trail) > mark:
             g = trail.pop()
             l = label[g]
-            label[g] = -1
+            label[g] = UNSET
             it = iter(self.sites[g])
             for c in it:
                 x = code[c] = code[c] + ((UNSET - l) << 2 * next(it))
@@ -340,7 +341,7 @@ class Kernel:
     def _search(self, pos: int, found: list, stop_at: Optional[int]) -> None:
         self.nodes += 1
         label, order = self.label, self.order
-        while pos < len(order) and label[order[pos]] >= 0:
+        while pos < len(order) and label[order[pos]] != UNSET:
             pos += 1
         if pos == len(order):
             found.append(tuple(label))

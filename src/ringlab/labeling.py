@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from .kernel import Kernel, Plan, Table
+from .kernel import UNSET, Kernel, Plan, Table
 from .lattice import (
     A0,
     A1,
@@ -81,12 +81,12 @@ def derive_edge_labels(window: Iterable[Face]) -> Dict[Edge, int]:
         c, g = kernel.failure
         have, want = ((m & -m).bit_length() - 1 for m in kernel.blame(g)[1:])
         raise LabelContradiction(plan.names[g], have, want, f"vertex {vertices[c]}")
-    out = {e: l for e, l in zip(plan.names, kernel.label) if l >= 0}
+    out = {e: l for e, l in zip(plan.names, kernel.label) if l != UNSET}
     for f in faces:
         edges = face_edges(f)
-        labels = [out.get(e, -1) for e in edges]
+        labels = [out.get(e, UNSET) for e in edges]
         for k, l in enumerate(labels):
-            if l >= 0 and l in labels[:k]:
+            if l != UNSET and l in labels[:k]:
                 want = min({0, 1, 2} - set(labels[:k] + labels[k + 1:]))
                 raise LabelContradiction(edges[k], l, want, f"face {f}")
     return out

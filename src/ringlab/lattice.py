@@ -218,26 +218,22 @@ class Isometry(NamedTuple):
         return (a + self.tx, b + self.ty)
 
     def apply_face(self, f: Face) -> Face:
-        """Map three times the centroid; its residue mod 3 gives the orientation.
-
-        Three times the centroid of Up(x, y) is (3x+1, 3y+1) and of
-        Down(x, y) is (3x+2, 3y+2), so the image face is read off directly.
-        """
-        k = 1 if f.up else 2
-        a, b = self._linear(3 * f.x + k, 3 * f.y + k)
-        a += 3 * self.tx
-        b += 3 * self.ty
-        r = a % 3
-        return Face((a - r) // 3, (b - r) // 3, r == 1)
+        """The image of one face: `apply_faces` of one face, as a Face."""
+        return Face._make(self.apply_faces((f,))[0])
 
     def apply_faces(self, faces: Iterable[Face]) -> List[Tuple[int, int, bool]]:
         """The image (x, y, up) of each face, as a plain tuple equal to the
-        image Face.  On faces the map is affine: one linear part, plus per
-        orientation the image of the face at the origin."""
-        origin = {u: tuple(self.apply_face(Face(0, 0, u))) for u in (True, False)}
-        x0, y0, _ = origin[True]
-        ex, ey = self.apply_face(Face(1, 0, True)), self.apply_face(Face(0, 1, True))
-        a, b, d, e = ex.x - x0, ey.x - x0, ex.y - y0, ey.y - y0
+        image Face.  Three times the centroid of Up(x, y) is (3x+1, 3y+1) and
+        of Down(x, y) (3x+2, 3y+2); the linear part maps it to three times the
+        image's centroid, whose residue mod 3 gives the orientation.  So on
+        faces the map is affine: the linear part, plus per orientation the
+        image of the face at the origin."""
+        (a, d), (b, e) = self._linear(1, 0), self._linear(0, 1)
+        origin = {}
+        for u, k in ((True, 1), (False, 2)):
+            p, q = self._linear(k, k)
+            r = p % 3
+            origin[u] = ((p - r) // 3 + self.tx, (q - r) // 3 + self.ty, r == 1)
         out = []
         for x, y, u in faces:
             c, k, v = origin[u]

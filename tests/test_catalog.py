@@ -862,7 +862,7 @@ def test_partial_markings_embed_as_the_per_face_readers_do(drawn):
     where = window_order(window)[1]
     if labels is not None:
         assert all(labels[where[f]] == l for f, l in config.marks.items())
-    # the agreement gather reads each marked face's position in the window
+    # the agreement test reads each marked face's position in the window
     faces, marked = catalog._marked(config)
-    read = catalog._gather(window, faces)(bytes(range(len(where))))
-    assert bytes(read)[:-1] == bytes(map(where.__getitem__, sorted(faces)))
+    at = catalog._positions(faces, catalog._IDENTITY, window)
+    assert at == tuple(map(where.__getitem__, sorted(faces)))

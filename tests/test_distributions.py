@@ -147,7 +147,7 @@ def test_dist_propagate_restores_cleared_axes():
     d = build_D0(hex_window(3))
     partial = {v: a for v, a in d.axis.items() if abs(v[0]) + abs(v[1]) <= 2}
     filled = dist_propagate(
-        make_distribution(partial, window=d.window), refute=True
+        Distribution(d.window, partial), refute=True
     )
     assert dict(filled.axis) == dict(d.axis)
 
@@ -157,7 +157,7 @@ def test_dist_propagate_raises_on_contradiction():
     window = hex_window(1)
     axis = {v: 0 for v in window if v != (0, 0)}
     with pytest.raises(DistContradiction):
-        dist_propagate(make_distribution(axis, window=window), refute=True)
+        dist_propagate(Distribution(window, axis), refute=True)
 
 
 @pytest.mark.parametrize("refute", [False, True])
@@ -166,7 +166,7 @@ def test_dist_propagate_rejects_a_given_even_face(refute):
     window = hex_window(1)
     axis = {v: opposite_axis_at_vertex(up(0, 0), v) for v in face_vertices(up(0, 0))}
     with pytest.raises(DistContradiction) as info:
-        dist_propagate(make_distribution(axis, window=window), refute=refute)
+        dist_propagate(Distribution(window, axis), refute=refute)
     assert info.value.face == up(0, 0)
     assert str(info.value) == "face Up(0,0) is Even"
 
@@ -223,7 +223,7 @@ def partial_axes(draw):
     for v in sorted(window):
         if draw(st.sampled_from((False, False, True))):
             axis[v] = d0[v] if d0 is not None else draw(st.sampled_from(AXES))
-    return make_distribution(axis, window=window)
+    return Distribution(window, axis)
 
 
 @settings(max_examples=80, deadline=None)
@@ -261,7 +261,7 @@ def test_lemma_l3_exhaustive_four_by_four():
 
 def test_classify_rejects_partial_and_non_odd_input():
     with pytest.raises(ValueError):
-        classify_distribution(make_distribution({(0, 0): 0}, window=hex_window(1)))
+        classify_distribution(Distribution(hex_window(1), {(0, 0): 0}))
     constant = make_distribution({v: 0 for v in hex_window(3)})
     assert not all_faces_odd(constant)
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from ringlab.catalog import assemble, compatible_words, special_puzzle
 from ringlab.configio import data_text, parse_config, serialize_config
 from ringlab.distributions import (
     DistContradiction,
+    Distribution,
     dist_propagate,
     hex_window,
     make_distribution,
@@ -219,7 +220,7 @@ def _propagation_transcript() -> str:
                 p = rng.choice((0.1, 0.2, 0.3))
                 axis = {v: rng.randrange(3) for v in window if rng.random() < p}
                 try:
-                    dist = dist_propagate(make_distribution(axis, window), refute)
+                    dist = dist_propagate(Distribution(window, axis), refute)
                     out = sorted(dist.axis.items())
                 except DistContradiction as exc:
                     out = (exc.vertex, exc.face, str(exc))
@@ -265,11 +266,11 @@ def test_no_kernel_outlives_its_call():
         with pytest.raises(Contradiction):
             propagate(make_config({up(0, 0): 0, down(0, -1): 0, down(-1, 0): 0,
                                    down(0, 0): 0}))
-        dist_propagate(make_distribution({(0, 0): 0, (1, 0): 2}, hex_window(2)),
+        dist_propagate(Distribution(hex_window(2), {(0, 0): 0, (1, 0): 2}),
                        refute=True)
         hexagon = hex_window(1)
         with pytest.raises(DistContradiction):
-            dist_propagate(make_distribution({v: 0 for v in hexagon if v != (0, 0)}, hexagon))
+            dist_propagate(Distribution(hexagon, {v: 0 for v in hexagon if v != (0, 0)}))
         derive_edge_labels(ball(up(0, 0), 2))
         alive = [o for o in gc.get_objects() if isinstance(o, kernel.Kernel)]
     finally:
@@ -463,6 +464,40 @@ def test_a_sparse_window_is_read_in_small_grids(step):
     assert total <= 10 * len(vertices)
 
 
+def _per_cell_grid(config, box) -> bytes:
+    """A box's grid cell by cell, as `LinkBox` lays it out: per column x
+    from gx, per row y from gy, Down then Up, the face's label, and UNSET
+    off the window and in each column's last (padding) row."""
+    labels = dict(zip(config.faces, config.labels))
+    columns = (box.size + 1) // box.height + 1
+    padding = box.gy + box.height - 1
+    return bytes(labels.get(Face(x, y, u), engine.UNSET) if y < padding else engine.UNSET
+                 for x in range(box.gx, box.gx + columns)
+                 for y in range(box.gy, padding + 1) for u in (False, True))
+
+
+def _sparse_windows():
+    rng = random.Random(11)
+    hexagon = ball(up(0, 0), 6)
+    yield "holed", frozenset(f for f in hexagon if (7 * f.x + 3 * f.y) % 5)
+    yield "half", frozenset(f for f in hexagon if f.y >= f.x)
+    yield "scattered", frozenset(rng.sample(sorted(hexagon), 40))
+    yield "diagonal", frozenset(down(i, -i) for i in range(60))
+    yield "far-apart", frozenset((up(0, 0), down(10**6, -10**6), up(-3, 10**6)))
+    yield "column", frozenset(up(0, 100 * i) for i in range(30))
+
+
+@pytest.mark.parametrize("name, window", list(_sparse_windows()))
+def test_link_grids_gather_what_a_per_cell_reference_reads(name, window):
+    rng = random.Random(name)
+    faces = sorted(window)
+    config = make_config({f: rng.randrange(3) for f in faces if rng.random() < 0.8}, window)
+    boxes, tail = engine.link_grid(config.window)
+    assert boxes
+    for box in boxes:
+        assert b"".join(box.read(config.labels + tail)) == _per_cell_grid(config, box)
+
+
 def test_search_and_check_build_only_their_own_window_plans():
     """A window that is only searched builds no link grid, and one that is
     only checked builds no kernel plan: both read the window's one vertex
@@ -644,7 +679,7 @@ class _GenericKernel(kernel.Kernel):
         forced = {1: 0, 2: 1, 4: 2}
         while queue:
             for g in around[queue.pop()]:
-                if g is None or label[g] >= 0:
+                if g is None or label[g] != kernel.UNSET:
                     continue
                 allowed = 7
                 it = iter(sites[g])
@@ -721,7 +756,7 @@ def test_a_plan_numbers_its_names_in_the_order_given():
         kernel.Plan("ab", [("aba", kernel.Table(3, any))])
     assert kernel.Plan("ab", []).order == range(2)
     k = kernel.Kernel(plan, [("a", 0), ("b", kernel.UNSET)])
-    assert k.label == [0, -1, -1]
+    assert k.label == [0, kernel.UNSET, kernel.UNSET]
     # labels listed by number, found with c varying slowest
     assert k.search() == [(0, b, c) for c in (0, 1, 2) for b in (1, 2)]
     assert k.extends([("c", 1), ("a", 0)]) and not k.extends([("a", 1)])

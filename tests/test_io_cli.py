@@ -27,7 +27,7 @@ from ringlab.configio import (
     to_json,
     validate_report,
 )
-from ringlab.distributions import T0_SEED, build_D0, hex_window, make_distribution
+from ringlab.distributions import T0_SEED, Distribution, build_D0, hex_window
 from ringlab.engine import enumerate_completions, make_config
 from ringlab.lattice import ball, down, up
 
@@ -71,6 +71,9 @@ def test_parse_errors_carry_line_numbers():
         parse_config(f"{CONFIG_HEADER}\nface 0 0 U 0\nface 0 0 U 1\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_config(f"{CONFIG_HEADER}\nface 0 0 X 0\n")
+    # a digit str.isdigit accepts but int does not read
+    with pytest.raises(ValueError, match="line 2: expected 'period <n>'"):
+        parse_config(f"{CONFIG_HEADER}\nperiod \u00b2\nface 0 0 U 0\n")
 
 
 def test_comments_and_blanks_are_ignored():
@@ -86,12 +89,12 @@ def partial_distributions(draw):
     axes = draw(st.lists(st.sampled_from((None, 0, 1, 2)),
                          min_size=len(window), max_size=len(window)))
     axis = {v: a for v, a in zip(sorted(window), axes) if a is not None}
-    return make_distribution(axis, window=window)
+    return Distribution(window, axis)
 
 
 @settings(max_examples=100, deadline=None)
 @given(partial_distributions())
-@example(make_distribution({(0, 0): 0, (1, 0): 2}, window={(0, 0), (1, 0), (2, 0)}))
+@example(Distribution({(0, 0), (1, 0), (2, 0)}, {(0, 0): 0, (1, 0): 2}))
 def test_distribution_round_trip_with_unassigned(dist):
     text = serialize_distribution(dist)
     for v in dist.window - set(dist.axis):
@@ -293,7 +296,7 @@ def test_cli_dist_pipeline(tmp_path, capsys):
     rc, out = run_cli(capsys, "--json", "dist", "classify", str(f))
     assert rc == 0 and json.loads(out)["family"] == "SpecialD0"
     seed = tmp_path / "seed.txt"
-    seed.write_text(serialize_distribution(make_distribution(T0_SEED, window=hex_window(2))))
+    seed.write_text(serialize_distribution(Distribution(hex_window(2), T0_SEED)))
     rc, out = run_cli(capsys, "--json", "dist", "propagate", str(seed), "--refute")
     assert rc == 0
     obj = json.loads(out)
@@ -315,7 +318,7 @@ def test_cli_dist_propagate_rejects_a_given_even_face(tmp_path, capsys):
     f = tmp_path / "even.txt"
     # each corner of Up(0,0) on its opposite-side axis: no rank-2 corner
     axis = {(0, 0): 2, (1, 0): 1, (0, 1): 0}
-    f.write_text(serialize_distribution(make_distribution(axis, window=hex_window(1))))
+    f.write_text(serialize_distribution(Distribution(hex_window(1), axis)))
     rc = cli.main(["dist", "propagate", str(f)])
     assert rc == 1
     assert capsys.readouterr().err == "Contradiction: face Up(0,0) is Even\n"

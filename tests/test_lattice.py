@@ -132,9 +132,13 @@ def test_face_moves_are_affine_per_orientation():
     faces = sorted(ball(up(2, -1), 3))
     assert {f.up for f in faces} == {True, False}
     for g in POINT_GROUP:
-        for tx, ty in ((0, 0), (4, -2), (-3, 5), (1, 1)):
+        for tx, ty in ((0, 0), (4, -2), (-3, 5), (1, 1), (10**6, -7)):
             moved = g._replace(tx=tx, ty=ty)
-            assert moved.apply_faces(faces) == list(map(moved.apply_face, faces))
+            images = moved.apply_faces(faces)
+            # each image is the face spanned by the images of the face's corners
+            assert [set(face_vertices(Face._make(i))) for i in images] == [
+                {moved.apply_vertex(v) for v in face_vertices(f)} for f in faces]
+            assert images == list(map(moved.apply_face, faces))
 
 
 @given(isometries, edges)

@@ -11,7 +11,8 @@ benchmark tracer patches functions by name).  An annotated class field
 must be read somewhere in ``src/`` or ``perfbench/``: as an attribute, a
 keyword argument or an identifier string; a read from a test alone does not
 keep it.  Every parameter of a function or method, at any depth, must be
-read in its body; lambdas are exempt.  The checks go by name only, so a
+read in its body; lambdas are exempt.  No module imports another
+module's private (underscore) name.  The checks go by name only, so a
 dead method or field that shares its name with a live one is not caught.
 """
 
@@ -215,3 +216,17 @@ def test_every_parameter_is_read():
     assert unread == UNREAD_PARAMETERS, "unread parameters: " + ", ".join(
         sorted(unread - UNREAD_PARAMETERS)) + "; allowed but read: " + ", ".join(
         sorted(UNREAD_PARAMETERS - unread))
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name with a leading underscore is read only in its own module:
+    a module that needs another's private helper gets a public one."""
+    private = [
+        f"{path.stem}: {alias.name} from {'.' * node.level}{node.module or ''}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, "private names imported: " + ", ".join(private)
