@@ -28,13 +28,14 @@ the point-group moves that make them congruent, and the face permutation
 of each, so a call only compares labels.
 
 One query finds catalog occurrences (`_catalog_match`): the first one in a
-height-1 strip stack, then a height-2 one, then a special puzzle.  It keeps
-the occurrence's placement, the label-preserving isometry carrying the
-configuration into the puzzle, with the stacking word or the special patch.
-The embedding evidence is read from it, and pulling the puzzle back through
-it onto a larger window gives a survivor certificate
-(`survivor_certificate`).  A match is read once: the certificate's `check`
-and its agreement with the configuration are the one soundness guard.
+height-1 strip stack, then a height-2 one, then a special puzzle about
+`up(0, 0)`.  It keeps the occurrence's placement, the label-preserving
+isometry carrying the configuration into the puzzle, with the stacking word
+or the special patch.  The embedding evidence is read from it, and pulling
+the puzzle back through it onto a larger window gives a survivor
+certificate (`survivor_certificate`).  A match is read once: the
+certificate's `check` and its agreement with the configuration are the one
+soundness guard.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
     # period 6, so the window's labels are one period's, repeated
     period = _stack_marks(_stack_window(height, len(word), 6), _IDENTITY, height, word)
     return Configuration(_stack_window(height, len(word), 6 * width_periods),
-                         period * width_periods, 6)
+                         period * width_periods)
 
 
 def derive_interface_table(height: int) -> Dict[Tuple[str, str], Tuple[int, ...]]:
@@ -216,7 +217,7 @@ def derive_interface_table(height: int) -> Dict[Tuple[str, str], Tuple[int, ...]
                 delta for delta in deltas
                 if check(Configuration(window, _stack_marks(
                     window, _IDENTITY, height, [(a, 0), (b, -delta % 6)]
-                ), 6)).status == VALID
+                ))).status == VALID
             )
             if good:
                 out[(a, b)] = good
@@ -287,7 +288,7 @@ def transform_config(config: Configuration, g: Isometry) -> Configuration:
     image = g.apply_faces(config.faces)
     order = sorted(range(len(image)), key=image.__getitem__)
     labels = bytes(map(config.labels.__getitem__, order))
-    return Configuration(frozenset(map(Face._make, image)), labels, config.period)
+    return Configuration(frozenset(map(Face._make, image)), labels)
 
 
 @lru_cache(maxsize=8)
@@ -573,9 +574,9 @@ def _catalog_match(config: Configuration, center: Face) -> Optional[_Match]:
     return _strip_match(config, 1) or _strip_match(config, 2) or _special_match(config, center)
 
 
-def embeds_in_catalog(config: Configuration, center: Face = up(0, 0)) -> Optional[dict]:
+def embeds_in_catalog(config: Configuration) -> Optional[dict]:
     """Strip-stack or special-puzzle embedding evidence, or None."""
-    found = _catalog_match(config, center)
+    found = _catalog_match(config, up(0, 0))
     return None if found is None else found[0]
 
 
@@ -673,7 +674,7 @@ def survivor_certificate(
     labels = pull_back(window)
     if labels is None:
         return evidence, None
-    certificate = Configuration(window, labels, config.period)
+    certificate = Configuration(window, labels)
     faces, marked = _marked(config)
     agrees = bytes(map(labels.__getitem__, _positions(faces, _IDENTITY, window))) == marked
     if check(certificate).status != VALID or not agrees:

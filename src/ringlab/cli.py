@@ -336,12 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"ring matching symmetry group (default {DEFAULT_MODE})",
     )
     common.add_argument(
-        "--threads",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="ignored: the search is sequential; accepted so old scripts still run",
-    )
-    common.add_argument(
         "--json",
         action="store_true",
         default=argparse.SUPPRESS,
@@ -449,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    defaults = argparse.Namespace(symmetry=DEFAULT_MODE, threads=None, json=False)
+    defaults = argparse.Namespace(symmetry=DEFAULT_MODE, json=False)
     args = build_parser().parse_args(argv, defaults)
     try:
         return args.fn(args)

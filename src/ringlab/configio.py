@@ -4,12 +4,13 @@ Configuration files:
 
     ringlab-config v1
     # comment
-    period 6
     face <x> <y> <U|D> <0|1|2|->
 
-A ``-`` label puts the face in the window without marking it.  Distribution
-files use the header ``ringlab-dist v1`` and lines ``vertex <x> <y> <A0|A1|A2|->``,
-where ``-`` again marks an unassigned in-window vertex.
+A ``-`` label puts the face in the window without marking it.  A
+``period <n>`` line, which earlier versions wrote, is read and ignored.
+Distribution files use the header ``ringlab-dist v1`` and lines
+``vertex <x> <y> <A0|A1|A2|->``, where ``-`` again marks an unassigned
+in-window vertex.
 """
 
 from __future__ import annotations
@@ -125,15 +126,15 @@ def parse_config(text: str) -> Configuration:
         raise ValueError(f"line 1: expected header '{CONFIG_HEADER}'")
     marks: Dict[Face, int] = {}
     window: Set[Face] = set()
-    period: Optional[int] = None
+    has_period = False
     for lineno, line in lines[1:]:
         parts = line.split()
         if parts[0] == "period":
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise ValueError(f"line {lineno}: expected 'period <n>'")
-            if period is not None:
+            if has_period:
                 raise ValueError(f"line {lineno}: duplicate period")
-            period = int(parts[1])
+            has_period = True
             continue
         if parts[0] != "face" or len(parts) != 5:
             raise ValueError(
@@ -156,7 +157,7 @@ def parse_config(text: str) -> Configuration:
         marks[f] = int(parts[4])
     if not window:
         raise ValueError("no faces given")
-    return make_config(marks, window=window, period=period)
+    return make_config(marks, window=window)
 
 
 def parse_file(text: str) -> Tuple[Optional[Configuration], Optional[Distribution]]:
@@ -173,8 +174,6 @@ def parse_file(text: str) -> Tuple[Optional[Configuration], Optional[Distributio
 
 def serialize_config(config: Configuration) -> str:
     lines = [CONFIG_HEADER]
-    if config.period is not None:
-        lines.append(f"period {config.period}")
     for f, label in zip(config.faces, config.labels):
         lines.append(
             "face %d %d %s %s"
@@ -255,6 +254,8 @@ def render_svg(
     """Deterministic standalone SVG for a configuration and/or a distribution."""
     if config is None and dist is None:
         raise ValueError("nothing to render")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and positive, not {scale}")
     body: List[str] = []
     points: List[Tuple[float, float]] = []
 

@@ -1,10 +1,10 @@
 """Partial configurations: checking, propagation, enumeration, dead ends.
 
-A configuration is built from its window and its labels in the window's
-sorted face order as bytes, UNSET (3) where a face is free; `make_config`
-builds one from a dict.  Its `marks` is a read-only {face: label} view
-built on first read; assembly, `check`, search and the catalog matches
-read the label bytes only.
+A configuration is its window and its labels in the window's sorted face
+order as bytes, UNSET (3) where a face is free, and nothing else;
+`make_config` builds one from a dict.  Its `marks` is a read-only
+{face: label} view built on first read; assembly, `check`, search and the
+catalog matches read the label bytes only.
 
 `propagate`, `enumerate_completions` and `have_completions` run on
 `kernel.Kernel` (see that module for the design) over one cached plan per
@@ -73,18 +73,17 @@ class Configuration:
     where unmarked.  `marks` is a read-only {face: label} view of the marked
     faces, built on first read from fields that are read-only too."""
 
-    __slots__ = ("_window", "_faces", "_labels", "_period", "_marks")
-    window, faces, labels, period = map(property, map(attrgetter, __slots__[:4]))
+    __slots__ = ("_window", "_faces", "_labels", "_marks")
+    window, faces, labels = map(property, map(attrgetter, __slots__[:3]))
 
-    def __init__(self, window: Iterable[Face], labels: bytes,
-                 period: Optional[int] = None) -> None:
+    def __init__(self, window: Iterable[Face], labels: bytes) -> None:
         window = frozenset(window)
         self._faces, self._labels = window_order(window)[0], bytes(labels)
         if len(self._labels) != len(self._faces):
             raise ValueError(f"{len(self._labels)} labels for {len(self._faces)} faces")
         if self._labels.translate(None, _LABEL_BYTES):
             raise ValueError(f"labels not in 0, 1, 2, 3: {sorted(set(self._labels))}")
-        self._window, self._period, self._marks = window, period, None
+        self._window, self._marks = window, None
 
     @property
     def marks(self) -> Mapping[Face, int]:
@@ -94,16 +93,15 @@ class Configuration:
         return self._marks
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Configuration) and (self.window, self.labels, self.period) == (
-            other.window, other.labels, other.period)
+        return isinstance(other, Configuration) and (self.window, self.labels) == (
+            other.window, other.labels)
 
     def __repr__(self) -> str:
-        return (f"Configuration(window={self.window!r}, marks={dict(self.marks)!r}, "
-                f"period={self.period!r})")
+        return f"Configuration(window={self.window!r}, marks={dict(self.marks)!r})"
 
 
-def make_config(marks: Mapping[Face, int], window: Optional[Iterable[Face]] = None,
-                period: Optional[int] = None) -> Configuration:
+def make_config(marks: Mapping[Face, int],
+                window: Optional[Iterable[Face]] = None) -> Configuration:
     """The marks on their faces and the window's, as one configuration; a
     frozenset window holding the marks is kept, for the per-window caches."""
     if not _LABELS.issuperset(marks.values()):
@@ -113,7 +111,7 @@ def make_config(marks: Mapping[Face, int], window: Optional[Iterable[Face]] = No
     if not (isinstance(window, frozenset) and window.issuperset(marks)):
         window = frozenset(marks).union(window or ())
     labels = [marks.get(f, UNSET) for f in window_order(window)[0]]
-    return Configuration(window, labels, period)
+    return Configuration(window, labels)
 
 
 class Verdict(NamedTuple):
@@ -326,7 +324,7 @@ def propagate(config: Configuration, mode: str = DEFAULT_MODE) -> Configuration:
             raise Contradiction([(v, f"no ring matches the link at {v}")])
         f = config.faces[g]
         raise Contradiction([(face_vertices(f)[0], f"no admissible label for {f}")])
-    return Configuration(config.window, bytes(kernel.label), config.period)
+    return Configuration(config.window, bytes(kernel.label))
 
 
 def _search_order(target: frozenset) -> Tuple[Face, ...]:
@@ -364,7 +362,7 @@ def enumerate_completions(
     target = _target(config, target_window)
     found = Kernel(_plan(target, mode), zip(config.faces, config.labels)).search()
     labels = sorted(map(bytes, found))
-    return [Configuration(target, l, config.period) for l in labels]
+    return [Configuration(target, l) for l in labels]
 
 
 def have_completions(

@@ -2,7 +2,9 @@
 
 import gc
 import hashlib
+import importlib.util
 import itertools
+import os
 import random
 
 import pytest
@@ -169,6 +171,21 @@ def test_completions_of_one_mark_are_valid(label, pick):
     c = comps[pick % len(comps)]
     assert check(c).status == VALID
     assert c.marks[up(0, 0)] == label
+
+
+@pytest.mark.parametrize("radius, count", [(3, 736), (4, 2416)])
+def test_completions_match_a_kernel_free_backtracker(radius, count):
+    # the benchmark's reference backtracks over the legal link words with
+    # no kernel, plan or table of the engine
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.py")
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    window = ball(up(0, 0), radius)
+    got = enumerate_completions(make_config({up(0, 0): 0}, window=window))
+    want = reference.completions({up(0, 0): 0}, window)
+    assert len(got) == len(want) == count
+    assert reference.set_digest(c.marks for c in got) == reference.set_digest(want)
 
 
 def test_propagate_names_a_dead_vertex():
@@ -796,7 +813,7 @@ def _check_transcript() -> str:
             marks = dict(stack.marks)
             f = rng.choice(sorted(marks))
             marks[f] = (marks[f] + rng.randint(1, 2)) % 3
-            lines.append(repr(check(make_config(marks, stack.window, 6), mode)))
+            lines.append(repr(check(make_config(marks, stack.window), mode)))
     return "\n".join(lines) + "\n"
 
 
