@@ -40,10 +40,9 @@ soundness guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .configio import data_text, parse_config
 from .engine import UNSET, Configuration, VALID, check, make_config, propagate, window_order
@@ -53,8 +52,7 @@ RowChoice = Tuple[str, int]
 StackingWord = Sequence[RowChoice]
 
 
-@dataclass(frozen=True)
-class StripSpec:
+class StripSpec(NamedTuple):
     """One periodic strip: per-row up/down label cycles."""
 
     height: int

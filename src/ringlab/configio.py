@@ -1,4 +1,4 @@
-"""Text formats, canonical JSON, and SVG rendering.
+"""Packaged data files, text formats, canonical JSON, and SVG rendering.
 
 Configuration files:
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from importlib import resources
+import os.path
 from typing import Dict, List, Optional, Set, Tuple
 
 from .labeling import edge_label
@@ -48,8 +48,10 @@ D0_STROKE = "#c0392b"
 
 
 def data_text(name: str) -> str:
-    """Text of a packaged data file."""
-    return (resources.files("ringlab") / "data" / name).read_text()
+    """Text of a packaged data file: `data/<name>` next to this module, read
+    as UTF-8 (no `importlib.resources`, which a start-up would pay for)."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as f:
+        return f.read()
 
 
 def _is_type(obj, name: str) -> bool:
@@ -254,8 +256,8 @@ def render_svg(
     """Deterministic standalone SVG for a configuration and/or a distribution."""
     if config is None and dist is None:
         raise ValueError("nothing to render")
-    if not 0 < scale < math.inf:
-        raise ValueError(f"scale must be finite and positive, not {scale}")
+    if not 0.01 <= scale < math.inf:  # coordinates print to two decimals
+        raise ValueError(f"scale must be finite and positive, at least 0.01, not {scale}")
     body: List[str] = []
     points: List[Tuple[float, float]] = []
 
@@ -332,6 +334,8 @@ def render_svg(
     y0 = min(p[1] for p in points) - margin
     x1 = max(p[0] for p in points) + margin
     y1 = max(p[1] for p in points) + margin
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise ValueError(f"scale {scale} draws past the largest float")
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(x1 - x0)} {_fmt(y1 - y0)}">'

@@ -10,7 +10,6 @@ and takes each total link's rank axis through a memo keyed by them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -46,22 +45,28 @@ UNKNOWN = "Unknown"
 T0_SEED: Dict[Vertex, int] = {(-1, 0): A0, (0, 0): A0, (1, 0): A2, (0, 1): A1}
 
 
-@dataclass
 class Distribution:
-    """A finite vertex window with a (possibly partial) axis assignment."""
+    """A finite vertex window, kept as a frozenset, with a (possibly partial)
+    axis assignment, a dict; equal by (window, axis), and unhashable."""
 
-    window: frozenset
-    axis: Dict[Vertex, int]
+    __slots__ = ("window", "axis")
 
-    def __post_init__(self) -> None:
-        self.window = frozenset(self.window)
-        bad = set(self.axis) - self.window
+    def __init__(self, window: Iterable[Vertex], axis: Dict[Vertex, int]) -> None:
+        self.window, self.axis = frozenset(window), axis
+        bad = set(axis) - self.window
         if bad:
             raise ValueError(f"axes outside window: {sorted(bad)[:3]}")
-        if not set(AXES).issuperset(self.axis.values()):
+        if not set(AXES).issuperset(axis.values()):
             # vertices are distinct, so the sort never compares two axes
-            wrong = sorted((v, a) for v, a in self.axis.items() if a not in AXES)
+            wrong = sorted((v, a) for v, a in axis.items() if a not in AXES)
             raise ValueError(f"axes not in A0, A1, A2: {wrong[:3]}")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Distribution) and (self.window, self.axis) == (
+            other.window, other.axis)
+
+    def __repr__(self) -> str:
+        return f"Distribution(window={self.window!r}, axis={self.axis!r})"
 
     def total(self) -> bool:
         return set(self.axis) == set(self.window)

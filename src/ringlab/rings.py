@@ -9,7 +9,6 @@ angular order, so matching a link against a ring is a circle-map search.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
@@ -178,6 +177,7 @@ def multiplicity_table() -> Dict[RootDomain, int]:
 
 def root_rank(domain: RootDomain) -> Fraction:
     """The rank 1 + N/q of a realized domain, N its multiplicity."""
+    from fractions import Fraction  # only `ringlab rings` and report 2 read ranks
     n = multiplicity_table().get(domain)
     if n is None:
         raise ValueError(f"not a root: {domain}")

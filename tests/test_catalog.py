@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ringlab import catalog, reports
 from ringlab.catalog import (
     INTERFACE_DELTAS,
+    StripSpec,
     assemble,
     compatible_words,
     derive_interface_table,
@@ -65,6 +66,18 @@ def test_strip_variants_and_table():
         (2, 3),
     ]
     assert [s.key for s in table if s.height == 1] == ["a", "b", "c", "f"]
+
+
+def test_strip_specs_compare_by_their_fields():
+    table = strip_table()
+    assert [(s.height, s.index, s.key) for s in table] == [
+        (1, 1, "a"), (1, 2, "b"), (1, 3, "c"), (1, 6, "f"), (2, 1, "1"), (2, 2, "2"), (2, 3, "3")]
+    for s in table:
+        assert get_strip(s.height, s.index) == s == StripSpec(s.height, s.index, s.key, s.rows)
+        assert len(s.rows) == s.height
+    spec = get_strip(1, 1)
+    assert spec != StripSpec(1, 1, "z", spec.rows) and spec != get_strip(1, 2)
+    assert len(set(table)) == len(table)
 
 
 def test_get_strip_rejects_unknown_index():

@@ -62,6 +62,22 @@ def test_axes_outside_the_three_are_rejected(axis):
         make_distribution({(0, 0): axis, (1, 0): 0})
 
 
+def test_a_distribution_freezes_its_window_and_compares_by_value():
+    d = Distribution([(0, 0), (1, 0)], {(0, 0): 0})
+    assert type(d.window) is frozenset and d.window == {(0, 0), (1, 0)}
+    assert d == Distribution({(1, 0), (0, 0)}, {(0, 0): 0})
+    assert d != Distribution(d.window, {(0, 0): 1})
+    assert d != Distribution({(0, 0)}, {(0, 0): 0})
+    assert d != (d.window, d.axis)
+    assert repr(d) == f"Distribution(window={d.window!r}, axis={{(0, 0): 0}})"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(d)
+    with pytest.raises(ValueError, match=r"axes outside window: \[\(1, 1\)\]"):
+        Distribution([(0, 0)], {(1, 1): 0})
+    with pytest.raises(ValueError, match=r"axes not in A0, A1, A2: \[\(\(0, 0\), 3\)\]"):
+        Distribution({(0, 0)}, {(0, 0): 3})
+
+
 def test_face_parity_needs_all_corners():
     d = make_distribution({(0, 0): 0})
     with pytest.raises(ValueError):

@@ -173,7 +173,7 @@ def test_completions_of_one_mark_are_valid(label, pick):
     assert c.marks[up(0, 0)] == label
 
 
-@pytest.mark.parametrize("radius, count", [(3, 736), (4, 2416)])
+@pytest.mark.parametrize("radius, count", [(3, 736), (4, 2416), (5, 8080)])
 def test_completions_match_a_kernel_free_backtracker(radius, count):
     # the benchmark's reference backtracks over the legal link words with
     # no kernel, plan or table of the engine

@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from unittest import mock
 
@@ -329,6 +331,12 @@ def test_cli_dist_propagate_rejects_a_given_even_face(tmp_path, capsys):
     assert capsys.readouterr().err == "Contradiction: face Up(0,0) is Even\n"
 
 
+# SHA-256 of `ringlab rings` under --json and as text; both carry the 36 and
+# 36 domains of ranks 2 and 3/2 that `root_rank` gives.
+RINGS_JSON_SHA256 = "4e3b033389808068a7b195ac898c34920020ba78bc45a9a612180c153bc40dc2"
+RINGS_TEXT_SHA256 = "4fa4b0b59bf99538575460ed5893fcd20b1aa223e0697fba819bbae60e69ba52"
+
+
 def test_cli_rings_is_byte_stable(capsys):
     rc, first = run_cli(capsys, "--json", "rings")
     assert rc == 0
@@ -336,6 +344,37 @@ def test_cli_rings_is_byte_stable(capsys):
     assert rc == 0
     assert first == second
     validate_report("rings", json.loads(first))
+    assert json.loads(first)["rank_axes"] == {"2": 36, "3/2": 36}
+    assert hashlib.sha256(first.encode()).hexdigest() == RINGS_JSON_SHA256
+    rc, text = run_cli(capsys, "rings")
+    assert rc == 0 and text.endswith("ranks={'2': 36, '3/2': 36}\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == RINGS_TEXT_SHA256
+
+
+# Standard-library modules that no ringlab start-up needs: dataclasses
+# loads inspect, dis and ast; fractions loads decimal; importlib.resources
+# loads pathlib and tempfile, and its readers use zipfile.
+NOT_LOADED_AT_START = ("dataclasses", "inspect", "fractions", "decimal",
+                       "importlib.resources", "pathlib", "tempfile", "zipfile")
+
+
+def test_start_up_loads_no_module_it_does_not_need():
+    # -S keeps site-packages' .pth files from loading any of them first
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    code = ("import sys, ringlab.cli, ringlab.reports; "
+            f"print(sorted(set({NOT_LOADED_AT_START!r}) & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert run.stdout == "[]\n"
+
+
+def test_data_text_reads_what_importlib_resources_reads():
+    from importlib import resources  # the oracle; ringlab itself does not load it
+
+    files = [p for p in (resources.files("ringlab") / "data").iterdir() if p.is_file()]
+    assert len(files) == 24
+    for path in files:
+        assert data_text(path.name) == path.read_text(encoding="utf-8"), path.name
 
 
 def test_cli_render_writes_svg(tmp_path, capsys):
@@ -357,6 +396,37 @@ def test_cli_render_rejects_a_scale_that_draws_nothing(tmp_path, capsys, scale):
     assert cli.main(["render", str(src), f"--scale={scale}"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: scale must be finite and positive")
+
+
+TWO_FACES = f"{CONFIG_HEADER}\nface 0 0 U 0\nface 3 0 U 1\n"
+
+
+@pytest.mark.parametrize("scale, why", [
+    ("0.001", "scale must be finite and positive, at least 0.01, not 0.001"),
+    ("0.00999", "scale must be finite and positive, at least 0.01, not 0.00999"),
+    ("1e308", "scale 1e+308 draws past the largest float"),
+])
+def test_cli_render_rejects_a_scale_past_what_the_output_can_print(tmp_path, capsys, scale,
+                                                                   why):
+    # below 0.01 every point prints as 0.00; at 1e308 the viewBox is inf
+    src = tmp_path / "two.txt"
+    src.write_text(TWO_FACES)
+    assert cli.main(["render", str(src), f"--scale={scale}"]) == 2
+    assert capsys.readouterr() == ("", f"error: {why}\n")
+
+
+@pytest.mark.parametrize("scale", [0.01, 1e300])
+def test_cli_render_draws_at_the_extreme_scales_it_accepts(tmp_path, capsys, scale):
+    src = tmp_path / "two.txt"
+    src.write_text(TWO_FACES)
+    rc, svg = run_cli(capsys, "render", str(src), f"--scale={scale}")
+    assert rc == 0 and svg.count("<polygon") == 2 and "inf" not in svg
+    # x from 0 to 4, y from -sqrt(3)/2 to 0, a margin of 0.8 round them;
+    # all times the scale, and printed to two decimals
+    h = 3 ** 0.5 / 2
+    view_box = re.search(r'viewBox="([^"]*)"', svg).group(1).split()
+    assert [float(v) for v in view_box] == pytest.approx(
+        [-0.8 * scale, -(h + 0.8) * scale, 5.6 * scale, (h + 1.6) * scale], rel=1e-9, abs=0.005)
 
 
 def test_cli_render_writes_svg_under_json(tmp_path, capsys):
