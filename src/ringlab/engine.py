@@ -376,8 +376,11 @@ def have_completions(
     One kernel is built over the target with no labels given; each
     configuration's marks are then assumed on its trail, one completion is
     searched for, and the trail is undone, so the configurations share the
-    kernel and its search order.
+    kernel and its search order.  An empty batch builds no plan or kernel.
     """
+    configs = list(configs)
+    if not configs:
+        return []
     target = frozenset(target_window)
     kernel = Kernel(_plan(target, mode), ())
     out = []

@@ -413,10 +413,13 @@ def test_radius3_embedding_evidence_is_byte_stable():
 CERTIFICATE_SHA256 = {
     (2, 4): "4e0d3964faa7798d37dca5273007c1165ecb690626b0490d0ccb30be6d8b1233",
     (3, 5): "c7451bfa2f6dcfe9065d16e486dd1e40f35e78cc7bafab4782c6cb62cf3b0386",
+    # 288 of its special occurrences have a patch that does not cover the
+    # probe ball's image, so they pull back to no certificate
+    (4, 7): "2789f0b075612c696da352121d4fe1073ccdc406e7c7d61d2d27e17f8bd2e4c6",
 }
 
 
-@pytest.mark.parametrize("r, probe, certified", [(2, 4, 184), (3, 5, 604)])
+@pytest.mark.parametrize("r, probe, certified", [(2, 4, 184), (3, 5, 604), (4, 7, 1708)])
 def test_survivor_certificates_are_byte_stable(r, probe, certified):
     window = ball(up(0, 0), probe)
     rows = []
@@ -781,6 +784,88 @@ def test_special_match_finds_the_first_occurrence_of_moved_sub_balls(index, plac
     found = _special_occurrence(moved, g.apply_face(c))
     assert found is not None
     assert found == _first_special_occurrence(moved, g.apply_face(c))
+
+
+def _per_face_patch_marks(window, g, patch):
+    """Reference for `catalog._patch_marks`: the patch's label of g's image
+    of each face of the window in sorted order, looked up face by face."""
+    labels = [patch.marks.get(g.apply_face(f)) for f in sorted(window)]
+    return None if None in labels else bytes(labels)
+
+
+# A puzzle ball reaching past the special patches' face grid on every side.
+_BEYOND_PATCH_RADIUS = 11
+
+
+@lru_cache(maxsize=None)
+def _rim(side):
+    """The special patch faces whose radius-1 ball lies in the patch and
+    whose radius-3 ball leaves the patches' face grid on the given side."""
+    window = special_puzzle(1, catalog._SPECIAL_PATCH_RADIUS).window
+    x0, y0, cols, rows = catalog._grid_shape(window)
+    out = []
+    for c in sorted(window):
+        xs, ys = [f.x for f in ball(c, 3)], [f.y for f in ball(c, 3)]
+        leaves = {"-x": min(xs) < x0, "+x": max(xs) >= x0 + cols,
+                  "-y": min(ys) < y0, "+y": max(ys) >= y0 + rows}
+        if ball(c, 1) <= window and leaves[side]:
+            out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("side", ["-x", "+x", "-y", "+y"])
+@settings(max_examples=10, deadline=None)
+@given(index=st.integers(1, 12), data=st.data(), keep=st.sampled_from((0.0, 0.5, 1.0)),
+       rng=st.randoms(use_true_random=False), g=label_isometries)
+def test_special_readers_answer_as_the_per_face_reference_off_the_grid(side, index, data,
+                                                                      keep, rng, g):
+    # a radius-3 ball about a rim face of the patch, some marks outside its
+    # centre's radius-1 ball dropped, moved: its image on the patch leaves
+    # the grid on the given side
+    c = data.draw(st.sampled_from(_rim(side)))
+    marks = special_puzzle(index, _BEYOND_PATCH_RADIUS).marks
+    sub = {f: marks[f] for f in ball(c, 3) if f in ball(c, 1) or rng.random() < keep}
+    moved = transform_config(make_config(sub, window=ball(c, 3)), g)
+    center = g.apply_face(c)
+    found = _first_special_occurrence(moved, center)
+    assert _special_occurrence(moved, center) == found
+    patch = special_puzzle(index, catalog._SPECIAL_PATCH_RADIUS)
+    assert catalog._patch_marks(ball(c, 3), catalog._IDENTITY, patch) is None
+    pulls = [(ball(c, 3), catalog._IDENTITY), (ball(c, 2), g), (moved.window, g)]
+    if found is not None:
+        pulls.append((ball(center, 4), found[1]))
+    for window, move in pulls:
+        want = _per_face_patch_marks(window, move, patch)
+        assert catalog._patch_marks(window, move, patch) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.sampled_from(POINT_GROUP), st.integers(-12, 12),
+       st.integers(-12, 12), st.booleans(),
+       st.sampled_from((None, (10**6, 0), (0, -10**6), (-10**6, 10**6))))
+def test_patch_marks_reads_single_faces_and_far_windows_as_the_per_face_reference(
+        index, g, tx, ty, u, far):
+    # one face moved anywhere on, around or off the grid, alone or with a
+    # second face 10^6 away
+    patch = special_puzzle(index, catalog._SPECIAL_PATCH_RADIUS)
+    window = frozenset({Face(0, 0, u)} | ({Face(*far, not u)} if far else set()))
+    move = g._replace(tx=tx, ty=ty)
+    want = _per_face_patch_marks(window, move, patch)
+    assert catalog._patch_marks(window, move, patch) == want
+    assert far is None or want is None
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 12), st.sampled_from(_patch_centres(1)), label_isometries,
+       st.sampled_from(((10**6, 0), (0, -10**6), (-10**6, 10**6))), st.integers(0, 2))
+def test_special_match_misses_a_window_with_a_far_face(index, c, g, far, label):
+    marks = special_puzzle(index, catalog._SPECIAL_PATCH_RADIUS).marks
+    sub = {f: marks[f] for f in ball(c, 1)}
+    sub[Face(c.x + far[0], c.y + far[1], True)] = label
+    moved = transform_config(make_config(sub), g)
+    center = g.apply_face(c)
+    assert _special_occurrence(moved, center) is None
+    assert _first_special_occurrence(moved, center) is None
 
 
 def test_special_match_needs_the_centre_ball_marked():

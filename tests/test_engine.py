@@ -47,6 +47,7 @@ from ringlab.lattice import (
     window_vertices,
 )
 from ringlab.labeling import derive_edge_labels, vertex_s
+from ringlab.reports import classification_report
 from ringlab.rings import MODE_ROT, MODE_ROT_REF, sector_options
 
 INITIAL_WINDOW = frozenset({up(0, 0), down(0, -1), down(-1, 0), down(0, 0)})
@@ -531,6 +532,29 @@ def test_search_and_check_build_only_their_own_window_plans():
     assert engine._plan.cache_info() == plans
     vertices = tuple(sorted(window_vertices(searched.window)))
     assert engine.window_order(searched.window)[2] == vertices
+
+
+def test_an_empty_batch_builds_no_plan_or_kernel(monkeypatch):
+    """have_completions on no configurations answers [] without building the
+    target's plan or a kernel.  classification_report(1, 3) certifies all
+    28 completions, so it builds no plan for its radius-3 probe ball."""
+    planned = []
+    plan = engine._plan
+
+    def spy(window, mode):
+        planned.append(window)
+        return plan(window, mode)
+
+    monkeypatch.setattr(engine, "Kernel", None)  # building one would raise
+    monkeypatch.setattr(engine, "_plan", spy)
+    assert have_completions([], ball(up(60, 60), 3)) == []
+    assert have_completions(iter(()), ball(up(60, 60), 3)) == []
+    assert planned == []
+    monkeypatch.undo()
+    monkeypatch.setattr(engine, "_plan", spy)
+    report = classification_report(1, 3)
+    assert (report["completions"], report["survivors"], report["exceptions"]) == (28, 28, 0)
+    assert ball(up(0, 0), 3) not in planned and planned
 
 
 @st.composite
