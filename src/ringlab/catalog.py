@@ -462,22 +462,28 @@ def _match_stack(
         if found is None:
             return None
         options.append(found)
+    # depth first, top row first and each row's choices in order, on an
+    # explicit stack of the rows' choice iterators; a (row, choice) that no
+    # word continues is dead and not tried again
     below = _below(height)
     word: List[RowChoice] = []
-
-    def rec(r: int) -> bool:
-        if r == len(options):
-            return True
-        for choice in options[r]:
-            if word and choice not in below[word[-1]]:
-                continue
-            word.append(choice)
-            if rec(r + 1):
-                return True
-            word.pop()
-        return False
-
-    return tuple(word) if rec(0) else None
+    dead = set()
+    stack = [iter(options[0])]
+    while stack:
+        r = len(word)
+        for choice in stack[-1]:
+            if (not word or choice in below[word[-1]]) and (r, choice) not in dead:
+                break
+        else:
+            stack.pop()
+            if word:
+                dead.add((r - 1, word.pop()))
+            continue
+        word.append(choice)
+        if len(word) == len(options):
+            return tuple(word)
+        stack.append(iter(options[len(word)]))
+    return None
 
 
 # A catalog occurrence: its evidence, and the pull-back of its puzzle onto a

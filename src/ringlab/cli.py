@@ -10,6 +10,7 @@ import argparse
 import sys
 from collections import Counter
 from functools import lru_cache
+from typing import Optional, Sequence
 
 from . import reports
 from .catalog import (
@@ -322,129 +323,119 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+# Each subcommand: its help, its handler and its arguments, in the order the
+# usage line lists them.  dist's children follow in _DIST_COMMANDS.
+_COMMANDS = {
+    "rings": ("ring and rank tables", cmd_rings, ()),
+    "edge-labels": ("canonical edge labels on a square window", cmd_edge_labels, (
+        _arg("--window", type=int, default=12, help="window side (vertices)"),)),
+    "check": ("check a configuration file", cmd_check, (_arg("file"),)),
+    "enumerate": ("enumerate completions of a configuration", cmd_enumerate, (
+        _arg("file"),
+        _arg("--radius", type=int, help="extend the target window to this ball radius"))),
+    "deadends": ("probe completions for dead ends", cmd_deadends, (
+        _arg("file"),
+        _arg("--radius", type=int, required=True, help="completion radius"),
+        _arg("--probe", type=int, required=True, help="survival probe radius"))),
+    "strip": ("assemble a strip stack", cmd_strip, (
+        _arg("--height", type=int, choices=[1, 2], required=True),
+        _arg("--index", type=int, required=True, help="strip table index"),
+        _arg("--rows", type=int, default=4, help="rows to stack"),
+        _arg("--width", type=int, default=12,
+             help="width in lattice columns, a multiple of 6"),
+        _arg("--word",
+             help="comma-separated per-row shifts; a token key:shift pins that row's strip"),
+        _arg("-o", "--output", help="write the configuration to a file"))),
+    "special": ("one of the twelve special puzzles", cmd_special, (
+        _arg("--index", type=int, required=True, help="1..12"),
+        _arg("--radius", type=int, default=3, help="ball radius"),
+        _arg("-o", "--output", help="write the configuration to a file"))),
+    "iso": ("test two configurations for isomorphism", cmd_iso, (
+        _arg("file1"), _arg("file2"))),
+    "dist": ("root distribution tools", cmd_dist, ()),
+    "render": ("render a configuration or distribution as SVG", cmd_render, (
+        _arg("file"),
+        _arg("-o", "--output", help="output SVG path (default stdout)"),
+        _arg("--scale", type=float, default=40.0),
+        _arg("--edge-labels", action="store_true", help="draw edge labels"),
+        _arg("--no-face-labels", action="store_true"),
+        _arg("--no-axes", action="store_true", help="suppress axis ticks"),
+        _arg("--annotate-d0", action="store_true", help="dashed half-geodesic"))),
+    "report": ("acceptance criterion report as JSON", cmd_report, (
+        _arg("number", type=int, choices=range(1, 9), metavar="1..8"),)),
+}
+
+_DIST_COMMANDS = {
+    "check": ("all faces odd?", (_arg("file"),)),
+    "propagate": ("fill forced axes", (
+        _arg("file"),
+        _arg("--refute", action="store_true", help="rule out contradictory axes"))),
+    "classify": ("name the distribution family", (_arg("file"),)),
+    "d0": ("build the exceptional distribution", (
+        _arg("--radius", type=int, default=6, help="hexagonal window radius"),
+        _arg("-o", "--output", help="write the distribution to a file"))),
+}
+
+
+def _add_parser(sub, common, name: str, about: str, arguments) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, parents=[common], help=about)
+    for flags, kwargs in arguments:
+        p.add_argument(*flags, **kwargs)
+    return p
+
+
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser with every subcommand, or with cmd's alone (and, for
+    dist, its children).  The usage line lists every subcommand either way:
+    one alone is built only for an argv that names it where argparse reads
+    it, so only the full parser reports a missing or unknown one."""
     # the global flags are accepted before and after the subcommand; SUPPRESS
     # keeps a subcommand parse from clobbering a value given before it, and
     # main passes the defaults in the namespace (set_defaults would rewrite
     # the default of the actions the subparsers share)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--symmetry",
-        choices=[MODE_ROT, MODE_ROT_REF],
-        default=argparse.SUPPRESS,
-        help=f"ring matching symmetry group (default {DEFAULT_MODE})",
-    )
-    common.add_argument(
-        "--json",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="machine-readable output",
-    )
-    parser = argparse.ArgumentParser(
-        prog="ringlab",
-        description="Odd ring puzzle tables, search, and reports",
-        parents=[common],
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("rings", parents=[common], help="ring and rank tables")
-    p.set_defaults(fn=cmd_rings)
-
-    p = sub.add_parser(
-        "edge-labels", parents=[common], help="canonical edge labels on a square window"
-    )
-    p.add_argument("--window", type=int, default=12, help="window side (vertices)")
-    p.set_defaults(fn=cmd_edge_labels)
-
-    p = sub.add_parser("check", parents=[common], help="check a configuration file")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser(
-        "enumerate", parents=[common], help="enumerate completions of a configuration"
-    )
-    p.add_argument("file")
-    p.add_argument(
-        "--radius", type=int, help="extend the target window to this ball radius"
-    )
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser(
-        "deadends", parents=[common], help="probe completions for dead ends"
-    )
-    p.add_argument("file")
-    p.add_argument("--radius", type=int, required=True, help="completion radius")
-    p.add_argument("--probe", type=int, required=True, help="survival probe radius")
-    p.set_defaults(fn=cmd_deadends)
-
-    p = sub.add_parser("strip", parents=[common], help="assemble a strip stack")
-    p.add_argument("--height", type=int, choices=[1, 2], required=True)
-    p.add_argument("--index", type=int, required=True, help="strip table index")
-    p.add_argument("--rows", type=int, default=4, help="rows to stack")
-    p.add_argument(
-        "--width", type=int, default=12, help="width in lattice columns, a multiple of 6"
-    )
-    p.add_argument(
-        "--word",
-        help="comma-separated per-row shifts; a token key:shift pins that row's strip",
-    )
-    p.add_argument("-o", "--output", help="write the configuration to a file")
-    p.set_defaults(fn=cmd_strip)
-
-    p = sub.add_parser(
-        "special", parents=[common], help="one of the twelve special puzzles"
-    )
-    p.add_argument("--index", type=int, required=True, help="1..12")
-    p.add_argument("--radius", type=int, default=3, help="ball radius")
-    p.add_argument("-o", "--output", help="write the configuration to a file")
-    p.set_defaults(fn=cmd_special)
-
-    p = sub.add_parser(
-        "iso", parents=[common], help="test two configurations for isomorphism"
-    )
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.set_defaults(fn=cmd_iso)
-
-    p = sub.add_parser("dist", parents=[common], help="root distribution tools")
-    dsub = p.add_subparsers(dest="dist_cmd", required=True)
-    d = dsub.add_parser("check", parents=[common], help="all faces odd?")
-    d.add_argument("file")
-    d = dsub.add_parser("propagate", parents=[common], help="fill forced axes")
-    d.add_argument("file")
-    d.add_argument("--refute", action="store_true", help="rule out contradictory axes")
-    d = dsub.add_parser("classify", parents=[common], help="name the distribution family")
-    d.add_argument("file")
-    d = dsub.add_parser("d0", parents=[common], help="build the exceptional distribution")
-    d.add_argument("--radius", type=int, default=6, help="hexagonal window radius")
-    d.add_argument("-o", "--output", help="write the distribution to a file")
-    p.set_defaults(fn=cmd_dist)
-
-    p = sub.add_parser(
-        "render", parents=[common], help="render a configuration or distribution as SVG"
-    )
-    p.add_argument("file")
-    p.add_argument("-o", "--output", help="output SVG path (default stdout)")
-    p.add_argument("--scale", type=float, default=40.0)
-    p.add_argument("--edge-labels", action="store_true", help="draw edge labels")
-    p.add_argument("--no-face-labels", action="store_true")
-    p.add_argument("--no-axes", action="store_true", help="suppress axis ticks")
-    p.add_argument("--annotate-d0", action="store_true", help="dashed half-geodesic")
-    p.set_defaults(fn=cmd_render)
-
-    p = sub.add_parser(
-        "report", parents=[common], help="acceptance criterion report as JSON"
-    )
-    p.add_argument("number", type=int, choices=range(1, 9), metavar="1..8")
-    p.set_defaults(fn=cmd_report)
-
+    common.add_argument("--symmetry", choices=[MODE_ROT, MODE_ROT_REF], default=argparse.SUPPRESS,
+                        help=f"ring matching symmetry group (default {DEFAULT_MODE})")
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="machine-readable output")
+    parser = argparse.ArgumentParser(prog="ringlab", parents=[common],
+                                     description="Odd ring puzzle tables, search, and reports")
+    # a metavar would also rename the argument in the full parser's errors
+    metavar = None if cmd is None else "{%s}" % ",".join(_COMMANDS)
+    sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
+    for name in _COMMANDS if cmd is None else (cmd,):
+        about, fn, arguments = _COMMANDS[name]
+        p = _add_parser(sub, common, name, about, arguments)
+        p.set_defaults(fn=fn)
+        if name == "dist":
+            dsub = p.add_subparsers(dest="dist_cmd", required=True)
+            for child, (about, arguments) in _DIST_COMMANDS.items():
+                _add_parser(dsub, common, child, about, arguments)
     return parser
 
 
+def _command(argv: Sequence[str]) -> Optional[str]:
+    """The subcommand argv runs when only plain global flags come before it
+    and it asks for no help; otherwise None."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    i = 0
+    while i < len(argv) and argv[i] in ("--json", "--symmetry"):
+        i += 1 if argv[i] == "--json" else 2
+    if i < len(argv) and argv[i] in _COMMANDS:
+        return argv[i]
+    return None
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     defaults = argparse.Namespace(symmetry=DEFAULT_MODE, json=False)
-    args = build_parser().parse_args(argv, defaults)
+    args = build_parser(_command(argv)).parse_args(argv, defaults)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

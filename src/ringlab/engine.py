@@ -43,7 +43,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import (
-    Face, Vertex, ball, centroid3, face_vertices, link_faces, norm2, up, window_vertices)
+    Face, Vertex, ball, face_vertices, link_faces, up, window_vertices)
 from .kernel import UNSET, Kernel, Plan, Table
 from .labeling import vertex_s
 from .rings import DEFAULT_MODE, legal_words
@@ -262,15 +262,14 @@ def _link_tables(mode: str) -> Tuple[Tuple[bytes, bytes], ...]:
     halves = ([0] * 256, [0] * 256)
     for s, words in enumerate(families):
         for t, word in enumerate(words):
-            for half, bits in enumerate(halves):
-                labels = word[3 * half:3 * half + 3]
-                for free in range(8):
-                    byte = s << 6 | sum((UNSET if free >> k & 1 else l) << 2 * k
-                                        for k, l in enumerate(labels))
-                    bits[byte] |= 1 << t
-    pairs = range((max(map(len, families)) + 7) // 8)
-    return tuple(tuple(bytes(b >> 8 * j & 255 for b in bits) for bits in halves)
-                 for j in pairs)
+            for bits, (a, b, c) in zip(halves, (word[:3], word[3:])):
+                for x in (s << 6 | a, s << 6 | UNSET):
+                    for y in (x | b << 2, x | UNSET << 2):
+                        for z in (y | c << 4, y | UNSET << 4):
+                            bits[z] |= 1 << t
+    k = (max(map(len, families)) + 7) // 8
+    low, high = (b"".join(b.to_bytes(k, "little") for b in bits) for bits in halves)
+    return tuple((low[j::k], high[j::k]) for j in range(k))
 
 
 def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
@@ -328,16 +327,22 @@ def propagate(config: Configuration, mode: str = DEFAULT_MODE) -> Configuration:
 
 
 def _search_order(target: frozenset) -> Tuple[Face, ...]:
-    """Faces sorted by squared distance from the window centroid, then position."""
-    n = len(target)
-    cx = sum(centroid3(f)[0] for f in target)
-    cy = sum(centroid3(f)[1] for f in target)
+    """Faces sorted by squared distance from the window centroid, then
+    position.  Three times the centroid of face (x, y, u) is
+    (3x + 2 - u, 3y + 2 - u) in axial coordinates, whose squared length is
+    a^2 + ab + b^2; the stable sort of the sorted faces breaks ties."""
+    faces = window_order(target)[0]
+    n = len(faces)
+    cx = sum(3 * x + 2 - u for x, _, u in faces)
+    cy = sum(3 * y + 2 - u for _, y, u in faces)
 
-    def key(f: Face):
-        fx, fy = centroid3(f)
-        return (norm2(fx * n - cx, fy * n - cy), f)
+    def key(f: Face) -> int:
+        x, y, u = f
+        a = (3 * x + 2 - u) * n - cx
+        b = (3 * y + 2 - u) * n - cy
+        return a * a + a * b + b * b
 
-    return tuple(sorted(target, key=key))
+    return tuple(sorted(faces, key=key))
 
 
 def _target(config: Configuration, target_window: Optional[Iterable[Face]]) -> frozenset:

@@ -20,10 +20,10 @@ one per window).  A kernel holds state:
 - each constraint keeps its labels as a base-4 code (position k in bits 2k
   and 2k+1, `UNSET` = 3 for a free position), updated in place, and the
   code's per-position label bitmasks, read from its table;
-- a table fills a code on first use by ORing the labels of its accepted
-  words (listed on its first fill) whose digits match the code's set ones,
-  tested with bit masks; None marks a dead code, one no accepted word
-  matches.  Every reader, in a kernel or not, keys a table by code;
+- a table fills on first use: each accepted word, with every subset of
+  its positions free, ORs its labels into that code's masks; None marks a
+  dead code, one no accepted word matches.  Every reader, in a kernel or
+  not, keys a table by code;
 - propagation is a worklist (AC-3 style, after Mackworth 1977): after an
   assignment only the free variables of the constraints whose code changed
   are re-examined, read off the code's UNSET positions that have a
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 UNSET = 3
 # label bitmask -> its one label, -1 for none, UNSET for two or more
@@ -74,7 +74,7 @@ def _free_positions(arity: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 class Table(dict):
-    """Per-position label bitmasks of every code of one constraint, filled on use.
+    """Per-position label bitmasks of every code of one constraint, filled on first use.
 
     The value of a code holds, per position, a bitmask of the labels some
     accepted completion has there (bit l for label l), or None when no
@@ -87,24 +87,34 @@ class Table(dict):
         self.arity = arity
         self.accept = accept
         self.unset = 4**arity - 1  # the code with every position free
-        # the accepted words as (code, labels one-hot in 3 bits a position)
-        self.words: Optional[List[Tuple[int, int]]] = None
+        self.filled = False
 
     def __missing__(self, code: int) -> Optional[Tuple[int, ...]]:
-        if self.words is None:
-            self.words = [(sum(l << 2 * k for k, l in enumerate(w)),
-                           sum(1 << 3 * k + l for k, l in enumerate(w)))
-                          for w in filter(self.accept, product((0, 1, 2), repeat=self.arity))]
-        full = self.unset
-        # a word matches the code's set digits; free digits (UNSET: 11) are masked out
-        fixed = full ^ (code & code >> 1 & full // 3) * 3
-        bits = 0
-        for w, one_hot in self.words:
-            if not (w ^ code) & fixed:
-                bits |= one_hot
-        value = tuple(bits >> 3 * k & 7 for k in range(self.arity)) if bits else None
-        self[code] = value
-        return value
+        if not self.filled:
+            self.filled = True
+            self._fill()
+            if code in self:
+                return self[code]
+        self[code] = None
+        return None
+
+    def _fill(self) -> None:
+        """Enter every code some accepted word matches: the word's code with
+        each subset of its positions free (digits UNSET), ORing the word's
+        labels, one-hot in 3 bits a position, into the code's bits."""
+        bits: Dict[int, int] = {}
+        for word in filter(self.accept, product((0, 1, 2), repeat=self.arity)):
+            codes = [sum(l << 2 * k for k, l in enumerate(word))]
+            one_hot = sum(1 << 3 * k + l for k, l in enumerate(word))
+            for k in range(self.arity):
+                codes += [c | UNSET << 2 * k for c in codes]
+            for c in codes:
+                bits[c] = bits.get(c, 0) | one_hot
+        masks: Dict[int, Tuple[int, ...]] = {}  # one tuple per distinct value
+        for c, b in bits.items():
+            if b not in masks:
+                masks[b] = tuple(b >> 3 * k & 7 for k in range(self.arity))
+            self[c] = masks[b]
 
 
 class Plan:
@@ -234,8 +244,7 @@ class Kernel:
         reads it, or (None, g) when g's label differs from one already set.
 
         Every label lowers its constraints' codes before any table is read,
-        so a table fills only the codes the labels reach, and the first
-        queued constraint left dead is the one reported.
+        so the first queued constraint left dead is the one reported.
         """
         code, label, sites, index = self.code, self.label, self.sites, self.index
         touched: List[int] = []

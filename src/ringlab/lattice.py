@@ -183,17 +183,6 @@ def window_vertices(faces: Iterable[Face]) -> Set[Vertex]:
     return {v for f in faces for v in face_vertices(f)}
 
 
-def centroid3(f: Face) -> Tuple[int, int]:
-    """Three times the centroid of f, in axial coordinates (exact)."""
-    vs = face_vertices(f)
-    return (sum(v[0] for v in vs), sum(v[1] for v in vs))
-
-
-def norm2(a: int, b: int) -> int:
-    """Squared Euclidean length of a*e1 + b*e2 (times 1; exact integer)."""
-    return a * a + a * b + b * b
-
-
 class Isometry(NamedTuple):
     """Lattice isometry: optional base reflection, then rot*60 degrees CCW, then translation.
 

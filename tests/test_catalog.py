@@ -532,6 +532,58 @@ def test_a_single_face_reads_through_the_stack():
     assert survivor_certificate(one, one.window)[1].marks == one.marks
 
 
+def _match_stack_by_recursion(labels, slots, height):
+    """`_match_stack` as a recursive depth-first walk with no pruning: one
+    frame per stack row, and time exponential in the rows when it backs out."""
+    options = [choices.get(bytes(labels[p] for p in positions)) for positions, choices in slots]
+    if None in options:
+        return None
+    below = catalog._below(height)
+
+    def walk(word):
+        if len(word) == len(options):
+            return word
+        for choice in options[len(word)]:
+            if not word or choice in below[word[-1]]:
+                found = walk(word + (choice,))
+                if found is not None:
+                    return found
+        return None
+
+    return walk(())
+
+
+@pytest.mark.parametrize("height", [1, 2])
+def test_stack_matches_are_the_first_words_a_recursive_walk_finds(height):
+    """Two marks up to 30 face rows apart, every label pair and column
+    offset, every strip placement: the explicit stack finds the first word
+    of the recursive walk, or none when it finds none."""
+    words = 0
+    for rows in range(31):
+        for a, b, dx in ((0, 0, 0), (0, 1, 0), (1, 2, 1), (2, 2, 3)):
+            faces, labels = catalog._marked(make_config({up(0, 0): a, up(dx, -rows): b}))
+            for _, slots in catalog._strip_placements(faces, height):
+                word = catalog._match_stack(labels, slots, height)
+                assert word == _match_stack_by_recursion(labels, slots, height)
+                words += word is not None
+    assert words > 0
+
+
+@pytest.mark.parametrize("height", [1, 2])
+@pytest.mark.parametrize("rows", [46, 1000])
+def test_strip_matches_span_a_thousand_rows(height, rows):
+    """Marks 1,000 face rows apart need no Python frame per row, and marks
+    46 rows apart at height 2 (17 s for the walk that does not keep its dead
+    (row, choice) pairs) answer at once; the stack carries both marks."""
+    config = make_config({up(0, 0): 0, up(0, -rows): 0})
+    evidence, pull_back = catalog._strip_match(config, height)
+    assert evidence["kind"] == f"strip-h{height}"
+    assert len(evidence["word"]) == rows // height + 1
+    below = catalog._below(height)
+    assert all(b in below[a] for a, b in zip(evidence["word"], evidence["word"][1:]))
+    assert pull_back(config.window) == config.labels
+
+
 def test_stacks_of_one_shape_share_their_window():
     for height, rows in ((1, 3), (2, 2)):
         a, b = compatible_words(height, rows)[:2]

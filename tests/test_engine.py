@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import os
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -334,7 +335,7 @@ def _entry_by_definition(table, code):
 @pytest.mark.parametrize("table", [labeling._VERTEX_RULE, *distributions._PARITY_TABLES.values()],
                          ids=["vertex-rule", "parity-up", "parity-down"])
 def test_table_fills_match_the_definition(table):
-    # a fresh table, so every code is filled by the word scan
+    # a fresh table, so every code is read from its own first fill
     fresh = kernel.Table(table.arity, table.accept)
     for code in range(4**table.arity):
         assert fresh[code] == _entry_by_definition(fresh, code), code
@@ -514,6 +515,40 @@ def test_link_grids_gather_what_a_per_cell_reference_reads(name, window):
     assert boxes
     for box in boxes:
         assert b"".join(box.read(config.labels + tail)) == _per_cell_grid(config, box)
+
+
+def _search_order_by_corners(window):
+    """Faces by the squared length of (their centroid - the window's), then
+    position, with each centroid averaged from the face's three corners in
+    exact rationals."""
+    centroid = {f: tuple(Fraction(sum(c), 3) for c in zip(*face_vertices(f))) for f in window}
+    mx = sum(c[0] for c in centroid.values()) / len(window)
+    my = sum(c[1] for c in centroid.values()) / len(window)
+
+    def key(f):
+        a, b = centroid[f][0] - mx, centroid[f][1] - my
+        return a * a + a * b + b * b, f
+
+    return tuple(sorted(window, key=key))
+
+
+def _search_windows():
+    rng = random.Random(7)
+    for r in range(1, 10):
+        yield f"ball-{r}", ball(up(0, 0), r)
+    yield "ball-down", ball(down(3, -5), 4)
+    for height, rows in ((1, 4), (2, 3)):
+        yield f"stack-h{height}", assemble(compatible_words(height, rows)[0]).window
+    for i in range(5):
+        hexagon = sorted(ball(up(i, -i), 5))
+        yield f"half-ball-{i}", frozenset(rng.sample(hexagon, len(hexagon) // 2))
+    yield "diagonal", frozenset(up(i, i) for i in range(80))
+    yield "far-apart", frozenset((up(0, 0), down(10**6, -10**6), up(-3, 10**6)))
+
+
+@pytest.mark.parametrize("name, window", list(_search_windows()))
+def test_search_order_sorts_by_distance_from_the_centroid(name, window):
+    assert engine._search_order(window) == _search_order_by_corners(window)
 
 
 def test_search_and_check_build_only_their_own_window_plans():

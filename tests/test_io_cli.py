@@ -1,5 +1,6 @@
 """File formats, JSON schema validation, SVG rendering, CLI behavior."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -542,11 +543,102 @@ def test_cli_strip_rejects_an_unknown_word_key(capsys):
         assert capsys.readouterr().err == f"error: unknown strip key {key!r}\n"
 
 
-def test_cli_builds_its_parser_once(capsys):
+# SHA-256 of repr((argv, exit code, stdout, stderr)) for help requests and
+# usage errors, at 80 columns, keyed by the argv joined by spaces: global
+# flags before and after the subcommand, abbreviations, a missing or unknown
+# subcommand, and each subcommand's and each dist child's help.  argparse's
+# wording differs between Python versions; these are CPython 3.11's.
+CLI_USAGE_SHA256 = {
+    "": "4fdfff3ece9be35100f7a672b3587c1083021cb12cfeb136dec04c39c8248f22",
+    "-h": "eec3ae52f06243a7f7931bdd7c6cfe90bfdfb9ae146783c1ab60496194c1f080",
+    "--help": "8a82e351b095a1bad6259d1b8cfaccd1c20c7e0c30ed29154b9165eae08d3bfd",
+    "-h report": "2a9bf8806150151a120665fbfb398c2eb02f376b33a10d41942195948805e247",
+    "rings -h": "5972c26df7f14a76e822f90b1bf4490db9726aae2c865830afbe0449ea45c517",
+    "edge-labels -h": "3aaad153b16e0f31e832825075daf1797ee8eee888fe4f15bcda3e7205746a44",
+    "check -h": "c129969710db0ec2b51d43ddb527a9c0a54b592dab446f1e179c739b32715c44",
+    "enumerate -h": "60e723c7e0439e748a5563d9f77c0da94930d0cd8aab8a4fa5647c96b673ab48",
+    "deadends -h": "509532b8a056fecb8f11c650ff2b0c4bcadf3db4d9a6333539b80540f8868cbc",
+    "strip -h": "f9933cbded89a47d6056e7bb5e550dcd5c78d68a110ec296f68b8d2432c5b739",
+    "special -h": "12512d3a7951454ef7a70adbc7f45becb26989b2ae459904a6cdaa4ec4baa4bb",
+    "iso -h": "cbb52cf25d74f2e5bfcf7fec51c73c72f094c4164c4814af75f7cfdc0abad87d",
+    "dist -h": "2939b733948dec3a03ccc6b9d1fdef8ddd222c5a57c153edd5050c7a04124e4a",
+    "dist check -h": "6dd21622bb52a019cb69df13980148a50f278a8ea2a33452b659fe034e7f00c5",
+    "dist propagate -h": "b48bd623b6caaedb03e3e7c4ebff11bce035d2a62484970230b8e866ae0a5cb7",
+    "dist classify -h": "ba8b4a58df960800a58ff3d34e86bc0f8b5e1354bd67dae50fce59a0865ed6a9",
+    "dist d0 -h": "f36d80ea6a3dbfdc5c00e7a3dc37f069e00ef41b53f348229caf3dfeffc64d0f",
+    "render -h": "6624a4e0b7eccc9edf749f8989edbdd481aadc1c88d8b679d61771133814c842",
+    "report -h": "571870d31362e276e0f958beb03fac5d66edb0c6417439d363d4aa31a3a638e7",
+    "nonsense": "3bad554f2a10a2d1be3983f5872d34e6e43143bbc0db04b11561f559a3bff60a",
+    "--json nonsense": "8ffc32320a1af942d482e4f7cd9ca7de80b002bea03b04632e3728d76dbec2cb",
+    "--threads 2 report 4": "2d30fdc40cd4c97217429149b3408273d5362dea4e6216a2aa3b311c784169f0",
+    "report 9": "a596ec62ed502d208ada015daee0e2d86c8ab67600a8e6e6b182a4e3092fdf7b",
+    "report 8 --bogus": "8df880626eb6e62a224712b43cf876f3f8d743cba2e403f827a0d6f9db114147",
+    "--symmetry bad rings": "de48b77d0639aa2fc9f35fe22459fb968b61af149a8114f9ccdd2ffee72cfad4",
+    "--symmetry rot report": "3899620fff5db1de5816d6df5263199a32146a6fcd9a65a37952d75a8bc4fd9b",
+    "dist": "e0693a9972ba49227eae1f78269c74b9c2eda61c48fa0e9a22ff28985854fb3d",
+    "rings --json --symmetry rot_ref": "db0fa8289c33f712d6307b8f291ff78cbf0f7d994ff8a52b9822c215abb741aa",
+    "rings --symmetry rot --json": "c4576d8ec2ad76d1582b6d852c47b5c9530493105337cb0f13fd54db965bb616",
+    "--json report 2 --symmetry rot": "bfe6e622c2c8ee3e3451866a626bf71c729079a9d7550817c34d5c5aad72db86",
+    "report": "55f941d348696b1ee5409a0c133d181c09cee2c9ab9f28527c534188c75fab3d",
+    "dist nonsense": "e4efc91e58c7a51f8738372053176218a8a338ea2968fa562534401bf9023102",
+    "--sym rot report 9": "a869a8fd814ac643bc33dff6a1c018ace893c74db6dd6f4ffad3c94a4a64afb5",
+    "--symmetry": "e995332b73d23031ea589973309a0a1cfa96cf2c59bedc20308535d6c84fe822",
+    "--symmetry report 8": "7b06db74184acef10e90929d79df2e365ff4c2ccf7c93cd0bde451596ae3dd9f",
+    "--symmetry=bad report 1": "ecfa0d8adf91a2cd3050c47bf12cd2ef0de87b6e2530d6144c441e2ea053a8e4",
+    "--json -- report 9": "b1195e688f66b32dac816b9b0bd59b2da520068c8b35ae0063fda4451c51a909",
+    "--js report -h": "900fe5e5b4c315b0c83559f7e11a322c2adc476447134d64a242044cfa8f3dc4",
+    "edge-labels --window x": "7ff5a57fa677edce12bc004eafb55a749da0bb5eb6822f5fb64f79c029db757b",
+    "strip --height 3 --index 1": "5e6c6522b02a9c3e5b7f3c278428f40189f4ca3674510c4adde368231390d48b",
+    "report 8 -h --bogus": "5d9e0644cd9fdde07aaccc18d56b62054ea5d0aa847d0de34dc06da2322ce9be",
+}
+
+
+def cli_usage_digest(capsys, argv):
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return hashlib.sha256(repr((argv, rc, out, err)).encode()).hexdigest()
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's help and error text differ between Python versions")
+@pytest.mark.parametrize("line", list(CLI_USAGE_SHA256), ids=lambda line: line or "no-args")
+def test_cli_help_and_usage_errors_are_byte_stable(capsys, monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli_usage_digest(capsys, line.split()) == CLI_USAGE_SHA256[line]
+
+
+def test_cli_builds_only_its_own_subcommand_parser_once(capsys, monkeypatch):
+    """A call builds the parser of the subcommand it runs, once (dist with
+    its children); a help request and an unknown subcommand build all."""
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
     cli.build_parser.cache_clear()
     assert run_cli(capsys, "rings")[0] == 0
-    assert run_cli(capsys, "--json", "rings")[0] == 0
-    assert cli.build_parser.cache_info().misses == 1
+    assert run_cli(capsys, "--json", "rings", "--symmetry", "rot")[0] == 0
+    assert built == ["rings"]
+    assert run_cli(capsys, "report", "8")[0] == 0
+    assert run_cli(capsys, "--symmetry", "rot", "report", "8")[0] == 0
+    assert built == ["rings", "report"]
+    assert run_cli(capsys, "dist", "d0", "--radius", "1")[0] == 0
+    assert built[2:] == ["dist", *cli._DIST_COMMANDS]
+    del built[:]
+    for argv in (["-h"], ["report", "--help"], ["nonsense"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    assert run_cli(capsys, "--js", "rings")[0] == 0
+    capsys.readouterr()
+    assert built == [name for cmd in cli._COMMANDS
+                     for name in ([cmd, *cli._DIST_COMMANDS] if cmd == "dist" else [cmd])]
+    assert cli.build_parser.cache_info().misses == 4
 
 
 def test_cli_strip_rejects_a_width_off_the_period(capsys):
