@@ -21,15 +21,15 @@ shares: its images under the label-preserving point group (`_images`),
 their strip slots (`_strip_placements`), read top down one gather a slot
 until the first slot no row choice gives, and per image one itemgetter for
 the special-puzzle key and one for its faces on a face grid
-(`_special_keys`).  The twelve special patches of one radius share one
-window, and each is laid on one padded face grid over its bounding box
-(`_patch_grid`), UNSET off the patch.  A special candidate, and the
-pull-back of a window through a special occurrence (`_patch_marks`), moves
-the image's bounding box by a translation and reads the image in one
-gather at the moved corner (`_read_moved`); a box that leaves the grid
-misses.  Isomorphism reads a small cache keyed by the pair of windows:
-the point-group moves that make them congruent, and the face permutation
-of each, so a call only compares labels.
+(`_special_keys`).  The twelve special patches share one window, a ball,
+and are laid on the grid of its one `engine.link_grid` box
+(`_special_grids`).  A special candidate, and the pull-back of a window
+through a special occurrence (`_patch_marks`), moves the image's bounding
+box by a translation and reads the image in one gather at the moved
+corner (`_read_moved`); a box that leaves the grid misses.  Isomorphism
+reads a small cache keyed by the pair of windows: the point-group moves
+that make them congruent, and the face permutation of each, so a call only
+compares labels.
 
 One query finds catalog occurrences (`_catalog_match`): the first one in a
 height-1 strip stack, then a height-2 one, then a special puzzle about
@@ -49,7 +49,8 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .configio import data_text, parse_config
-from .engine import UNSET, Configuration, VALID, check, make_config, propagate, window_order
+from .engine import (
+    UNSET, Configuration, LinkBox, VALID, check, link_grid, make_config, propagate, window_order)
 from .lattice import A1, A2, Face, Isometry, LABEL_POINT_GROUP, POINT_GROUP, ball, up
 
 RowChoice = Tuple[str, int]
@@ -396,21 +397,29 @@ def strip_readings() -> List[Tuple[str, int, str]]:
 _Slot = Tuple[Tuple[int, ...], Dict[bytes, List[RowChoice]]]
 
 
+@lru_cache(maxsize=256)
+def _slot(height: int, phase: int, positions: tuple = (), cells: tuple = ()) -> _Slot:
+    """The slot of the faces at the positions, at the cells of a stack row
+    whose shifts are congruent to phase mod 3; rows holding no face share
+    one slot a phase."""
+    # two spare cells last, so it returns a tuple for any number of faces
+    read = itemgetter(*cells, 0, 0)
+    choices: Dict[bytes, List[RowChoice]] = {}
+    for key in _STRIP_KEYS[height]:
+        for shift in range(phase, 6, 3):
+            choices.setdefault(bytes(read(_row_cells(height, key, shift)))[:-2], []).append(
+                (key, shift))
+    return positions, choices
+
+
 def _slots(placed: Sequence[Face], height: int) -> Tuple[_Slot, ...]:
     """The strip slots of faces whose top face row is in the first slot."""
-    located = [_cell(height, *f) for f in placed]
-    out = []
-    for r in range(max(r for r, _ in located) + 1):
-        positions = tuple(p for p, (q, _) in enumerate(located) if q == r)
-        # two spare cells last, so it returns a tuple for any number of faces
-        read = itemgetter(*(located[p][1] for p in positions), 0, 0)
-        choices: Dict[bytes, List[RowChoice]] = {}
-        for key in _STRIP_KEYS[height]:
-            for shift in range(-r * height % 3, 6, 3):
-                want = bytes(read(_row_cells(height, key, shift)))[:-2]
-                choices.setdefault(want, []).append((key, shift))
-        out.append((positions, choices))
-    return tuple(out)
+    rows: Dict[int, List[Tuple[int, int]]] = {}
+    for p, f in enumerate(placed):
+        r, c = _cell(height, *f)
+        rows.setdefault(r, []).append((p, c))
+    return tuple(_slot(height, -r * height % 3, *zip(*rows.get(r, ())))
+                 for r in range(max(rows) + 1))
 
 
 @lru_cache(maxsize=8)
@@ -520,61 +529,42 @@ def embeds_in_strips(config: Configuration, height: int) -> Optional[dict]:
 _SPECIAL_PATCH_RADIUS = 7
 
 
-@lru_cache(maxsize=4)
-def _grid_shape(window: frozenset) -> Tuple[int, int, int, int]:
-    """The face grid over the window's bounding box, padded by one column
-    and one row on each side so that the radius-1 ball of a window face
-    lies in it: its corner (x0, y0), its columns and its rows.  Face
-    (x, y, u) sits at cell 2((x - x0) * rows + y - y0) + u."""
-    faces = window_order(window)[0]
-    x0, y0 = min(x for x, _, _ in faces) - 1, min(y for _, y, _ in faces) - 1
-    return x0, y0, max(x for x, _, _ in faces) - x0 + 2, max(y for _, y, _ in faces) - y0 + 2
-
-
-@lru_cache(maxsize=16)
-def _patch_grid(window: frozenset, labels: bytes) -> bytes:
-    """The labels of the window's faces laid on its face grid
-    (`_grid_shape`), UNSET in the cells off the window."""
-    x0, y0, cols, rows = _grid_shape(window)
-    grid = bytearray((UNSET,)) * (2 * cols * rows)
-    for (x, y, u), label in zip(window_order(window)[0], labels):
-        grid[2 * ((x - x0) * rows + y - y0) + u] = label
-    return bytes(grid)
+@lru_cache(maxsize=None)
+def _special_grids() -> Tuple[LinkBox, Tuple[bytes, ...]]:
+    """The twelve special patches laid on one face grid, UNSET off the
+    patch: they share one window, a ball, which `link_grid` covers by one
+    box padded by a column and a row on each side.  The box, and each
+    patch's grid by puzzle index from 1."""
+    (box,), tail = link_grid(ball(up(0, 0), _SPECIAL_PATCH_RADIUS))
+    return box, tuple(b"".join(box.read(special_puzzle(i, _SPECIAL_PATCH_RADIUS).labels + tail))
+                      for i in range(1, 13))
 
 
 @lru_cache(maxsize=32)
-def _image_reader(window: frozenset, g: Isometry, shape: tuple) -> tuple:
-    """g's image of the window on a face grid of the given shape
-    (`_grid_shape`): the translations (tx, ty) that keep the image's
-    bounding box on the grid, as tx_lo, tx_hi, ty_lo, ty_hi, the grid's
-    rows, and one itemgetter reading the image's faces, in sorted face
-    order, off the grid from the cell of the box's low corner.  It reads
-    one spare cell last, so it returns a tuple even for a single face."""
-    x0, y0, cols, rows = shape
+def _image_reader(window: frozenset, g: Isometry) -> tuple:
+    """g's image of the window on the special patches' box: the moves (tx,
+    ty) that keep its bounding box on the grid, as tx_lo, tx_hi, ty_lo,
+    ty_hi; the box's corner cell and the cell steps of a unit move in x and
+    y; one itemgetter reading the image's faces in sorted face order from
+    the corner's cell, and one spare cell so that it returns a tuple."""
+    box = _special_grids()[0]
     image = g.apply_faces(window_order(window)[0])
-    x_lo, y_lo = min(x for x, _, _ in image), min(y for _, y, _ in image)
-    read = itemgetter(*(2 * ((x - x_lo) * rows + y - y_lo) + u for x, y, u in image), 0)
-    return (x0 - x_lo, x0 + cols - 1 - max(x for x, _, _ in image),
-            y0 - y_lo, y0 + rows - 1 - max(y for _, y, _ in image), rows, read)
+    xs, ys = [x for x, _, _ in image], [y for _, y, _ in image]
+    corner, origin = box.cell(min(xs), min(ys), False), box.cell(0, 0, False)
+    read = itemgetter(*(box.cell(*f) - corner for f in image), 0)
+    return (box.gx - min(xs), box.gx + box.columns - 1 - max(xs),
+            box.gy - min(ys), box.gy + box.height - 1 - max(ys),
+            corner, box.cell(1, 0, False) - origin, box.cell(0, 1, False) - origin, read)
 
 
 def _read_moved(reader: tuple, grid: bytes, tx: int, ty: int) -> Optional[bytes]:
     """The labels the grid gives the reader's image moved by (tx, ty), in
     sorted face order, or None when the moved box leaves the grid: one
     gather at the moved box's corner."""
-    tx_lo, tx_hi, ty_lo, ty_hi, rows, read = reader
+    tx_lo, tx_hi, ty_lo, ty_hi, corner, dx, dy, read = reader
     if tx_lo <= tx <= tx_hi and ty_lo <= ty <= ty_hi:
-        return bytes(read(grid[2 * ((tx - tx_lo) * rows + ty - ty_lo):]))[:-1]
+        return bytes(read(grid[corner + tx * dx + ty * dy:]))[:-1]
     return None
-
-
-@lru_cache(maxsize=None)
-def _special_grids() -> Tuple[bytes, ...]:
-    """The face grids (`_patch_grid`) of the twelve special patches, which
-    share one window, by puzzle index from 1."""
-    window = ball(up(0, 0), _SPECIAL_PATCH_RADIUS)
-    return tuple(_patch_grid(window, special_puzzle(i, _SPECIAL_PATCH_RADIUS).labels)
-                 for i in range(1, 13))
 
 
 @lru_cache(maxsize=None)
@@ -582,15 +572,13 @@ def _special_index() -> Dict[tuple, Tuple[Tuple[int, Face], ...]]:
     """Every (puzzle index, face h) of the twelve special patches whose
     radius-1 ball lies in the patch, keyed by that ball's labels in sorted
     face order, listed by puzzle and then in patch order, and read off the
-    patches' face grids (`_special_grids`) at fixed offsets from h's cell."""
-    window = ball(up(0, 0), _SPECIAL_PATCH_RADIUS)
-    x0, y0, _, rows = _grid_shape(window)
-    ring = {u: [2 * (x * rows + y) + v - u for x, y, v in sorted(ball(Face(0, 0, u), 1))]
+    patches' grids (`_special_grids`) at fixed offsets from h's cell."""
+    box, grids = _special_grids()
+    ring = {u: [box.cell(*f) - box.cell(0, 0, u) for f in sorted(ball(Face(0, 0, u), 1))]
             for u in (True, False)}
-    grids = _special_grids()
     reads = []
-    for h in window_order(window)[0]:
-        at = 2 * ((h.x - x0) * rows + h.y - y0) + h.up
+    for h in window_order(ball(up(0, 0), _SPECIAL_PATCH_RADIUS))[0]:
+        at = box.cell(*h)
         read = itemgetter(*(at + d for d in ring[h.up]))
         if UNSET not in read(grids[0]):  # the patches share one window
             reads.append((h, read))
@@ -606,14 +594,13 @@ def _special_keys(faces: frozenset, center: Face) -> Tuple[tuple, ...]:
     """Per image of the faces (`_images`): the element, the center's image,
     an itemgetter reading the `_special_index` key, the labels of the
     center's radius-1 ball in the sorted order of their images, and the
-    image's reader on the special patches' grid (`_image_reader`)."""
+    image's reader on the special patches' box (`_image_reader`)."""
     where = window_order(faces)[1]
     ring1 = [where.get(f) for f in ball(center, 1)]
     if None in ring1:
         raise ValueError("config must cover the radius-1 ball of the center")
-    shape = _grid_shape(ball(up(0, 0), _SPECIAL_PATCH_RADIUS))
     return tuple((g, g.apply_face(center), itemgetter(*sorted(ring1, key=image.__getitem__)),
-                  _image_reader(faces, g, shape))
+                  _image_reader(faces, g))
                  for g, image in _images(faces))
 
 
@@ -624,15 +611,14 @@ def _special_match(config: Configuration, center: Face) -> Optional[_Match]:
     (tx, ty) carrying the center onto h and reads it off the patch's grid
     in one gather; a moved box that leaves the grid misses."""
     faces, labels = _marked(config)
-    grids = _special_grids()
+    grids = _special_grids()[1]
     for g, c_img, key, reader in _special_keys(faces, center):
         for index, h in _special_index().get(key(labels), ()):
             tx, ty = h.x - c_img.x, h.y - c_img.y
             if h.up != c_img.up or (tx - ty) % 3:
                 continue
             if _read_moved(reader, grids[index - 1], tx, ty) == labels:
-                patch = special_puzzle(index, _SPECIAL_PATCH_RADIUS)
-                pull_back = partial(_patch_marks, g=g._replace(tx=tx, ty=ty), patch=patch)
+                pull_back = partial(_patch_marks, g=g._replace(tx=tx, ty=ty), index=index)
                 return {"kind": "special", "index": index}, pull_back
     return None
 
@@ -718,13 +704,13 @@ def _positions(window: frozenset, g: Isometry, target: frozenset) -> Tuple[Optio
     return tuple(map(window_order(target)[1].get, g.apply_faces(window_order(window)[0])))
 
 
-def _patch_marks(window: frozenset, g: Isometry, patch: Configuration) -> Optional[bytes]:
-    """The labels the patch gives g's image of each face of the window, in
-    sorted face order, or None when the image leaves the patch: the image
-    under g's point-group part, moved by g's translation and read off the
-    patch's grid, which reads UNSET off the patch."""
-    reader = _image_reader(window, g._replace(tx=0, ty=0), _grid_shape(patch.window))
-    labels = _read_moved(reader, _patch_grid(patch.window, patch.labels), g.tx, g.ty)
+def _patch_marks(window: frozenset, g: Isometry, index: int) -> Optional[bytes]:
+    """The labels special patch `index` gives g's image of each face of the
+    window, in sorted face order, or None when the image leaves the patch:
+    the image under g's point-group part, moved by g's translation and read
+    off the patch's grid, which reads UNSET off the patch."""
+    reader = _image_reader(window, g._replace(tx=0, ty=0))
+    labels = _read_moved(reader, _special_grids()[1][index - 1], g.tx, g.ty)
     return None if labels is None or UNSET in labels else labels
 
 

@@ -11,6 +11,7 @@ and takes each total link's rank axis through a memo keyed by them.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .lattice import (
@@ -95,17 +96,16 @@ def interior_faces(vertices: Iterable[Vertex]) -> List[Face]:
     return sorted(f for f in faces if vs.issuperset(face_vertices(f)))
 
 
+@lru_cache(maxsize=None)
 def _parity_table(up_face: bool) -> Table:
-    """The parity table of a face of the orientation: it accepts the axis
-    triples, in `face_vertices` order, with an odd number of rank-2 corners."""
+    """The parity table of a face of the orientation, keyed by Face.up: its
+    words are the axis triples, in `face_vertices` order, with an odd number
+    of rank-2 corners.  The corners' opposite axes are (A2, A1, A0) on an up
+    face and (A0, A1, A2) on a down face."""
     f = Face(0, 0, up_face)
     opposite = tuple(opposite_axis_at_vertex(f, v) for v in face_vertices(f))
-    return Table(3, lambda axes: sum(a != o for a, o in zip(axes, opposite)) % 2 == 1)
-
-
-# The parity table of each orientation, keyed by Face.up: the corners' opposite
-# axes are (A2, A1, A0) on an up face and (A0, A1, A2) on a down face.
-_PARITY_TABLES = {u: _parity_table(u) for u in (True, False)}
+    return Table(3, (axes for axes in product(AXES, repeat=3)
+                     if sum(a != o for a, o in zip(axes, opposite)) % 2))
 
 
 def face_parity(dist: Distribution, f: Face) -> str:
@@ -115,7 +115,7 @@ def face_parity(dist: Distribution, f: Face) -> str:
     if None in axes:
         raise ValueError(f"insufficient data at {vs[axes.index(None)]} for face {f}")
     a, b, c = axes
-    return ODD if _PARITY_TABLES[f.up][a | b << 2 | c << 4] else EVEN
+    return ODD if _parity_table(f.up)[a | b << 2 | c << 4] else EVEN
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +141,7 @@ def _parity_plan(window: Iterable[Vertex]) -> Tuple[List[Vertex], List[Face], Pl
     of the vertices under the faces' parity constraints."""
     vertices = sorted(window)
     faces = interior_faces(vertices)
-    plan = Plan(vertices, ((face_vertices(f), _PARITY_TABLES[f.up]) for f in faces))
+    plan = Plan(vertices, ((face_vertices(f), _parity_table(f.up)) for f in faces))
     return vertices, faces, plan
 
 

@@ -143,25 +143,30 @@ _GRID_SLACK = 64
 class LinkBox:
     """One pass over the vertices of a window in one box.
 
-    The box's grid lists its face cells in sorted face order: columns x from
-    gx, each the face rows y from gy, Down then Up, ending in one padding
-    row.  `read` gathers it off the labels with the plan's tail appended, as
-    runs of label positions and of UNSET padding.  Vertex cell i is the cell
-    of Down(x, y) for (x, y) = `vertex(i)`, and link position k of every
-    vertex cell is one strided slice from `starts[k]`.  `families` holds each
-    vertex cell's family s as s << 6, one big-endian byte a cell.
+    The box's grid has `columns` columns x from gx, each `height` face rows
+    y from gy (the last a padding row), two cells a face: face (x, y, u)
+    sits at `cell(x, y, u)` = 2((x - gx) * height + y - gy) + u, Down then
+    Up, so the grid lists its faces in sorted face order.  `read` gathers
+    it off the labels with the plan's tail appended, as runs of label
+    positions and of UNSET padding.  Vertex cell i is the cell of Down(x, y)
+    for (x, y) = `vertex(i)`, and link position k of every vertex cell is
+    one strided slice from `starts[k]`.  `families` holds each vertex
+    cell's family s as s << 6, one big-endian byte a cell.
     """
 
-    __slots__ = ("read", "starts", "size", "families", "gx", "gy", "height")
+    __slots__ = ("read", "starts", "size", "families", "gx", "gy", "height", "columns")
 
-    def __init__(self, read: itemgetter, gx: int, gy: int, height: int, columns: int) -> None:
-        self.read, self.gx, self.gy, self.height = read, gx, gy, height
+    def __init__(self, gx: int, gy: int, height: int, columns: int) -> None:
+        self.gx, self.gy, self.height, self.columns = gx, gy, height, columns
         # vertex cells start at column 1, row 1, so no link step leaves the grid
         self.size = height * (columns - 1) - 1
         self.starts = tuple(2 * height + 2 + step for step in
                             (1, -2 * height, 1 - 2 * height, -2 - 2 * height, -1, -2))
         families = bytes(vertex_s(v) << 6 for v in map(self.vertex, range(self.size)))
         self.families = int.from_bytes(families, "big")
+
+    def cell(self, x: int, y: int, u: bool) -> int:
+        return 2 * ((x - self.gx) * self.height + y - self.gy) + u
 
     def vertex(self, i: int) -> Vertex:
         j = i + self.height + 1
@@ -193,9 +198,9 @@ def link_grid(window: frozenset) -> Tuple[Tuple[LinkBox, ...], bytes]:
     """The boxes over the window's vertices, and the UNSET tail their
     padding reads past the labels.
 
-    A box bisects the sorted faces for each of its columns and puts face
-    (x, y, u) at cell 2((x - gx)H + y - gy) + u.  Any other cell c is
-    padding, read at `outside + c` in the tail, which is the largest grid long.
+    A box bisects the sorted faces for each of its columns and puts each
+    face at its `LinkBox.cell`.  Any other cell c is padding, read at
+    `outside + c` in the tail, which is the largest grid long.
 
     A vertex (x, y) reads its link at the steps +1, -2H, -2H + 1, -2H - 2,
     -1 and -2 from the cell of Down(x, y), H the rows of a column with its
@@ -209,18 +214,17 @@ def link_grid(window: frozenset) -> Tuple[Tuple[LinkBox, ...], bytes]:
     outside = len(order)
     boxes, tail = [], 0
     for x0, y0, x1, y1 in _boxes(vertices):
-        gx, gy, height = x0 - 1, y0 - 1, y1 - y0 + 3
-        positions = list(range(outside, outside + 2 * height * (x1 - gx + 1)))
+        box = LinkBox(x0 - 1, y0 - 1, y1 - y0 + 3, x1 - x0 + 2)
+        positions = list(range(outside, outside + 2 * box.height * box.columns))
         tail = max(tail, len(positions))
-        for x in range(gx, x1 + 1):
+        for x in range(box.gx, x1 + 1):
             # the column's faces in rows gy .. y1; its padding row holds none
-            for g in range(bisect_left(order, (x, gy)), bisect_left(order, (x, y1 + 1))):
-                _, y, u = order[g]
-                positions[2 * ((x - gx) * height + y - gy) + u] = g
+            for g in range(bisect_left(order, (x, box.gy)), bisect_left(order, (x, y1 + 1))):
+                positions[box.cell(*order[g])] = g
         runs = [[g for _, g in run] for _, run in
                 groupby(enumerate(positions), lambda ig: ig[1] - ig[0])]
-        read = itemgetter(*(slice(run[0], run[-1] + 1) for run in runs))
-        boxes.append(LinkBox(read, gx, gy, height, x1 - gx + 1))
+        box.read = itemgetter(*(slice(run[0], run[-1] + 1) for run in runs))
+        boxes.append(box)
     return tuple(boxes), bytes((UNSET,)) * tail
 
 
@@ -245,9 +249,8 @@ def link_bytes(config: Configuration) -> Iterator[Tuple[LinkBox, bytes, bytes]]:
 
 @lru_cache(maxsize=None)
 def _ring_table(mode: str, s: int) -> Table:
-    """The link table of family s: it accepts the words some ring map matches."""
-    words = frozenset(w for t, w in legal_words(mode) if t == s)
-    return Table(6, words.__contains__)
+    """The link table of family s, built from its legal words: those some ring map matches."""
+    return Table(6, (w for t, w in legal_words(mode) if t == s))
 
 
 @lru_cache(maxsize=None)

@@ -20,10 +20,10 @@ one per window).  A kernel holds state:
 - each constraint keeps its labels as a base-4 code (position k in bits 2k
   and 2k+1, `UNSET` = 3 for a free position), updated in place, and the
   code's per-position label bitmasks, read from its table;
-- a table fills on first use: each accepted word, with every subset of
-  its positions free, ORs its labels into that code's masks; None marks a
-  dead code, one no accepted word matches.  Every reader, in a kernel or
-  not, keys a table by code;
+- a table holds, per code some accepted word matches, the labels the
+  matching words have at each position, and None for a dead code, one
+  no accepted word matches.  Every reader, in a kernel or not, keys a
+  table by code;
 - propagation is a worklist (AC-3 style, after Mackworth 1977): after an
   assignment only the free variables of the constraints whose code changed
   are re-examined, read off the code's UNSET positions that have a
@@ -52,8 +52,7 @@ which contradiction is reported first may differ.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 UNSET = 3
 # label bitmask -> its one label, -1 for none, UNSET for two or more
@@ -74,47 +73,31 @@ def _free_positions(arity: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 class Table(dict):
-    """Per-position label bitmasks of every code of one constraint, filled on first use.
+    """Per-position label bitmasks of every code of one constraint, built
+    from its accepted words: each word, with every subset of its positions
+    free (digits UNSET), ORs its labels, bit l for label l, into that code's
+    masks, and a code no word matches reads None.  A table is keyed by code
+    only: a reader packs a word of labels into its code itself."""
 
-    The value of a code holds, per position, a bitmask of the labels some
-    accepted completion has there (bit l for label l), or None when no
-    completion is accepted.  A table is keyed by code only: a reader packs
-    a word of labels into its code itself.
-    """
-
-    def __init__(self, arity: int, accept: Callable[[Tuple[int, ...]], bool]):
+    def __init__(self, arity: int, words: Iterable[Sequence[int]]):
         super().__init__()
-        self.arity = arity
-        self.accept = accept
-        self.unset = 4**arity - 1  # the code with every position free
-        self.filled = False
-
-    def __missing__(self, code: int) -> Optional[Tuple[int, ...]]:
-        if not self.filled:
-            self.filled = True
-            self._fill()
-            if code in self:
-                return self[code]
-        self[code] = None
-        return None
-
-    def _fill(self) -> None:
-        """Enter every code some accepted word matches: the word's code with
-        each subset of its positions free (digits UNSET), ORing the word's
-        labels, one-hot in 3 bits a position, into the code's bits."""
+        self.arity, self.unset = arity, 4**arity - 1  # unset: every position free
         bits: Dict[int, int] = {}
-        for word in filter(self.accept, product((0, 1, 2), repeat=self.arity)):
+        for word in words:
             codes = [sum(l << 2 * k for k, l in enumerate(word))]
             one_hot = sum(1 << 3 * k + l for k, l in enumerate(word))
-            for k in range(self.arity):
+            for k in range(arity):
                 codes += [c | UNSET << 2 * k for c in codes]
             for c in codes:
                 bits[c] = bits.get(c, 0) | one_hot
         masks: Dict[int, Tuple[int, ...]] = {}  # one tuple per distinct value
         for c, b in bits.items():
             if b not in masks:
-                masks[b] = tuple(b >> 3 * k & 7 for k in range(self.arity))
+                masks[b] = tuple(b >> 3 * k & 7 for k in range(arity))
             self[c] = masks[b]
+
+    def __missing__(self, code: int) -> None:
+        self[code] = None
 
 
 class Plan:

@@ -8,6 +8,7 @@ edge labels alternate between exactly two values s and s+1.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterable, List
 
 from .kernel import UNSET, Kernel, Plan, Table
@@ -51,13 +52,14 @@ class LabelContradiction(Exception):
         super().__init__(f"edge {edge}: {have} vs {want} ({why})")
 
 
-# The vertex marking rule as a kernel table: the six edges around a vertex,
-# in angular order, alternate between two different labels.  It implies the
-# face rule, since any two edges of a face sit at adjacent positions around
-# their common vertex, and it forces at least what the face rule would.
-_VERTEX_RULE = Table(
-    6, lambda labels: labels[0] != labels[1] and labels == labels[:2] * 3
-)
+@lru_cache(maxsize=None)
+def _vertex_rule() -> Table:
+    """The vertex marking rule as a kernel table: the six edges around a
+    vertex, in angular order, alternate between two different labels.  It
+    implies the face rule, since any two edges of a face sit at adjacent
+    positions around their common vertex, and it forces at least what the
+    face rule would."""
+    return Table(6, ((a, b) * 3 for a in range(3) for b in range(3) if a != b))
 
 
 def derive_edge_labels(window: Iterable[Face]) -> Dict[Edge, int]:
@@ -73,7 +75,7 @@ def derive_edge_labels(window: Iterable[Face]) -> Dict[Edge, int]:
         raise ValueError("window must contain the initial up triangle")
     vertices = sorted(window_vertices(faces))
     plan = Plan((e for f in faces for e in face_edges(f)),
-                ((incident_edges(v), _VERTEX_RULE) for v in vertices))
+                ((incident_edges(v), _vertex_rule()) for v in vertices))
     kernel = Kernel(plan, ANCHOR_LABELS.items())
     if kernel.failure is not None:
         # the anchor labels keep the rule, so the failure is an edge two

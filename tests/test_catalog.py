@@ -5,6 +5,7 @@ import json
 import random
 from collections import Counter
 from functools import lru_cache, partial
+from operator import attrgetter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,6 +40,7 @@ from ringlab.engine import (
     check,
     enumerate_completions,
     have_completions,
+    link_grid,
     make_config,
     propagate,
     window_order,
@@ -852,12 +854,13 @@ _BEYOND_PATCH_RADIUS = 11
 @lru_cache(maxsize=None)
 def _rim(side):
     """The special patch faces whose radius-1 ball lies in the patch and
-    whose radius-3 ball leaves the patches' face grid on the given side."""
+    whose radius-4 ball leaves the patches' face grid on the given side."""
     window = special_puzzle(1, catalog._SPECIAL_PATCH_RADIUS).window
-    x0, y0, cols, rows = catalog._grid_shape(window)
+    box = catalog._special_grids()[0]
+    x0, y0, cols, rows = box.gx, box.gy, box.columns, box.height
     out = []
     for c in sorted(window):
-        xs, ys = [f.x for f in ball(c, 3)], [f.y for f in ball(c, 3)]
+        xs, ys = [f.x for f in ball(c, 4)], [f.y for f in ball(c, 4)]
         leaves = {"-x": min(xs) < x0, "+x": max(xs) >= x0 + cols,
                   "-y": min(ys) < y0, "+y": max(ys) >= y0 + rows}
         if ball(c, 1) <= window and leaves[side]:
@@ -871,24 +874,24 @@ def _rim(side):
        rng=st.randoms(use_true_random=False), g=label_isometries)
 def test_special_readers_answer_as_the_per_face_reference_off_the_grid(side, index, data,
                                                                       keep, rng, g):
-    # a radius-3 ball about a rim face of the patch, some marks outside its
+    # a radius-4 ball about a rim face of the patch, some marks outside its
     # centre's radius-1 ball dropped, moved: its image on the patch leaves
     # the grid on the given side
     c = data.draw(st.sampled_from(_rim(side)))
     marks = special_puzzle(index, _BEYOND_PATCH_RADIUS).marks
-    sub = {f: marks[f] for f in ball(c, 3) if f in ball(c, 1) or rng.random() < keep}
-    moved = transform_config(make_config(sub, window=ball(c, 3)), g)
+    sub = {f: marks[f] for f in ball(c, 4) if f in ball(c, 1) or rng.random() < keep}
+    moved = transform_config(make_config(sub, window=ball(c, 4)), g)
     center = g.apply_face(c)
     found = _first_special_occurrence(moved, center)
     assert _special_occurrence(moved, center) == found
     patch = special_puzzle(index, catalog._SPECIAL_PATCH_RADIUS)
-    assert catalog._patch_marks(ball(c, 3), catalog._IDENTITY, patch) is None
-    pulls = [(ball(c, 3), catalog._IDENTITY), (ball(c, 2), g), (moved.window, g)]
+    assert catalog._patch_marks(ball(c, 4), catalog._IDENTITY, index) is None
+    pulls = [(ball(c, 4), catalog._IDENTITY), (ball(c, 2), g), (moved.window, g)]
     if found is not None:
         pulls.append((ball(center, 4), found[1]))
     for window, move in pulls:
         want = _per_face_patch_marks(window, move, patch)
-        assert catalog._patch_marks(window, move, patch) == want
+        assert catalog._patch_marks(window, move, index) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -903,7 +906,7 @@ def test_patch_marks_reads_single_faces_and_far_windows_as_the_per_face_referenc
     window = frozenset({Face(0, 0, u)} | ({Face(*far, not u)} if far else set()))
     move = g._replace(tx=tx, ty=ty)
     want = _per_face_patch_marks(window, move, patch)
-    assert catalog._patch_marks(window, move, patch) == want
+    assert catalog._patch_marks(window, move, index) == want
     assert far is None or want is None
 
 
@@ -940,6 +943,35 @@ def test_special_patches_share_one_window_and_are_read_by_position():
     found = [survivor_certificate(c, ball(up(0, 0), 4)) for c in _completions(2)]
     assert any(e and e["kind"] == "special" and cert for e, cert in found)
     assert all(special_puzzle(i, radius)._marks is None for i in range(1, 13))
+
+
+def test_special_grids_read_each_patch_at_its_box_cells():
+    radius = catalog._SPECIAL_PATCH_RADIUS
+    box, grids = catalog._special_grids()
+    (ball_box,), _ = link_grid(ball(up(0, 0), radius))
+    shape = attrgetter("gx", "gy", "columns", "height")
+    assert shape(ball_box) == shape(box)
+    for index, grid in enumerate(grids, start=1):
+        want = bytearray((UNSET,)) * (2 * box.columns * box.height)
+        for f, label in special_puzzle(index, radius).marks.items():
+            want[box.cell(*f)] = label
+        assert grid == want, index
+
+
+def test_empty_stack_rows_share_one_slot_per_phase():
+    # two marks 1,000 face rows apart: every row between them holds no face
+    faces = catalog._marked(make_config({up(0, 0): 0, up(0, -1000): 1}))[0]
+    for height in (1, 2):
+        empty = {}
+        for _, slots in catalog._strip_placements(faces, height):
+            for r, slot in enumerate(slots):
+                if not slot[0]:
+                    empty.setdefault(-r * height % 3, {})[id(slot)] = slot
+        assert sorted(empty) == [0, 1, 2]
+        for phase, shared in empty.items():
+            (slot,) = shared.values()
+            everything = [(k, s) for k in catalog._STRIP_KEYS[height] for s in range(phase, 6, 3)]
+            assert slot == ((), {b"": everything}), (height, phase)
 
 
 def _first_word(options, below):
@@ -997,8 +1029,7 @@ def test_partial_markings_embed_as_the_per_face_readers_do(drawn):
     special = _first_special_occurrence(config, up(0, 0))
     if special is not None:
         index, g = special
-        pull_back = partial(catalog._patch_marks, g=g,
-                            patch=special_puzzle(index, catalog._SPECIAL_PATCH_RADIUS))
+        pull_back = partial(catalog._patch_marks, g=g, index=index)
         special = {"kind": "special", "index": index}, pull_back
     assert catalog.embeds_in_special(config) == (special and special[0])
     # the certificate: the first occurrence pulled back, agreeing face by face

@@ -7,6 +7,7 @@ import itertools
 import os
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,7 @@ from ringlab.lattice import (
     down,
     face_neighbors,
     face_vertices,
+    opposite_axis_at_vertex,
     up,
     window_vertices,
 )
@@ -309,36 +311,55 @@ def test_ring_tables_match_sector_options(mode):
             assert table[code] == want, (word, s)
 
 
+def _odd_by_definition(up_face):
+    """Whether a face of the orientation is Odd, by its corners' axes in
+    `face_vertices` order: an odd number of them differ from their
+    opposite axes."""
+    f = Face(0, 0, up_face)
+    opposite = [opposite_axis_at_vertex(f, v) for v in face_vertices(f)]
+    return lambda axes: sum(a != o for a, o in zip(axes, opposite)) % 2 == 1
+
+
 def test_parity_tables_read_words_as_accept():
-    # face_parity reads a table by the code of the corners' axes, as the kernel does
-    for u, table in distributions._PARITY_TABLES.items():
-        f = Face(0, 0, u)
+    # face_parity reads a table by the code of the corners' axes, as the
+    # kernel does, and finds a face Odd by the definition
+    for u in (True, False):
+        f, odd_by_definition = Face(0, 0, u), _odd_by_definition(u)
         for axes in itertools.product(AXES, repeat=3):
             dist = make_distribution(dict(zip(face_vertices(f), axes)))
             odd = distributions.face_parity(dist, f) == distributions.ODD
-            assert odd == table.accept(axes), (u, axes)
+            assert odd == odd_by_definition(axes), (u, axes)
 
 
-def _entry_by_definition(table, code):
+def _entry_by_definition(arity, accept, code):
     """A code's table entry as defined: the product of per-position choices
     (the set label, or all three where free) filtered by `accept`, with the
     labels of each position ORed into its mask; None when none is accepted."""
-    digits = [code >> 2 * k & 3 for k in range(table.arity)]
+    digits = [code >> 2 * k & 3 for k in range(arity)]
     choices = [(0, 1, 2) if d == kernel.UNSET else (d,) for d in digits]
-    masks = [0] * table.arity
-    for word in filter(table.accept, itertools.product(*choices)):
+    masks = [0] * arity
+    for word in filter(accept, itertools.product(*choices)):
         for k, l in enumerate(word):
             masks[k] |= 1 << l
     return tuple(masks) if masks[0] else None
 
 
-@pytest.mark.parametrize("table", [labeling._VERTEX_RULE, *distributions._PARITY_TABLES.values()],
-                         ids=["vertex-rule", "parity-up", "parity-down"])
-def test_table_fills_match_the_definition(table):
-    # a fresh table, so every code is read from its own first fill
-    fresh = kernel.Table(table.arity, table.accept)
-    for code in range(4**table.arity):
-        assert fresh[code] == _entry_by_definition(fresh, code), code
+def _alternates(labels):
+    """The vertex marking rule: six labels alternating between two values."""
+    return labels[0] != labels[1] and labels == labels[:2] * 3
+
+
+@pytest.mark.parametrize("make, arity, accept", [
+    (labeling._vertex_rule, 6, _alternates),
+    (partial(distributions._parity_table, True), 3, _odd_by_definition(True)),
+    (partial(distributions._parity_table, False), 3, _odd_by_definition(False)),
+], ids=["vertex-rule", "parity-up", "parity-down"])
+def test_table_fills_match_the_definition(make, arity, accept):
+    # the module's table, and a fresh table of the words the definition accepts
+    words = filter(accept, itertools.product((0, 1, 2), repeat=arity))
+    for table in (make(), kernel.Table(arity, words)):
+        for code in range(4**arity):
+            assert table[code] == _entry_by_definition(arity, accept, code), code
 
 
 BALL2 = frozenset(ball(up(0, 0), 2))
@@ -473,7 +494,7 @@ def test_a_sparse_window_is_read_in_small_grids(step):
     total = 0
     for box in boxes:
         grid = b"".join(box.read(labels))
-        columns = len(grid) // (2 * box.height)
+        columns = box.columns
         assert len(grid) == 2 * box.height * columns and box.size == box.height * (columns - 1) - 1
         held = sum(box.gx < x < box.gx + columns and box.gy < y < box.gy + box.height - 1
                    for x, y in vertices)
@@ -486,13 +507,14 @@ def test_a_sparse_window_is_read_in_small_grids(step):
 def _per_cell_grid(config, box) -> bytes:
     """A box's grid cell by cell, as `LinkBox` lays it out: per column x
     from gx, per row y from gy, Down then Up, the face's label, and UNSET
-    off the window and in each column's last (padding) row."""
+    off the window and in each column's last (padding) row.  Each face's
+    place in that order is its `LinkBox.cell`."""
     labels = dict(zip(config.faces, config.labels))
-    columns = (box.size + 1) // box.height + 1
     padding = box.gy + box.height - 1
-    return bytes(labels.get(Face(x, y, u), engine.UNSET) if y < padding else engine.UNSET
-                 for x in range(box.gx, box.gx + columns)
-                 for y in range(box.gy, padding + 1) for u in (False, True))
+    cells = [Face(x, y, u) for x in range(box.gx, box.gx + box.columns)
+             for y in range(box.gy, padding + 1) for u in (False, True)]
+    assert [box.cell(*f) for f in cells] == list(range(len(cells)))
+    return bytes(labels.get(f, engine.UNSET) if f.y < padding else engine.UNSET for f in cells)
 
 
 def _sparse_windows():
@@ -515,6 +537,13 @@ def test_link_grids_gather_what_a_per_cell_reference_reads(name, window):
     assert boxes
     for box in boxes:
         assert b"".join(box.read(config.labels + tail)) == _per_cell_grid(config, box)
+
+
+@pytest.mark.parametrize("center", [up(0, 0), down(0, 0)], ids=["up", "down"])
+def test_a_ball_is_one_box(center):
+    # the special patches are read off the one box of their ball
+    for r in range(1, 12):
+        assert len(engine.link_grid(ball(center, r))[0]) == 1, r
 
 
 def _search_order_by_corners(window):
@@ -820,7 +849,7 @@ def test_axis_propagation_steps_as_the_generic_loop_does(window_axes):
 
 
 def test_a_plan_numbers_its_names_in_the_order_given():
-    differ = kernel.Table(2, lambda w: w[0] != w[1])
+    differ = kernel.Table(2, [(a, b) for a in range(3) for b in range(3) if a != b])
     # "a" repeats, "z" and None are no variables, the search runs c, b, a
     plan = kernel.Plan("abca", [("ab", differ), ("cz", differ), ((None, "a"), differ)], "cba")
     assert plan.index == {"a": 0, "b": 1, "c": 2} and plan.names == ("a", "b", "c")
@@ -829,7 +858,7 @@ def test_a_plan_numbers_its_names_in_the_order_given():
     assert plan.free[0][plan.tables[0].unset] == (0, 1)
     assert plan.held == (0b1111, 0b0011, 0b1100)  # digits 3 where a variable is
     with pytest.raises(ValueError):
-        kernel.Plan("ab", [("aba", kernel.Table(3, any))])
+        kernel.Plan("ab", [("aba", kernel.Table(3, ()))])
     assert kernel.Plan("ab", []).order == range(2)
     k = kernel.Kernel(plan, [("a", 0), ("b", kernel.UNSET)])
     assert k.label == [0, kernel.UNSET, kernel.UNSET]

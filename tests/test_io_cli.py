@@ -359,14 +359,28 @@ NOT_LOADED_AT_START = ("dataclasses", "inspect", "fractions", "decimal",
                        "importlib.resources", "pathlib", "tempfile", "zipfile")
 
 
-def test_start_up_loads_no_module_it_does_not_need():
-    # -S keeps site-packages' .pth files from loading any of them first
+def _start_up(code: str) -> str:
+    """What the code prints in a fresh `python -S` process that finds
+    ringlab in this checkout; -S keeps site-packages' .pth files from
+    loading modules first."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    code = ("import sys, ringlab.cli, ringlab.reports; "
-            f"print(sorted(set({NOT_LOADED_AT_START!r}) & set(sys.modules)))")
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert run.stdout == "[]\n"
+    return run.stdout
+
+
+def test_start_up_loads_no_module_it_does_not_need():
+    code = ("import sys, ringlab.cli, ringlab.reports; "
+            f"print(sorted(set({NOT_LOADED_AT_START!r}) & set(sys.modules)))")
+    assert _start_up(code) == "[]\n"
+
+
+def test_start_up_builds_no_kernel_table():
+    # tables are built by the cached functions that first need them
+    code = ("from ringlab import kernel; built = []; init = kernel.Table.__init__; "
+            "kernel.Table.__init__ = lambda self, *args: built.append(args[0]) or init(self, *args); "
+            "import ringlab.cli, ringlab.reports; print(built)")
+    assert _start_up(code) == "[]\n"
 
 
 def test_data_text_reads_what_importlib_resources_reads():
