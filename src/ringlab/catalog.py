@@ -11,7 +11,10 @@ at (x - s) mod 6.  Stacks, the interface-table check, the embedding slots
 and survivor certificates all read rows through one face-to-cell index
 (`_cell`), as label bytes in the window's sorted face order, and which
 rows may stack from one transfer graph built from the interface table
-(`_below`); a strip's mirror reading is its row read through its height's
+(`_below`).  Row choices that give a row the same labels place one label
+row (`_label_rows`: at height 1, 12 choices a shift phase place 6), and
+`assemble` reads a word's 6-column period once per tuple of label rows
+(`_period`); a strip's mirror reading is its row read through its height's
 label-preserving glide (`_GLIDES`); windows move by `Isometry.apply_faces`,
 and where a moved window lands in another is read once (`_positions`) by
 the congruence test and the certificate's agreement test.
@@ -199,10 +202,32 @@ def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
             )
         prev = (key, shift % 6)
     # sorted face order is x-major and a stack's labels repeat along x with
-    # period 6, so the window's labels are one period's, repeated
-    period = _stack_marks(_stack_window(height, len(word), 6), _IDENTITY, height, word)
+    # period 6, so the window's labels are one period's, repeated; the
+    # word's label rows give its rows the same labels as its own choices
+    label_rows = _label_rows(height)
+    period = _period(height, tuple(label_rows[key, shift % 6] for key, shift in word))
     return Configuration(_stack_window(height, len(word), 6 * width_periods),
                          period * width_periods)
+
+
+@lru_cache(maxsize=None)
+def _label_rows(height: int) -> Dict[RowChoice, RowChoice]:
+    """Per row choice (variant, shift 0..5), the first choice in (variant,
+    shift) order whose `_row_cells` are the same: the label row it places.
+    At height 1 the 12 choices of a shift phase place 6 label rows (`a` at
+    s is `c` at s + 3, `d` is `e`, and `b` and `f` are 3-periodic); at
+    height 2 each of the 6 places its own."""
+    first: Dict[Tuple[int, ...], RowChoice] = {}
+    return {(key, shift): first.setdefault(_row_cells(height, key, shift), (key, shift))
+            for key in _STRIP_KEYS[height] for shift in range(6)}
+
+
+@lru_cache(maxsize=128)
+def _period(height: int, rows: Tuple[RowChoice, ...]) -> bytes:
+    """One 6-column period of the stack of these label rows (`_label_rows`),
+    in sorted face order.  The cache holds more than the 96 distinct
+    markings of five rows, the most that one group of words gives."""
+    return _stack_marks(_stack_window(height, len(rows), 6), _IDENTITY, height, rows)
 
 
 def derive_interface_table(height: int) -> Dict[Tuple[str, str], Tuple[int, ...]]:

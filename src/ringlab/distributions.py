@@ -129,7 +129,7 @@ def _link_axis(low: int, high: int) -> Optional[int]:
 def induced_distribution(config) -> Distribution:
     """Axis of the unique multiplicity-1 half-link pair at each fully marked link."""
     axis: Dict[Vertex, int] = {}
-    for box, low, high in link_bytes(config):
+    for box, low, high in link_bytes(config.window, config.labels):
         for i, a in enumerate(map(_link_axis, low, high)):
             if a is not None:
                 axis[box.vertex(i)] = a

@@ -25,10 +25,13 @@ order, where each link position of every vertex is one strided slice; a
 sparse window is covered by several small grids (boxes), not one over its
 bounding box.  A box places its columns' faces, found by bisection, at
 their cells and reads the rest as padding past the labels.  `link_bytes`
-packs each vertex's link into two bytes, family and three labels each,
-and `induced_distribution` reads those.  `check` maps them through
-`bytes.translate` tables built from the legal words (`_link_tables`,
-which agree with the ring tables) and finds a dead vertex as a zero byte.
+reads a window and its label bytes and packs each vertex's link into two
+bytes, family and three labels each, and `induced_distribution` reads
+those.  `check` maps them through `bytes.translate` tables built from the
+legal words (`_link_tables`, which agree with the ring tables) and finds a
+dead vertex as a zero byte.  It keeps its verdict per marking (`_verdict`,
+a bounded cache keyed by window, label bytes and mode), so the many
+stacking words that give one strip-stack marking are read once.
 Both plans read the window's vertices as `window_order` sorts them, once a
 window, and neither plan builds the other.
 """
@@ -228,12 +231,13 @@ def link_grid(window: frozenset) -> Tuple[Tuple[LinkBox, ...], bytes]:
     return tuple(boxes), bytes((UNSET,)) * tail
 
 
-def link_bytes(config: Configuration) -> Iterator[Tuple[LinkBox, bytes, bytes]]:
+def link_bytes(window: frozenset, labels: bytes) -> Iterator[Tuple[LinkBox, bytes, bytes]]:
     """Per box of the window's `link_grid`, the two link bytes of each vertex
-    cell: s << 6 of its family s, ORed with its labels at link positions 0,
-    1, 2 (then 3, 4, 5) in bits 0-1, 2-3 and 4-5, UNSET where free."""
-    boxes, tail = link_grid(config.window)
-    labels = config.labels + tail
+    cell, given the window's label bytes: s << 6 of its family s, ORed with
+    its labels at link positions 0, 1, 2 (then 3, 4, 5) in bits 0-1, 2-3
+    and 4-5, UNSET where free."""
+    boxes, tail = link_grid(window)
+    labels = labels + tail
     for box in boxes:
         grid = b"".join(box.read(labels))
         s0, s1, s2, s3, s4, s5 = box.starts
@@ -279,11 +283,25 @@ def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
     """Ring-match every vertex touched by a mark; partial links use wildcards.
 
     Every vertex of the window is matched: one that no mark touches has the
-    all-free link, which some ring always matches.
+    all-free link, which some ring always matches.  The verdict is kept per
+    marking (`_verdict`), so a marking checked again is not read again.
     """
+    return _verdict(config.window, config.labels, mode)
+
+
+# `_verdict` keeps the verdicts of the last _VERDICTS markings: more than the
+# 96 distinct markings of the largest group of strip stacks checked in a row
+# (five rows, at either height), whose words repeat markings 2^n times at
+# height 1.
+_VERDICTS = 128
+
+
+@lru_cache(maxsize=_VERDICTS)
+def _verdict(window: frozenset, labels: bytes, mode: str) -> Verdict:
+    """The verdict of `check` on the window marked by the label bytes."""
     tables = _link_tables(mode)
     dead = set()
-    for box, low, high in link_bytes(config):
+    for box, low, high in link_bytes(window, labels):
         live = 0
         for low_table, high_table in tables:
             live |= (int.from_bytes(low.translate(low_table), "big")
@@ -294,8 +312,8 @@ def check(config: Configuration, mode: str = DEFAULT_MODE) -> Verdict:
     if dead:
         witnesses = tuple((v, f"no ring matches the link at {v}") for v in sorted(dead))
         return Verdict(CONTRADICTION, witnesses, ())
-    if UNSET in config.labels:
-        unmarked = tuple(f for f, l in zip(config.faces, config.labels) if l == UNSET)
+    if UNSET in labels:
+        unmarked = tuple(f for f, l in zip(window_order(window)[0], labels) if l == UNSET)
         return Verdict(INCOMPLETE, (), unmarked)
     return Verdict(VALID, (), ())
 

@@ -132,14 +132,52 @@ def test_four_row_words_give_48_distinct_markings():
     # apart, and b and f are 3-periodic, so every row has two label-equal
     # choices and every n-row marking comes from 2^n words.  Both heights
     # give 6 * 2^(n - 1) distinct n-row markings (48 at four rows).
+    # The markings are read row by row off each word's own names, not
+    # through the label rows `assemble` reads.
     for rows in range(1, 6):
         for height, count, per_marking in ((1, 12 * 4 ** (rows - 1), 2 ** rows),
                                            (2, 6 * 2 ** (rows - 1), 1)):
             words = compatible_words(height, rows)
-            markings = Counter(assemble(w).labels for w in words)
+            window = catalog._stack_window(height, rows, 6)
+            markings = Counter(catalog._stack_marks(window, catalog._IDENTITY, height, w)
+                               for w in words)
             assert len(set(words)) == count
             assert len(markings) == 6 * 2 ** (rows - 1)
             assert set(markings.values()) == {per_marking}
+
+
+def test_assemble_reads_the_labels_of_the_words_own_rows():
+    """`assemble` reads a word through its label rows; the labels are those
+    its own (variant, shift) names give, one 6-column period repeated."""
+    for height in (1, 2):
+        for rows in range(1, 5):
+            window = catalog._stack_window(height, rows, 6)
+            for w in compatible_words(height, rows):
+                period = catalog._stack_marks(window, catalog._IDENTITY, height, w)
+                assert assemble(w).labels == period * 2
+                assert assemble(w, width_periods=3).labels == period * 3
+
+
+@pytest.mark.parametrize("height, choices, label_rows", [(1, 12, 6), (2, 6, 6)])
+def test_label_rows_merge_the_choices_that_label_a_row_alike(height, choices, label_rows):
+    """Per shift phase, height 1's 12 row choices place 6 label rows and
+    height 2's 6 place 6; each choice maps to the first choice, in
+    (variant, shift) order, with its row cells."""
+    rows = catalog._label_rows(height)
+    order = sorted(rows)
+    for c, first in rows.items():
+        cells = catalog._row_cells(height, *c)
+        assert first == next(d for d in order if catalog._row_cells(height, *d) == cells)
+    for phase in range(3):
+        phase_choices = [c for c in rows if c[1] % 3 == phase]
+        assert len(phase_choices) == choices
+        assert len({rows[c] for c in phase_choices}) == label_rows
+
+
+def test_stack_period_memo_is_bounded():
+    """The period memo holds a group of 96 distinct five-row markings, and
+    no more than a fixed number of periods for the life of the process."""
+    assert 96 <= catalog._period.cache_info().maxsize < 10**4
 
 
 def test_assembled_strips_are_valid():

@@ -27,6 +27,7 @@ from ringlab.engine import (
     CONTRADICTION,
     INCOMPLETE,
     VALID,
+    Configuration,
     Contradiction,
     Verdict,
     check,
@@ -938,3 +939,35 @@ def test_check_reads_every_window_afresh():
         for mode in (MODE_ROT, MODE_ROT_REF):
             cfg = make_config(marks, window=w)
             assert check(cfg, mode) == reference_check(cfg, mode)
+
+
+def test_check_keeps_its_verdict_per_window_labels_and_mode():
+    """Equal label bytes on two windows, and one marking in two modes, each
+    get their own verdict; a marking checked again gets an equal verdict
+    from the memo, witnesses and unmarked faces included."""
+    crowded = make_config({f: 0 for f in INITIAL_WINDOW})
+    spread = make_config({up(10 * k, 0): 0 for k in range(4)})
+    assert crowded.labels == spread.labels and crowded.window != spread.window
+    assert check(crowded).status == CONTRADICTION
+    assert check(spread).status == VALID
+    # a rot+ref completion that no rotation alone matches
+    seed = make_config({up(0, 0): 0}, window=ball(up(0, 0), 1))
+    mirrored = next(c for c in enumerate_completions(seed, mode=MODE_ROT_REF)
+                    if check(c, MODE_ROT).status == CONTRADICTION)
+    assert check(mirrored, MODE_ROT_REF).status == VALID
+    partial_seed = make_config({up(0, 0): 0}, window=INITIAL_WINDOW)
+    for cfg in (crowded, spread, mirrored, partial_seed):
+        for mode in (MODE_ROT, MODE_ROT_REF):
+            first = check(cfg, mode)
+            hits = engine._verdict.cache_info().hits
+            again = check(Configuration(set(cfg.window), cfg.labels), mode)
+            assert engine._verdict.cache_info().hits == hits + 1
+            assert again == first == reference_check(cfg, mode)
+    assert check(partial_seed).unmarked == (down(-1, 0), down(0, -1), down(0, 0))
+    assert check(crowded).witnesses
+
+
+def test_verdict_memo_is_bounded():
+    """The memo holds a group of 96 distinct five-row markings, and no more
+    than a fixed number of verdicts for the life of the process."""
+    assert 96 <= engine._verdict.cache_info().maxsize < 10**4
