@@ -179,33 +179,35 @@ def assemble(word: StackingWord, width_periods: int = 2) -> Configuration:
         raise ValueError("empty stacking word")
     if width_periods < 2:
         raise ValueError("width must cover at least two periods")
-    keys = [k for k, _ in word]
-    heights = {1 if k in _STRIP_KEYS[1] else 2 for k in keys}
-    if len(heights) != 1:
+    # a key of neither height reads as height 2, and is unknown below
+    one = word[0][0] in _STRIP_KEYS[1]
+    if any((k in _STRIP_KEYS[1]) != one for k, _ in word):
         raise ValueError("interface mismatch: rows of different strip heights")
-    height = heights.pop()
-    variants, below = _variant_by_key(height), _below(height)
+    height = 1 if one else 2
+    label_rows, below = _label_rows(height), _below(height)
+    rows: List[RowChoice] = []
     prev: Optional[RowChoice] = None
     for r, (key, shift) in enumerate(word):
-        if key not in variants:
+        choice = (key, shift % 6)
+        row = label_rows.get(choice)
+        if row is None:
             raise ValueError(f"unknown strip key {key!r}")
-        y_top = -r * height
-        if (shift - y_top) % 3 != 0:
+        if (shift + r * height) % 3 != 0:  # the row's top face row is -r * height
             raise ValueError(
                 f"interface mismatch: row {r} shift {shift} breaks the edge "
-                f"labeling (needs shift congruent to {y_top % 3} mod 3)"
+                f"labeling (needs shift congruent to {-r * height % 3} mod 3)"
             )
-        if prev is not None and (key, shift % 6) not in below[prev]:
+        if prev is not None and choice not in below[prev]:
             raise ValueError(
                 f"interface mismatch: row {r - 1} ({prev[0]}) over row {r} "
                 f"({key}) at offset {(prev[1] - shift) % 6}"
             )
-        prev = (key, shift % 6)
+        rows.append(row)
+        prev = choice
     # sorted face order is x-major and a stack's labels repeat along x with
     # period 6, so the window's labels are one period's, repeated; the
     # word's label rows give its rows the same labels as its own choices
-    label_rows = _label_rows(height)
-    period = _period(height, tuple(label_rows[key, shift % 6] for key, shift in word))
+    period = _period(height, tuple(rows))
     return Configuration(_stack_window(height, len(word), 6 * width_periods),
                          period * width_periods)
 

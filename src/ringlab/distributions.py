@@ -23,7 +23,6 @@ from .lattice import (
     POINT_GROUP,
     Vertex,
     face_vertices,
-    link_faces,
     opposite_axis_at_vertex,
     runs,
     vertices_within,
@@ -90,10 +89,21 @@ def hex_window(radius: int) -> frozenset:
 
 
 def interior_faces(vertices: Iterable[Vertex]) -> List[Face]:
-    """Faces all three of whose corners lie in the vertex set, sorted."""
+    """Faces all three of whose corners lie in the vertex set, sorted.
+
+    Each face is found once, at its first corner in `face_vertices` order:
+    at (x, y), Up(x, y) is interior iff (x+1, y) and (x, y+1) are in the
+    set, and Down(x-1, y) iff (x-1, y+1) and (x, y+1) are."""
     vs = set(vertices)
-    faces = {f for v in vs for f in link_faces(v)}
-    return sorted(f for f in faces if vs.issuperset(face_vertices(f)))
+    faces = []
+    for x, y in vs:
+        if (x, y + 1) in vs:
+            if (x + 1, y) in vs:
+                faces.append(Face(x, y, True))
+            if (x - 1, y + 1) in vs:
+                faces.append(Face(x - 1, y, False))
+    faces.sort()
+    return faces
 
 
 @lru_cache(maxsize=None)

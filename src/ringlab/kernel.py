@@ -20,16 +20,20 @@ one per window).  A kernel holds state:
 - each constraint keeps its labels as a base-4 code (position k in bits 2k
   and 2k+1, `UNSET` = 3 for a free position), updated in place, and the
   code's per-position label bitmasks, read from its table;
-- a table holds, per code some accepted word matches, the labels the
-  matching words have at each position, and None for a dead code, one
-  no accepted word matches.  Every reader, in a kernel or not, keys a
-  table by code;
+- a table is one plain tuple of 4^arity entries indexed by code: per code
+  some accepted word matches, the labels the matching words have at each
+  position, and None for a dead code, one no accepted word matches.
+  Every reader, in a kernel or not, indexes a table by code.  It is an
+  exact tuple, not a subclass, since CPython (3.11 on) specializes a
+  subscript only on an exact list, tuple or dict, and propagation reads
+  a table at every site of every label it forces;
 - propagation is a worklist (AC-3 style, after Mackworth 1977): after an
   assignment only the free variables of the constraints whose code changed
   are re-examined, read off the code's UNSET positions that have a
   variable (one list per arity), and a variable is forced when exactly one
   label is allowed at all of its sites, which a variable at three (every
-  engine face) reads and updates unrolled;
+  engine face) or two (every inner edge of `labeling`) reads and updates
+  unrolled;
 - a search node copies the labels, codes and masks once and restores them
   by copy after each branch, whose propagation makes many assignments; a
   trial probe or a query's assumptions make few, so they go on a trail and
@@ -72,32 +76,28 @@ def _free_positions(arity: int) -> Tuple[Tuple[int, ...], ...]:
     return free
 
 
-class Table(dict):
+def Table(arity: int, words: Iterable[Sequence[int]]) -> Tuple[Optional[Tuple[int, ...]], ...]:
     """Per-position label bitmasks of every code of one constraint, built
-    from its accepted words: each word, with every subset of its positions
-    free (digits UNSET), ORs its labels, bit l for label l, into that code's
-    masks, and a code no word matches reads None.  A table is keyed by code
-    only: a reader packs a word of labels into its code itself."""
-
-    def __init__(self, arity: int, words: Iterable[Sequence[int]]):
-        super().__init__()
-        self.arity, self.unset = arity, 4**arity - 1  # unset: every position free
-        bits: Dict[int, int] = {}
-        for word in words:
-            codes = [sum(l << 2 * k for k, l in enumerate(word))]
-            one_hot = sum(1 << 3 * k + l for k, l in enumerate(word))
-            for k in range(arity):
-                codes += [c | UNSET << 2 * k for c in codes]
-            for c in codes:
-                bits[c] = bits.get(c, 0) | one_hot
-        masks: Dict[int, Tuple[int, ...]] = {}  # one tuple per distinct value
-        for c, b in bits.items():
-            if b not in masks:
-                masks[b] = tuple(b >> 3 * k & 7 for k in range(arity))
-            self[c] = masks[b]
-
-    def __missing__(self, code: int) -> None:
-        self[code] = None
+    from its accepted words, as one exact tuple indexed by code: each word,
+    with every subset of its positions free (digits UNSET), ORs its labels,
+    bit l for label l, into that code's masks, and a code no word matches
+    reads None.  The table's length is 4^arity, and its last code,
+    4^arity - 1, has every position free.  A reader packs a word of labels
+    into its code itself."""
+    bits = [0] * 4**arity
+    for word in words:
+        codes = [sum(l << 2 * k for k, l in enumerate(word))]
+        one_hot = sum(1 << 3 * k + l for k, l in enumerate(word))
+        for k in range(arity):
+            codes += [c | UNSET << 2 * k for c in codes]
+        for c in codes:
+            bits[c] |= one_hot
+    # one tuple per distinct value; no bit set: no word matches
+    masks: Dict[int, Optional[Tuple[int, ...]]] = {0: None}
+    for b in set(bits):
+        if b not in masks:
+            masks[b] = tuple(b >> 3 * k & 7 for k in range(arity))
+    return tuple(map(masks.__getitem__, bits))
 
 
 class Plan:
@@ -123,9 +123,10 @@ class Plan:
             name: g for g, name in enumerate(names)}
         sites: List[Tuple[int, ...]] = [()] * len(names)
         around, tables, held, last = [], [], [], [-1] * len(names)
+        shared: Dict[int, int] = {}  # one int object per distinct mask
         for c, (scope_names, table) in enumerate(constraints):
             scope = tuple(map(index.get, scope_names))
-            mask = table.unset  # shared, unless a position has no variable
+            mask = len(table) - 1  # every position free
             for k, g in enumerate(scope):
                 if g is None:
                     mask -= UNSET << 2 * k
@@ -136,11 +137,12 @@ class Plan:
                 sites[g] += (c, k)
             around.append(scope)
             tables.append(table)
-            held.append(mask)
+            held.append(shared.setdefault(mask, mask))
         # the default order is a range: a tuple would hold one int per variable
         self.order = range(len(names)) if order is None else tuple(map(index.__getitem__, order))
         self.sites, self.around, self.tables = tuple(sites), tuple(around), tuple(tables)
-        self.free = tuple(_free_positions(t.arity) for t in tables)
+        # a table of arity n holds 4^n codes
+        self.free = tuple(_free_positions(len(t).bit_length() // 2) for t in tables)
         self.held = tuple(held)
 
 
@@ -158,7 +160,7 @@ class Kernel:
         self.index, self.order = plan.index, plan.order
         self.sites, self.around, self.tables, self.free, self.held = (
             plan.sites, plan.around, plan.tables, plan.free, plan.held)
-        self.code = [t.unset for t in plan.tables]
+        self.code = [len(t) - 1 for t in plan.tables]
         self.masks: List[Optional[Tuple[int, ...]]] = [None] * len(plan.tables)
         self.label = [UNSET] * len(plan.sites)
         self.trail: List[int] = []
@@ -275,9 +277,9 @@ class Kernel:
 
         A pop visits the free positions that have a variable (`Plan.held`)
         in its constraint's code at the pop: only the visited variable is
-        labelled during the pop, and a variable at three sites is assigned
-        inline, as `_assign` would.  Returns a variable left with no allowed
-        label, or None.
+        labelled during the pop, and a variable at two or three sites is
+        assigned inline, as `_assign` would.  Returns a variable left with no
+        allowed label, or None.
         """
         label, code, masks, tables = self.label, self.code, self.masks, self.tables
         sites, around, free, held, trail = self.sites, self.around, self.free, self.held, self.trail
@@ -287,16 +289,20 @@ class Kernel:
             for k in free[c][code[c] & held[c]]:
                 g = scope[k]
                 s = sites[g]
-                if len(s) == 6:
+                n = len(s)
+                if n == 6:
                     c0, k0, c1, k1, c2, k2 = s
                     l = _FORCED[masks[c0][k0] & masks[c1][k1] & masks[c2][k2]]
+                elif n == 4:
+                    c0, k0, c1, k1 = s
+                    l = _FORCED[masks[c0][k0] & masks[c1][k1]]
                 else:
                     l = _FORCED[self.allowed(g)]
                 if l == UNSET:
                     continue
                 if l < 0:
                     return g
-                if len(s) != 6:
+                if n != 6 and n != 4:
                     self._assign(g, l, queue)
                     continue
                 label[g] = l
@@ -306,9 +312,11 @@ class Kernel:
                 masks[c0] = tables[c0][x]
                 x = code[c1] = code[c1] - step[k1]
                 masks[c1] = tables[c1][x]
-                x = code[c2] = code[c2] - step[k2]
-                masks[c2] = tables[c2][x]
-                queue += c0, c1, c2
+                queue += c0, c1
+                if n == 6:
+                    x = code[c2] = code[c2] - step[k2]
+                    masks[c2] = tables[c2][x]
+                    queue.append(c2)
         return None
 
     def _undo(self, mark: int) -> None:

@@ -9,18 +9,18 @@ edge labels alternate between exactly two values s and s+1.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .kernel import UNSET, Kernel, Plan, Table
 from .lattice import (
     A0,
     A1,
     A2,
+    FACE_EDGE_STEPS,
+    INCIDENT_EDGE_STEPS,
     Edge,
     Face,
     Vertex,
-    face_edges,
-    incident_edges,
     up,
     window_vertices,
 )
@@ -62,6 +62,33 @@ def _vertex_rule() -> Table:
     return Table(6, ((a, b) * 3 for a in range(3) for b in range(3) if a != b))
 
 
+def _edge_plan(faces: Sequence[Face]) -> Tuple[List[Vertex], List[int], Plan]:
+    """The faces' vertices sorted, each face's three edge variables flat in
+    face order, and the kernel plan of the faces' edges under the vertex
+    rule, one constraint per vertex.
+
+    The edges are numbered in face order, each face's as `face_edges` lists
+    them.  Each edge is looked up as a plain (x, y, axis) tuple, which
+    equals and hashes as its Edge, so only the plan's names are Edges, one
+    per edge; a vertex's scope is its six edges as plain tuples, in
+    `incident_edges` order.
+    """
+    index: Dict[Edge, int] = {}
+    face_vars: List[int] = []
+    for x, y, u in faces:
+        for dx, dy, a in FACE_EDGE_STEPS[u]:
+            e = (x + dx, y + dy, a)
+            g = index.get(e)
+            if g is None:
+                g = index[Edge(*e)] = len(index)
+            face_vars.append(g)
+    vertices = sorted(window_vertices(faces))
+    rule = _vertex_rule()
+    plan = Plan(index, (([(x + dx, y + dy, a) for dx, dy, a in INCIDENT_EDGE_STEPS], rule)
+                        for x, y in vertices))
+    return vertices, face_vars, plan
+
+
 def derive_edge_labels(window: Iterable[Face]) -> Dict[Edge, int]:
     """Fixed-point propagation of the two marking rules from the anchor.
 
@@ -73,9 +100,7 @@ def derive_edge_labels(window: Iterable[Face]) -> Dict[Edge, int]:
     faces = sorted(set(window))
     if ANCHOR_FACE not in faces:
         raise ValueError("window must contain the initial up triangle")
-    vertices = sorted(window_vertices(faces))
-    plan = Plan((e for f in faces for e in face_edges(f)),
-                ((incident_edges(v), _vertex_rule()) for v in vertices))
+    vertices, face_vars, plan = _edge_plan(faces)
     kernel = Kernel(plan, ANCHOR_LABELS.items())
     if kernel.failure is not None:
         # the anchor labels keep the rule, so the failure is an edge two
@@ -83,15 +108,18 @@ def derive_edge_labels(window: Iterable[Face]) -> Dict[Edge, int]:
         c, g = kernel.failure
         have, want = ((m & -m).bit_length() - 1 for m in kernel.blame(g)[1:])
         raise LabelContradiction(plan.names[g], have, want, f"vertex {vertices[c]}")
-    out = {e: l for e, l in zip(plan.names, kernel.label) if l != UNSET}
-    for f in faces:
-        edges = face_edges(f)
-        labels = [out.get(e, UNSET) for e in edges]
+    label = kernel.label
+    it = iter(face_vars)
+    for f, a, b, c in zip(faces, it, it, it):
+        if label[a] != label[b] != label[c] != label[a]:
+            continue  # three different labels, UNSET counted as one
+        labels = [label[a], label[b], label[c]]
         for k, l in enumerate(labels):
             if l != UNSET and l in labels[:k]:
                 want = min({0, 1, 2} - set(labels[:k] + labels[k + 1:]))
-                raise LabelContradiction(edges[k], l, want, f"face {f}")
-    return out
+                raise LabelContradiction(plan.names[(a, b, c)[k]], l, want, f"face {f}")
+    del face_vars, it  # freed before the output dict is built, to keep the peak down
+    return {e: l for e, l in zip(plan.names, label) if l != UNSET}
 
 
 def square_window(n: int) -> List[Face]:

@@ -60,11 +60,18 @@ def face_vertices(f: Face) -> Tuple[Vertex, Vertex, Vertex]:
     return ((x + 1, y), (x, y + 1), (x + 1, y + 1))
 
 
-def face_edges(f: Face) -> Tuple[Edge, Edge, Edge]:
+# The edges of `face_edges` (by Face.up) and of `incident_edges`, in their
+# order, as (dx, dy, axis) steps from the face's or the vertex's (x, y).  A
+# plain (x, y, axis) tuple equals its Edge and hashes alike, so a dict keyed
+# by Edges can be read without building one.
+FACE_EDGE_STEPS = {True: ((0, 0, A0), (0, 0, A1), (0, 0, A2)),
+                   False: ((0, 0, A2), (1, 0, A1), (0, 1, A0))}
+INCIDENT_EDGE_STEPS = ((0, 0, A0), (0, 0, A1), (-1, 0, A2), (-1, 0, A0), (0, -1, A1), (0, -1, A2))
+
+
+def face_edges(f: Face) -> Tuple[Edge, ...]:
     x, y = f.x, f.y
-    if f.up:
-        return (Edge(x, y, A0), Edge(x, y, A1), Edge(x, y, A2))
-    return (Edge(x, y, A2), Edge(x + 1, y, A1), Edge(x, y + 1, A0))
+    return tuple(Edge(x + dx, y + dy, a) for dx, dy, a in FACE_EDGE_STEPS[f.up])
 
 
 def edge_vertices(e: Edge) -> Tuple[Vertex, Vertex]:
@@ -114,14 +121,7 @@ def link_faces(v: Vertex) -> Tuple[Face, ...]:
 def incident_edges(v: Vertex) -> Tuple[Edge, ...]:
     """The six edges at v, counterclockwise from the east edge (0 degrees)."""
     x, y = v
-    return (
-        Edge(x, y, A0),
-        Edge(x, y, A1),
-        Edge(x - 1, y, A2),
-        Edge(x - 1, y, A0),
-        Edge(x, y - 1, A1),
-        Edge(x, y - 1, A2),
-    )
+    return tuple(Edge(x + dx, y + dy, a) for dx, dy, a in INCIDENT_EDGE_STEPS)
 
 
 def opposite_axis_at_vertex(f: Face, v: Vertex) -> int:

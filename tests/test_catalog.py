@@ -198,6 +198,15 @@ def test_assemble_rejects_incompatible_shifts():
     ((("z", 0),), "unknown strip key 'z'"),
     # the shift keeps the edge labeling, but ('a', 2) may not sit below ('a', 0)
     ((("a", 0), ("a", 2)), r"row 0 \(a\) over row 1 \(a\) at offset 4"),
+    ((("a", 1),), r"row 0 shift 1 breaks the edge labeling \(needs shift congruent to 0 mod 3\)"),
+    ((("1", 0), ("2", 0)), r"row 1 shift 0 breaks .* congruent to 1 mod 3"),
+    # shifts outside 0..5 read modulo 6, but keep their own value in messages
+    ((("a", -1),), r"row 0 shift -1 breaks .* congruent to 0 mod 3"),
+    ((("a", 7),), r"row 0 shift 7 breaks .* congruent to 0 mod 3"),
+    ((("a", -6), ("a", -4)), r"row 0 \(a\) over row 1 \(a\) at offset 4"),
+    ((("a", 6), ("a", 8)), r"row 0 \(a\) over row 1 \(a\) at offset 4"),
+    # an unknown key is named before its row's shift is read
+    ((("1", 6), ("9", 8)), "unknown strip key '9'"),
 ])
 def test_assemble_rejects_malformed_words(word, message):
     with pytest.raises(ValueError, match=message):

@@ -32,6 +32,7 @@ from ringlab.lattice import (
     LABEL_POINT_GROUP,
     ball,
     face_vertices,
+    link_faces,
     opposite_axis_at_vertex,
     up,
     window_vertices,
@@ -47,6 +48,28 @@ def test_hex_window_sizes():
 def test_interior_faces_of_a_hexagon():
     faces = interior_faces(hex_window(1))
     assert len(faces) == 6
+
+
+@st.composite
+def vertex_sets(draw):
+    """A hex window with vertices cut out, scattered points, or one vertex."""
+    kind = draw(st.sampled_from(("holes", "scattered", "single")))
+    point = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    if kind == "single":
+        return {draw(point)}
+    if kind == "scattered":
+        return draw(st.sets(point, max_size=30))
+    window = set(hex_window(draw(st.integers(1, 4))))
+    return window - draw(st.sets(st.sampled_from(sorted(window)), max_size=len(window) // 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(vertex_sets())
+def test_interior_faces_are_the_faces_whose_corners_all_lie_in_the_set(vs):
+    want = sorted({f for v in vs for f in link_faces(v)
+                   if set(face_vertices(f)) <= vs})
+    assert interior_faces(vs) == want
+    assert interior_faces(sorted(vs)) == want
 
 
 def test_distribution_rejects_axes_outside_window():

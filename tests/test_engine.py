@@ -41,11 +41,14 @@ from ringlab.engine import (
 )
 from ringlab.lattice import (
     AXES,
+    Edge,
     Face,
     ball,
     down,
+    face_edges,
     face_neighbors,
     face_vertices,
+    incident_edges,
     opposite_axis_at_vertex,
     up,
     window_vertices,
@@ -849,6 +852,54 @@ def test_axis_propagation_steps_as_the_generic_loop_does(window_axes):
     _assert_same_steps(plan, axes.items())
 
 
+@st.composite
+def edge_problems(draw):
+    """A square, a ball or either with faces cut out (never the anchor
+    face), and the anchor labels plus up to three edge labels at random."""
+    if draw(st.booleans()):
+        window = set(labeling.square_window(draw(st.integers(1, 6))))
+    else:
+        window = set(ball(up(0, 0), draw(st.integers(1, 3))))
+    cut = draw(st.sets(st.sampled_from(sorted(window - {labeling.ANCHOR_FACE})),
+                       max_size=len(window) // 3))
+    faces = sorted(window - cut)
+    edges = sorted({e for f in faces for e in face_edges(f)})
+    extra = draw(st.lists(st.tuples(st.sampled_from(edges), st.sampled_from((0, 1, 2))),
+                          max_size=3))
+    return faces, list(labeling.ANCHOR_LABELS.items()) + extra
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_problems())
+def test_edge_propagation_steps_as_the_generic_loop_does(problem):
+    # an inner edge is a variable at two sites, the unrolled case, and a
+    # border edge at one; the plan is the one the Edge-keyed build gives
+    faces, given_labels = problem
+    vertices, face_vars, plan = labeling._edge_plan(faces)
+    by_edges = kernel.Plan((e for f in faces for e in face_edges(f)),
+                           ((incident_edges(v), labeling._vertex_rule()) for v in vertices))
+    assert vertices == sorted(window_vertices(faces))
+    assert (plan.names, plan.sites, plan.around) == (
+        by_edges.names, by_edges.sites, by_edges.around)
+    assert all(type(e) is Edge for e in plan.names)
+    assert [plan.names[g] for g in face_vars] == [e for f in faces for e in face_edges(f)]
+    if len(faces) > 1:
+        assert 4 in {len(s) for s in plan.sites}
+    _assert_same_steps(plan, given_labels)
+
+
+def test_every_table_is_an_exact_tuple_of_its_codes():
+    """Tables stay exact tuples, which CPython reads by its specialized
+    subscript; a subclass would lose it without failing a test."""
+    window = ball(up(0, 0), 2)
+    plans = [engine._plan(window, mode) for mode in (MODE_ROT, MODE_ROT_REF)]
+    plans.append(distributions._parity_plan(hex_window(2))[2])
+    plans.append(labeling._edge_plan(sorted(window))[2])
+    for plan in plans:
+        for scope, table in zip(plan.around, plan.tables):
+            assert type(table) is tuple and len(table) == 4**len(scope)
+
+
 def test_a_plan_numbers_its_names_in_the_order_given():
     differ = kernel.Table(2, [(a, b) for a in range(3) for b in range(3) if a != b])
     # "a" repeats, "z" and None are no variables, the search runs c, b, a
@@ -856,7 +907,7 @@ def test_a_plan_numbers_its_names_in_the_order_given():
     assert plan.index == {"a": 0, "b": 1, "c": 2} and plan.names == ("a", "b", "c")
     assert plan.around == ((0, 1), (2, None), (None, 0)) and plan.order == (2, 1, 0)
     assert plan.sites == ((0, 0, 2, 1), (0, 1), (1, 0))
-    assert plan.free[0][plan.tables[0].unset] == (0, 1)
+    assert plan.free[0][len(plan.tables[0]) - 1] == (0, 1)  # the all-free code
     assert plan.held == (0b1111, 0b0011, 0b1100)  # digits 3 where a variable is
     with pytest.raises(ValueError):
         kernel.Plan("ab", [("aba", kernel.Table(3, ()))])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ringlab import cli, labeling
 
 from ringlab.labeling import (
+    ANCHOR_FACE,
     ANCHOR_LABELS,
     LabelContradiction,
     derive_edge_labels,
@@ -148,6 +149,32 @@ def anchored_windows(draw):
 def test_derivation_on_connected_windows_is_the_closed_form(window):
     derived = derive_edge_labels(window)
     assert set(derived) == {e for f in window for e in face_edges(f)}
+    for e, l in derived.items():
+        assert edge_label(e) == l
+
+
+@st.composite
+def cut_windows(draw):
+    """A ball or a square with faces cut out, the anchor face kept."""
+    if draw(st.booleans()):
+        window = set(ball(up(0, 0), draw(st.integers(1, 4))))
+    else:
+        window = set(square_window(draw(st.integers(2, 8))))
+    cut = draw(st.sets(st.sampled_from(sorted(window - {ANCHOR_FACE})),
+                       max_size=len(window) // 4))
+    return sorted(window - cut), not cut
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut_windows())
+def test_derivation_on_non_square_windows_is_the_closed_form(window_whole):
+    window, whole = window_whole
+    derived = derive_edge_labels(window)
+    edges = {e for f in window for e in face_edges(f)}
+    assert all(type(e) is Edge for e in derived)
+    # a cut can leave faces that share no vertex with the anchor's part, and
+    # no rule reaches their edges; a whole ball or square has none
+    assert set(derived) == edges if whole else set(derived) <= edges
     for e, l in derived.items():
         assert edge_label(e) == l
 
