@@ -45,7 +45,6 @@ from .engine import (
     CONTRADICTION,
     VALID,
     check,
-    dead_end_report,
     enumerate_completions,
 )
 from .labeling import derive_edge_labels, square_window
@@ -168,7 +167,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_deadends(args) -> int:
     cfg = parse_config(_read(args.file))
-    rep = dead_end_report(cfg, args.radius, args.probe, mode=args.symmetry)
+    rep = reports.dead_end_report(cfg, args.radius, args.probe, mode=args.symmetry)
     text = "\n".join(
         [
             "completions at radius %d: %d" % (rep["radius"], rep["completions"]),

@@ -1,4 +1,4 @@
-"""Partial configurations: checking, propagation, enumeration, dead ends.
+"""Partial configurations: checking, propagation, enumeration, probes.
 
 A configuration is its window and its labels in the window's sorted face
 order as bytes, UNSET (3) where a face is free, and nothing else;
@@ -15,8 +15,8 @@ ring constraint whose table accepts the legal words of its family s.  A
 call builds a kernel's state only, given the faces with their label
 bytes, and reads its labels as label bytes.  `have_completions` probes a batch
 on one kernel, assuming each configuration's marks on the trail and
-undoing them; `has_completion` and `dead_end_report` probe through it.  No
-kernel outlives its call.
+undoing them; `has_completion` and the survival sweep of `reports` probe
+through it.  No kernel outlives its call.
 
 `check` reads every vertex link of a window at once, in bytes and big-int
 operations, through one cached plan per window (`link_grid`).  The plan
@@ -46,7 +46,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import (
-    Face, Vertex, ball, face_vertices, link_faces, up, window_vertices)
+    Face, Vertex, face_vertices, link_faces, window_vertices)
 from .kernel import UNSET, Kernel, Plan, Table
 from .labeling import vertex_s
 from .rings import DEFAULT_MODE, legal_words
@@ -425,39 +425,3 @@ def has_completion(
     one-configuration case of `have_completions`."""
     return have_completions([config], target_window, mode)[0]
 
-
-def dead_end_report(
-    config: Configuration,
-    r: int,
-    r_probe: int,
-    mode: str = DEFAULT_MODE,
-) -> dict:
-    """Count completions at radius r that die before each probe radius.
-
-    A completion survives radius rho when it extends to a total marking of
-    the radius-rho ball; the configuration itself is a dead end when none
-    of its completions survive the final probe.  Every completion shares
-    the window `base`, so each rho probes the completions still alive in one
-    `have_completions` call, on one kernel.
-    """
-    if r >= r_probe:
-        raise ValueError("probe radius must exceed the base radius")
-    center = up(0, 0)
-    base = ball(center, r) | config.window
-    comps = enumerate_completions(config, base, mode=mode)
-    survivors: Dict[str, int] = {}
-    alive = comps
-    for rho in range(r + 1, r_probe + 1):
-        if alive:
-            verdicts = have_completions(alive, ball(center, rho) | base, mode=mode)
-            alive = [c for c, ok in zip(alive, verdicts) if ok]
-        survivors[str(rho)] = len(alive)
-    dead = {rho: len(comps) - n for rho, n in survivors.items()}
-    return {
-        "radius": r,
-        "probe": r_probe,
-        "completions": len(comps),
-        "survivors": survivors,
-        "dead_ends": dead,
-        "is_dead_end": survivors[str(r_probe)] == 0,
-    }

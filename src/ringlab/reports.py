@@ -6,7 +6,8 @@ across runs and hash seeds, suitable for JSON serialization.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import (
     assemble,
@@ -36,7 +37,6 @@ from .engine import (
     VALID,
     Configuration,
     check,
-    dead_end_report,
     enumerate_completions,
     have_completions,
     make_config,
@@ -44,6 +44,7 @@ from .engine import (
 from .labeling import derive_edge_labels, edge_label, square_window
 from .lattice import AXIS_NAMES, ball, down, link_faces, up
 from .rings import (
+    DEFAULT_MODE,
     all_embeddings,
     check_extension_property,
     legal_words,
@@ -226,21 +227,60 @@ def criterion7_report() -> dict:
     }
 
 
-def _survival(
-    comps: List[Configuration], window: frozenset
-) -> List[Tuple[Optional[str], bool, bool]]:
-    """Per completion: the kind of its catalog evidence (None if it embeds
-    nowhere), whether it extends to a total marking of the window, and
-    whether a catalog certificate showed that.  Only the completions
-    without a certificate are probed, in one `have_completions` batch."""
-    shown = []
-    for c in comps:
-        found, certificate = survivor_certificate(c, window)
-        shown.append((found and found["kind"], certificate is not None))
-    probed = iter(have_completions(
-        [c for c, (_, certified) in zip(comps, shown) if not certified], window
-    ))
-    return [(kind, certified or next(probed), certified) for kind, certified in shown]
+def _sweep(config: Configuration, r: int, radii: Sequence[int],
+           mode: str = DEFAULT_MODE) -> List[Tuple[Optional[str], Optional[int]]]:
+    """Per completion of config on the radius-r ball about Up(0,0): the kind
+    of its catalog evidence, and the first radius in radii at which it has
+    no completion (None if it survives them all).
+
+    Certificates (`catalog.survivor_certificate` on the last radius's ball)
+    check under the default mode only, and are sought only when config's
+    window lies inside the ball, since strip matching walks every stack row
+    a window spans; without one the kind is None.  A certified completion
+    survives every radius, and the rest are probed radius by radius, those
+    still alive in one `have_completions` batch."""
+    center = up(0, 0)
+    inner = ball(center, r)
+    base = inner if config.window <= inner else inner | config.window
+    comps = enumerate_completions(config, base, mode=mode)
+    shown: List[Tuple[Optional[str], bool]] = [(None, True)] * len(comps)
+    if mode == DEFAULT_MODE and base is inner:
+        outer = ball(center, radii[-1])
+        shown = [(found and found["kind"], certificate is None)
+                 for found, certificate in (survivor_certificate(c, outer) for c in comps)]
+    alive = [i for i, (_, uncertified) in enumerate(shown) if uncertified]
+    depths: Dict[int, int] = {}
+    for rho in radii:
+        if not alive:
+            break
+        window = ball(center, rho)
+        window = window if window >= base else window | base
+        verdicts = have_completions([comps[i] for i in alive], window, mode)
+        depths.update((i, rho) for i, ok in zip(alive, verdicts) if not ok)
+        alive = [i for i in alive if i not in depths]
+    return [(kind, depths.get(i)) for i, (kind, _) in enumerate(shown)]
+
+
+def dead_end_report(config: Configuration, r: int, r_probe: int,
+                    mode: str = DEFAULT_MODE) -> dict:
+    """Count completions at radius r that die before each probe radius.
+
+    A completion survives radius rho when it extends to a total marking of
+    the radius-rho ball; the configuration itself is a dead end when none
+    of its completions survive the final probe."""
+    if r >= r_probe:
+        raise ValueError("probe radius must exceed the base radius")
+    radii = range(r + 1, r_probe + 1)
+    depths = [depth for _, depth in _sweep(config, r, radii, mode)]
+    survivors = {str(rho): sum(d is None or d > rho for d in depths) for rho in radii}
+    return {
+        "radius": r,
+        "probe": r_probe,
+        "completions": len(depths),
+        "survivors": survivors,
+        "dead_ends": {rho: len(depths) - n for rho, n in survivors.items()},
+        "is_dead_end": survivors[str(r_probe)] == 0,
+    }
 
 
 def classification_report(r: int, probe: int) -> dict:
@@ -251,18 +291,14 @@ def classification_report(r: int, probe: int) -> dict:
     certificate when its catalog puzzle, pulled back onto the probe ball,
     checks Valid there (`catalog.survivor_certificate`); the rest, those
     that embed nowhere and those whose special-puzzle patch does not cover
-    the probe ball's image, are probed with `have_completions`."""
-    seed = make_config({up(0, 0): 0}, window=ball(up(0, 0), r))
-    comps = enumerate_completions(seed)
-    survivors = [kind for kind, alive, _ in _survival(comps, ball(up(0, 0), probe)) if alive]
-    embedded: Dict[str, int] = {}
-    for kind in filter(None, survivors):
-        embedded[kind] = embedded.get(kind, 0) + 1
+    the probe ball's image, are probed with `have_completions` (`_sweep`)."""
+    swept = _sweep(make_config({up(0, 0): 0}), r, (probe,))
+    survivors = [kind for kind, depth in swept if depth is None]
     return {
-        "completions": len(comps),
+        "completions": len(swept),
         "survivors": len(survivors),
-        "dead_ends": len(comps) - len(survivors),
-        "embedded": dict(sorted(embedded.items())),
+        "dead_ends": len(swept) - len(survivors),
+        "embedded": dict(sorted(Counter(filter(None, survivors)).items())),
         "exceptions": survivors.count(None),
     }
 

@@ -32,7 +32,7 @@ from ringlab.catalog import (
     survivor_certificate,
     transform_config,
 )
-from ringlab.configio import parse_config
+from ringlab.configio import data_text, parse_config
 from ringlab.engine import (
     UNSET,
     VALID,
@@ -48,7 +48,7 @@ from ringlab.engine import (
 from ringlab.lattice import (
     A1, A2, LABEL_POINT_GROUP, POINT_GROUP, Face, Isometry, ball, down, up)
 from ringlab.distributions import classify_distribution, induced_distribution
-from ringlab.reports import classification_report
+from ringlab.reports import classification_report, dead_end_report
 from ringlab.rings import MODE_ROT, MODE_ROT_REF
 
 
@@ -503,22 +503,97 @@ def test_a_seed_of_0_on_up00_loses_no_generality():
     assert len(classes) == 6
 
 
+def _spy_probes(monkeypatch):
+    """Record each batch `reports` probes, as its configurations and window."""
+    batches = []
+
+    def spy(configs, window, mode=MODE_ROT_REF):
+        batches.append((list(configs), window))
+        return have_completions(batches[-1][0], window, mode)
+
+    monkeypatch.setattr(reports, "have_completions", spy)
+    return batches
+
+
 @pytest.mark.parametrize("r, probe", [(2, 4), (3, 5)])
-def test_certified_survival_matches_the_full_probe(r, probe):
+def test_certified_survival_matches_the_full_probe(monkeypatch, r, probe):
     # the full probe of every completion is the oracle for certify-then-probe
     comps = _completions(r)
     window = ball(up(0, 0), probe)
-    verdicts = reports._survival(comps, window)
-    assert [alive for _, alive, _ in verdicts] == have_completions(comps, window)
+    batches = _spy_probes(monkeypatch)
+    swept = reports._sweep(make_config({up(0, 0): 0}), r, (probe,))
+    assert [depth is None for _, depth in swept] == have_completions(comps, window)
+    assert all(depth in (None, probe) for _, depth in swept)
     kinds = [found and found["kind"] for found in map(embeds_in_catalog, comps)]
-    assert [kind for kind, _, _ in verdicts] == kinds
-    assert all(kind is not None for kind, _, certified in verdicts if certified)
+    assert [kind for kind, _ in swept] == kinds
+    probed = {c.labels for batch, _ in batches for c in batch}
+    assert all(kind is not None for c, kind in zip(comps, kinds) if c.labels not in probed)
 
 
 @pytest.mark.parametrize("r, probe, certified, probed", [(2, 4, 184, 12), (3, 5, 604, 132)])
-def test_only_uncertified_completions_are_probed(r, probe, certified, probed):
-    shown = [c for _, _, c in reports._survival(_completions(r), ball(up(0, 0), probe))]
-    assert (shown.count(True), shown.count(False)) == (certified, probed)
+def test_only_uncertified_completions_are_probed(monkeypatch, r, probe, certified, probed):
+    batches = _spy_probes(monkeypatch)
+    rep = classification_report(r, probe)
+    assert [len(batch) for batch, _ in batches] == [probed]
+    assert rep["completions"] - probed == certified
+    # the probe window is the ball's own cached object, not an equal union
+    assert batches[0][1] is ball(up(0, 0), probe)
+
+
+# Per (r, probe) for the seed Up(0,0) = 0: the completions, the survivors
+# at each probe radius, and the depth histogram (the first probe radius at
+# which a completion has no completion).
+DEAD_END_ROWS = {
+    (2, 4): (196, {"3": 184, "4": 184}, {3: 12}),
+    (3, 5): (736, {"4": 664, "5": 652}, {4: 72, 5: 12}),
+    (4, 7): (2416, {"5": 2188, "6": 2116, "7": 2104}, {5: 228, 6: 72, 7: 12}),
+}
+
+
+@pytest.mark.parametrize("r, probe", sorted(DEAD_END_ROWS))
+def test_dead_end_rows_are_frozen(r, probe):
+    completions, survivors, depths = DEAD_END_ROWS[r, probe]
+    rep = dead_end_report(make_config({up(0, 0): 0}), r, probe)
+    assert (rep["completions"], rep["survivors"]) == (completions, survivors)
+    # survivors fall by the completions that die at each radius
+    alive = [completions] + list(survivors.values())
+    assert {rho: a - b for rho, a, b in zip(range(r + 1, probe + 1), alive, alive[1:])
+            if a > b} == depths
+    assert rep["dead_ends"] == {rho: completions - n for rho, n in survivors.items()}
+
+
+_INITIAL_WINDOW = frozenset({up(0, 0), down(0, -1), down(-1, 0), down(0, 0)})
+
+
+@pytest.mark.parametrize("config, r, probe, mode", [
+    (make_config({up(0, 0): 0}), 2, 4, MODE_ROT_REF),
+    (make_config({up(0, 0): 0}), 3, 5, MODE_ROT_REF),
+    (make_config({up(0, 0): 0}, window=_INITIAL_WINDOW), 1, 3, MODE_ROT_REF),
+    (parse_config(data_text("window_quad.txt")), 2, 3, MODE_ROT_REF),
+    (parse_config(data_text("deadend_quad2.txt")), 2, 3, MODE_ROT_REF),
+    # outside the ball: probed only, never certified
+    (make_config({up(0, 0): 0, up(0, -40): 1}), 2, 4, MODE_ROT_REF),
+    # under rot no marking of the radius-1 ball exists: no completion, no certificate
+    (make_config({up(0, 0): 0}), 1, 3, MODE_ROT),
+])
+def test_dead_end_survivors_match_the_full_probe(monkeypatch, config, r, probe, mode):
+    # every completion probed on every radius's ball, as the report once did
+    base = ball(up(0, 0), r) | config.window
+    comps = enumerate_completions(config, base, mode=mode)
+    survivors = {
+        str(rho): sum(have_completions(comps, ball(up(0, 0), rho) | base, mode))
+        for rho in range(r + 1, probe + 1)
+    }
+    certified = []
+    monkeypatch.setattr(reports, "survivor_certificate",
+                        lambda c, w: certified.append((c, w)) or survivor_certificate(c, w))
+    rep = dead_end_report(config, r, probe, mode=mode)
+    assert (rep["completions"], rep["survivors"]) == (len(comps), survivors)
+    assert rep["is_dead_end"] == (survivors[str(probe)] == 0)
+    # certificates are sought only in the default mode and inside the ball,
+    # on the last probe radius's ball
+    inside = mode == MODE_ROT_REF and config.window <= ball(up(0, 0), r)
+    assert certified == ([(c, ball(up(0, 0), probe)) for c in comps] if inside else [])
 
 
 def test_a_certificate_is_a_valid_completion_of_the_window():

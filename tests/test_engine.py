@@ -31,7 +31,6 @@ from ringlab.engine import (
     Contradiction,
     Verdict,
     check,
-    dead_end_report,
     enumerate_completions,
     has_completion,
     have_completions,
@@ -54,7 +53,7 @@ from ringlab.lattice import (
     window_vertices,
 )
 from ringlab.labeling import derive_edge_labels, vertex_s
-from ringlab.reports import classification_report
+from ringlab.reports import classification_report, dead_end_report
 from ringlab.rings import MODE_ROT, MODE_ROT_REF, sector_options
 
 INITIAL_WINDOW = frozenset({up(0, 0), down(0, -1), down(-1, 0), down(0, 0)})
@@ -287,6 +286,7 @@ def test_no_kernel_outlives_its_call():
         has_completion(seed, ball(up(0, 0), 2))
         have_completions([seed, seed], ball(up(0, 0), 2))
         dead_end_report(seed, 1, 3)
+        dead_end_report(seed, 1, 3, mode=MODE_ROT)
         propagate(seed)
         with pytest.raises(Contradiction):
             propagate(make_config({up(0, 0): 0, down(0, -1): 0, down(-1, 0): 0,

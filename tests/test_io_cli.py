@@ -267,6 +267,52 @@ def test_cli_deadends_exit_code(tmp_path, capsys):
     assert json.loads(out)["is_dead_end"] is True
 
 
+# SHA-256 of repr((argv, exit code, stdout)) for `deadends` at radius 2 and
+# probe 4, keyed by the argv joined by spaces, the input named by its file
+# name: the two drawings of section 2 and a one-face seed, plain and
+# --json, in both symmetry modes.
+DEADENDS_SHA256 = {
+    "--symmetry rot deadends window_quad.txt --radius 2 --probe 4":
+        "a45844fcd3c67ee4ee759724f496b18439909553133871612c00b1ac0a6710a8",
+    "--json --symmetry rot deadends window_quad.txt --radius 2 --probe 4":
+        "595132e54aed2957d4e9de2852ccc86dd44cb77b5e3b99e03ad0ca92145a11cf",
+    "--symmetry rot+ref deadends window_quad.txt --radius 2 --probe 4":
+        "4143b5f7759fb234e21c76f98ec698d09939e5cd490577a48dfdef41d25f013d",
+    "--json --symmetry rot+ref deadends window_quad.txt --radius 2 --probe 4":
+        "fd6833b0464c73757e44f8a64ebb1972b8b9cd07284e3f40c3266107332c4704",
+    "--symmetry rot deadends deadend_quad2.txt --radius 2 --probe 4":
+        "aebdacce03761b50e76e024083ab8a126a98127fad9b926b052504d730009c62",
+    "--json --symmetry rot deadends deadend_quad2.txt --radius 2 --probe 4":
+        "5cba618d80b38731ad22a17e2e3e6e329465b20173a86b791cce55eddf4e723d",
+    "--symmetry rot+ref deadends deadend_quad2.txt --radius 2 --probe 4":
+        "3142ffe867265c9e9b173700420c04453b20812bcdd46646dee1e61a577be1c0",
+    "--json --symmetry rot+ref deadends deadend_quad2.txt --radius 2 --probe 4":
+        "f91f7ff94e08260d0636ed774778bfb691405acc02f8d5f9b7e7673bb2fe8a3f",
+    "--symmetry rot deadends seed.txt --radius 2 --probe 4":
+        "6474ca65bce9540d7068f70f90e5b9bc3553d72537d97fd6b12e8f9b1a1fd4e5",
+    "--json --symmetry rot deadends seed.txt --radius 2 --probe 4":
+        "2dca0180496a1847050bad918712546dae51d5171f4a85fc0a2eb0dc71605fec",
+    "--symmetry rot+ref deadends seed.txt --radius 2 --probe 4":
+        "27107f0a017d57a65ce5b719feb3f3ca174f640d4fdfa98e2ee1ab39cbd5d201",
+    "--json --symmetry rot+ref deadends seed.txt --radius 2 --probe 4":
+        "892446578fcec2c01dbfec5b08a86e5cd4f76aa1753f4b5d116d07171bddbc53",
+}
+
+
+def test_cli_deadends_bytes_are_frozen(tmp_path, capsys):
+    inputs = {"window_quad.txt": data_text("window_quad.txt"),
+              "deadend_quad2.txt": data_text("deadend_quad2.txt"),
+              "seed.txt": f"{CONFIG_HEADER}\nface 0 0 U 0\n"}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    digests = {}
+    for key in DEADENDS_SHA256:
+        argv = key.split()
+        rc, out = run_cli(capsys, *[str(tmp_path / a) if a in inputs else a for a in argv])
+        digests[key] = hashlib.sha256(repr((argv, rc, out)).encode()).hexdigest()
+    assert digests == DEADENDS_SHA256
+
+
 def test_cli_strip_and_iso(tmp_path, capsys):
     a = tmp_path / "a.txt"
     rc, _ = run_cli(capsys, "strip", "--height", "1", "--index", "1", "-o", str(a))
