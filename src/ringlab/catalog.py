@@ -156,6 +156,17 @@ def _below(height: int) -> Dict[RowChoice, Tuple[RowChoice, ...]]:
 
 
 @lru_cache(maxsize=None)
+def _above(height: int) -> Dict[RowChoice, RowChoice]:
+    """Per row choice with a predecessor in the transfer graph, the first
+    choice, in `_below`'s (variant, shift) order, it may sit right below."""
+    above: Dict[RowChoice, RowChoice] = {}
+    for upper, lower in _below(height).items():
+        for choice in lower:
+            above.setdefault(choice, upper)
+    return above
+
+
+@lru_cache(maxsize=None)
 def _stack_window(height: int, rows: int, width: int) -> frozenset:
     """The faces of a stack of the given rows over columns 0..width-1, its
     top face row at 0: one object per shape, which every stack of the shape
@@ -704,12 +715,12 @@ def _continue_word(height: int, word: StackingWord, first: int, count: int) -> L
     (its top row is row 0) along the transfer graph: below its bottom row
     by the first successor, above its top row by the first predecessor in
     (variant, shift) order.  Rows above sit at negative indices."""
-    below = _below(height)
+    below, above = _below(height), _above(height)
     rows = list(word)
     while len(rows) < first + count:
         rows.append(below[rows[-1]][0])
     for _ in range(-first):
-        rows.insert(0, next(c for c, succ in below.items() if rows[0] in succ))
+        rows.insert(0, above[rows[0]])
     return rows[:count]
 
 

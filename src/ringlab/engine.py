@@ -381,14 +381,15 @@ def enumerate_completions(
 ) -> List[Configuration]:
     """All total markings of the target window extending the configuration.
 
-    The result is sorted by the label bytes, which list the marking in
-    sorted face order, so it does not depend on search order.  `threads` is
-    accepted for compatibility and ignored: the search is sequential.
+    The search hands over each marking as its label bytes, which list it in
+    sorted face order; the result is sorted by them, in place, so it does
+    not depend on search order.  `threads` is accepted for compatibility
+    and ignored: the search is sequential.
     """
     target = _target(config, target_window)
     found = Kernel(_plan(target, mode), zip(config.faces, config.labels)).search()
-    labels = sorted(map(bytes, found))
-    return [Configuration(target, l) for l in labels]
+    found.sort()
+    return [Configuration(target, l) for l in found]
 
 
 def have_completions(

@@ -39,6 +39,11 @@ one per window).  A kernel holds state:
   trial probe or a query's assumptions make few, so they go on a trail and
   are undone back to a mark (trailing against copying: Schulte 1999; the
   trail after MiniSat, Een and Sorensson 2003);
+- a search node is a leaf when every variable is labelled, which the
+  trail's length tells, since it holds each labelled variable once; a leaf
+  hands its labels over as bytes in variable order, one byte a variable
+  (a tuple would hold 8 bytes a variable), and a node's branches propagate
+  through one queue;
 - labels are given only as assumptions on the trail (again as in MiniSat):
   construction assumes the given labels; `extends` assumes a query's,
   searches for one total labeling and undoes back to the mark, so a batch
@@ -106,12 +111,13 @@ class Plan:
     repeated name keeps its first number.  Each constraint is a pair: its
     names by position, each at most once, and its `Table`; a name that is
     None or no variable leaves its position free.  `order` is the search
-    order by name, by default the numbering.  `index` and `names` map names
-    to numbers and back; per variable, `sites` holds its (constraint,
-    position) pairs flat in one tuple, so a large window costs no object per
-    site; `around` lists each constraint's variables by position, None for
-    none; `free` its UNSET positions by code, and `held` the code mask
-    (digits 3) of its positions that have a variable."""
+    order by name, by default the numbering; it lists every variable once,
+    since a search node is a leaf when every variable is labelled.  `index`
+    and `names` map names to numbers and back; per variable, `sites` holds
+    its (constraint, position) pairs flat in one tuple, so a large window
+    costs no object per site; `around` lists each constraint's variables by
+    position, None for none; `free` its UNSET positions by code, and `held`
+    the code mask (digits 3) of its positions that have a variable."""
 
     __slots__ = ("index", "names", "order", "sites", "around", "tables", "free", "held")
 
@@ -138,8 +144,12 @@ class Plan:
             around.append(scope)
             tables.append(table)
             held.append(shared.setdefault(mask, mask))
-        # the default order is a range: a tuple would hold one int per variable
-        self.order = range(len(names)) if order is None else tuple(map(index.__getitem__, order))
+        if order is None:  # a range: a tuple would hold one int per variable
+            self.order = range(len(names))
+        else:
+            self.order = tuple(map(index.get, order))
+            if len(self.order) != len(names) or set(self.order) != set(range(len(names))):
+                raise ValueError("the search order must list every variable once")
         self.sites, self.around, self.tables = tuple(sites), tuple(around), tuple(tables)
         # a table of arity n holds 4^n codes
         self.free = tuple(_free_positions(len(t).bit_length() // 2) for t in tables)
@@ -331,32 +341,39 @@ class Kernel:
                 x = code[c] = code[c] + ((UNSET - l) << 2 * next(it))
                 masks[c] = tables[c][x]
 
-    def search(self, stop_at: Optional[int] = None) -> List[Tuple[int, ...]]:
-        """At most stop_at total labelings; the state is left as it was."""
-        found: List[Tuple[int, ...]] = []
+    def search(self, stop_at: Optional[int] = None) -> List[bytes]:
+        """At most stop_at total labelings, each as its label bytes in
+        variable order; the state is left as it was."""
+        found: List[bytes] = []
         if self.failure is None:
             self._search(0, found, stop_at)
         return found
 
-    def _search(self, pos: int, found: list, stop_at: Optional[int]) -> None:
+    def _search(self, pos: int, found: List[bytes], stop_at: Optional[int]) -> None:
         self.nodes += 1
-        label, order = self.label, self.order
-        while pos < len(order) and label[order[pos]] != UNSET:
-            pos += 1
-        if pos == len(order):
-            found.append(tuple(label))
+        label, trail = self.label, self.trail
+        mark = len(trail)
+        if mark == len(label):  # the trail holds every labelled variable once
+            found.append(bytes(label))
             return
+        order = self.order
+        while label[order[pos]] != UNSET:  # `order` holds every variable
+            pos += 1
         g = order[pos]
         allowed = self.allowed(g)
-        code, masks, trail, mark = self.code, self.masks, self.trail, len(self.trail)
+        code, masks = self.code, self.masks
         saved = label[:], code[:], masks[:]
+        queue: List[int] = []
         for l in (0, 1, 2):
             if stop_at is not None and len(found) >= stop_at:
                 return
             if allowed >> l & 1:
-                ok = self.assign(g, l)
+                self._assign(g, l, queue)
+                ok = self._fixpoint(queue) is None
                 self.forced += len(trail) - mark - 1
                 if ok:
                     self._search(pos + 1, found, stop_at)
+                else:  # a contradiction leaves constraints queued
+                    queue.clear()
                 label[:], code[:], masks[:] = saved
                 del trail[mark:]

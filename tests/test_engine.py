@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -767,6 +768,23 @@ def test_search_counters_are_frozen():
         assert (k.nodes, k.forced) == counts
 
 
+def test_enumeration_holds_about_one_copy_of_its_result():
+    # the search hands over label bytes and the result is sorted in place, so
+    # at the peak no second copy of the completions (say as tuples) is alive
+    cfg = make_config({up(0, 0): 0})
+    for r in (3, 4):
+        target = ball(up(0, 0), r)
+        enumerate_completions(cfg, target)  # the window's plan and tables
+        tracemalloc.start()
+        try:
+            found = enumerate_completions(cfg, target)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(found) == {3: 736, 4: 2416}[r]
+        assert peak <= 2 * held, (r, peak, held)
+
+
 class _GenericKernel(kernel.Kernel):
     """The kernel with the generic propagation of earlier versions, as the
     reference for the order of its steps: a pop visits every variable of its
@@ -912,10 +930,16 @@ def test_a_plan_numbers_its_names_in_the_order_given():
     with pytest.raises(ValueError):
         kernel.Plan("ab", [("aba", kernel.Table(3, ()))])
     assert kernel.Plan("ab", []).order == range(2)
+    # an order must list every variable once: none missing, repeated or unknown
+    for order in ("ab", "cbaa", "cbz", ""):
+        with pytest.raises(ValueError):
+            kernel.Plan("abc", [], order)
     k = kernel.Kernel(plan, [("a", 0), ("b", kernel.UNSET)])
     assert k.label == [0, kernel.UNSET, kernel.UNSET]
-    # labels listed by number, found with c varying slowest
-    assert k.search() == [(0, b, c) for c in (0, 1, 2) for b in (1, 2)]
+    # labels listed by number as bytes, found with c varying slowest
+    found = k.search()
+    assert found == [bytes((0, b, c)) for c in (0, 1, 2) for b in (1, 2)]
+    assert {type(labels) for labels in found} == {bytes}
     assert k.extends([("c", 1), ("a", 0)]) and not k.extends([("a", 1)])
 
 
