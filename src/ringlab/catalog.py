@@ -11,7 +11,9 @@ at (x - s) mod 6.  Stacks, the interface-table check, the embedding slots
 and survivor certificates all read rows through one face-to-cell index
 (`_cell`), as label bytes in the window's sorted face order, and which
 rows may stack from one transfer graph built from the interface table
-(`_below`).  Row choices that give a row the same labels place one label
+(`_below`); one depth-first walk of it (`_walk`) lists the stacking
+words and matches strips, never retrying a (row, choice) with no word
+below it.  Row choices that give a row the same labels place one label
 row (`_label_rows`: at height 1, 12 choices a shift phase place 6), and
 `assemble` reads a word's 6-column period once per tuple of label rows
 (`_period`); a strip's mirror reading is its row read through its height's
@@ -23,13 +25,13 @@ The embedding tests read small caches that every marking of a window
 shares: its images under the label-preserving point group (`_images`),
 their strip slots (`_strip_placements`), read top down one gather a slot
 until the first slot no row choice gives, and per image one itemgetter for
-the special-puzzle key and one for its faces on a face grid
+the special-puzzle key and one reader of its faces on a face grid
 (`_special_keys`).  The twelve special patches share one window, a ball,
 and are laid on the grid of its one `engine.link_grid` box
 (`_special_grids`).  A special candidate, and the pull-back of a window
 through a special occurrence (`_patch_marks`), moves the image's bounding
 box by a translation and reads the image in one gather at the moved
-corner (`_read_moved`); a box that leaves the grid misses.  Isomorphism
+corner (`_image_reader`); a box that leaves the grid misses.  Isomorphism
 reads a small cache keyed by the pair of windows: the point-group moves
 that make them congruent, and the face permutation of each, so a call only
 compares labels.
@@ -156,6 +158,12 @@ def _below(height: int) -> Dict[RowChoice, Tuple[RowChoice, ...]]:
 
 
 @lru_cache(maxsize=None)
+def _below_sorted(height: int) -> Dict[RowChoice, Tuple[RowChoice, ...]]:
+    """`_below` with successors in (variant, shift) order, a slot's order."""
+    return {upper: tuple(sorted(lower)) for upper, lower in _below(height).items()}
+
+
+@lru_cache(maxsize=None)
 def _above(height: int) -> Dict[RowChoice, RowChoice]:
     """Per row choice with a predecessor in the transfer graph, the first
     choice, in `_below`'s (variant, shift) order, it may sit right below."""
@@ -228,8 +236,9 @@ def _label_rows(height: int) -> Dict[RowChoice, RowChoice]:
     """Per row choice (variant, shift 0..5), the first choice in (variant,
     shift) order whose `_row_cells` are the same: the label row it places.
     At height 1 the 12 choices of a shift phase place 6 label rows (`a` at
-    s is `c` at s + 3, `d` is `e`, and `b` and `f` are 3-periodic); at
-    height 2 each of the 6 places its own."""
+    s is `c` at s + 3, `d` is `e`, and `b` and `f` are 3-periodic), and `f`
+    at s is `b` at s + 1, in another shift phase, so the two never meet in
+    one stack row; at height 2 each of the 6 places its own."""
     first: Dict[Tuple[int, ...], RowChoice] = {}
     return {(key, shift): first.setdefault(_row_cells(height, key, shift), (key, shift))
             for key in _STRIP_KEYS[height] for shift in range(6)}
@@ -269,36 +278,50 @@ def stacking_words(
     height: int, rows: int, fits: Callable[[int, RowChoice], bool] = lambda r, c: True
 ) -> Iterator[StackingWord]:
     """The stacking words of the given length whose row-r choice c passes
-    fits(r, c), depth first: the top row by variant, then shift 0 before 3,
-    and each later row by variant, then in its allowed offsets' order.  A
-    choice is taken only if the rows below it can still be filled, so the
-    walk never backs out of a dead end."""
+    fits(r, c), depth first (`_walk`): the top row by variant, then shift 0
+    before 3, and each later row by variant, then in its allowed offsets'
+    order."""
     if rows < 1:
         raise ValueError("rows must be at least 1")
-    below = _below(height)
-    # live[r]: the row-r choices that fit, keep the edge labeling (shift
-    # congruent to the top face row mod 3) and sit on a live choice below
-    live: List[List[RowChoice]] = [[] for _ in range(rows)]
-    for r in reversed(range(rows)):
-        live[r] = [
-            (key, shift)
-            for key in _STRIP_KEYS[height]
-            for shift in range(-r * height % 3, 6, 3)
-            if fits(r, (key, shift))
-            and (r == rows - 1 or any(c in live[r + 1] for c in below[key, shift]))
-        ]
+    # per row, the choices that fit and keep the edge labeling (shift
+    # congruent to the top face row mod 3), in (variant, shift) order
+    return _walk(_below(height), [
+        dict.fromkeys((key, shift) for key in _STRIP_KEYS[height]
+                      for shift in range(-r * height % 3, 6, 3) if fits(r, (key, shift)))
+        for r in range(rows)])
+
+
+def _walk(successors: Dict[RowChoice, Tuple[RowChoice, ...]],
+          options: Sequence[Sequence[RowChoice]]) -> Iterator[Tuple[RowChoice, ...]]:
+    """The words whose row-r choice is in options[r], depth first along the
+    transfer graph: the top row in options[0]'s order, each later row in the
+    order of the successors of the row above it.  An explicit stack of the
+    rows' candidate iterators needs no Python frame per row, and a (row,
+    choice) with no word found below it is dead and not tried again."""
     word: List[RowChoice] = []
-    todo = [iter(live[0])]  # per placed row, its untried choices
-    while todo:
-        choice = next(todo[-1], None)
-        if choice is None:
-            todo.pop()
+    dead = set()
+    bearing = 0  # the top rows of word known to have a word below them
+    stack = [iter(options[0])]
+    while stack:
+        r = len(word)
+        allowed = options[r]
+        for choice in stack[-1]:
+            if choice in allowed and (r, choice) not in dead:
+                break
+        else:
+            stack.pop()
+            if word:
+                if bearing < r:
+                    dead.add((r - 1, word[-1]))
+                bearing = min(bearing, r - 1)
+                word.pop()
             continue
-        word[len(todo) - 1:] = [choice]
-        if len(word) == rows:
-            yield tuple(word)
-            continue
-        todo.append(iter([c for c in below[choice] if c in live[len(word)]]))
+        if r + 1 < len(options):
+            word.append(choice)
+            stack.append(iter(successors[choice]))
+        else:
+            yield (*word, choice)
+            bearing = r
 
 
 def compatible_words(height: int, rows: int) -> List[StackingWord]:
@@ -497,40 +520,18 @@ def _marked(config: Configuration) -> Tuple[frozenset, bytes]:
     return config.window, config.labels
 
 
-def _match_stack(
-    labels: bytes, slots: Sequence[_Slot], height: int
-) -> Optional[StackingWord]:
-    """A compatible stacking word whose strip rows give the labels.  The
-    slots are read top down, each key one gather of the labels at its
-    positions, and the first slot that no row choice gives ends the match."""
+def _match_stack(labels: bytes, slots: Sequence[_Slot], height: int) -> Optional[StackingWord]:
+    """The first compatible stacking word whose strip rows give the labels,
+    each row in its slot's order (`_walk` on `_below_sorted`).  The slots
+    are read top down, each key one gather of the labels at its positions,
+    and the first slot that no row choice gives ends the match."""
     options = []
     for positions, choices in slots:
         found = choices.get(bytes(map(labels.__getitem__, positions)))
         if found is None:
             return None
         options.append(found)
-    # depth first, top row first and each row's choices in order, on an
-    # explicit stack of the rows' choice iterators; a (row, choice) that no
-    # word continues is dead and not tried again
-    below = _below(height)
-    word: List[RowChoice] = []
-    dead = set()
-    stack = [iter(options[0])]
-    while stack:
-        r = len(word)
-        for choice in stack[-1]:
-            if (not word or choice in below[word[-1]]) and (r, choice) not in dead:
-                break
-        else:
-            stack.pop()
-            if word:
-                dead.add((r - 1, word.pop()))
-            continue
-        word.append(choice)
-        if len(word) == len(options):
-            return tuple(word)
-        stack.append(iter(options[len(word)]))
-    return None
+    return next(_walk(_below_sorted(height), options), None)
 
 
 # A catalog occurrence: its evidence, and the pull-back of its puzzle onto a
@@ -579,30 +580,26 @@ def _special_grids() -> Tuple[LinkBox, Tuple[bytes, ...]]:
 
 
 @lru_cache(maxsize=32)
-def _image_reader(window: frozenset, g: Isometry) -> tuple:
-    """g's image of the window on the special patches' box: the moves (tx,
-    ty) that keep its bounding box on the grid, as tx_lo, tx_hi, ty_lo,
-    ty_hi; the box's corner cell and the cell steps of a unit move in x and
-    y; one itemgetter reading the image's faces in sorted face order from
-    the corner's cell, and one spare cell so that it returns a tuple."""
+def _image_reader(window: frozenset, g: Isometry) -> Callable[[bytes, int, int], Optional[bytes]]:
+    """g's image of the window on the special patches' box, as a reader
+    (grid, tx, ty) -> the labels the grid gives the image moved by (tx, ty),
+    in sorted face order, or None when the moved bounding box leaves the
+    grid: one gather at the moved box's corner cell."""
     box = _special_grids()[0]
     image = g.apply_faces(window_order(window)[0])
     xs, ys = [x for x, _, _ in image], [y for _, y, _ in image]
+    tx_lo, tx_hi = box.gx - min(xs), box.gx + box.columns - 1 - max(xs)
+    ty_lo, ty_hi = box.gy - min(ys), box.gy + box.height - 1 - max(ys)
     corner, origin = box.cell(min(xs), min(ys), False), box.cell(0, 0, False)
-    read = itemgetter(*(box.cell(*f) - corner for f in image), 0)
-    return (box.gx - min(xs), box.gx + box.columns - 1 - max(xs),
-            box.gy - min(ys), box.gy + box.height - 1 - max(ys),
-            corner, box.cell(1, 0, False) - origin, box.cell(0, 1, False) - origin, read)
+    dx, dy = box.cell(1, 0, False) - origin, box.cell(0, 1, False) - origin
+    # one spare cell last, so that it returns a tuple
+    gather = itemgetter(*(box.cell(*f) - corner for f in image), 0)
 
-
-def _read_moved(reader: tuple, grid: bytes, tx: int, ty: int) -> Optional[bytes]:
-    """The labels the grid gives the reader's image moved by (tx, ty), in
-    sorted face order, or None when the moved box leaves the grid: one
-    gather at the moved box's corner."""
-    tx_lo, tx_hi, ty_lo, ty_hi, corner, dx, dy, read = reader
-    if tx_lo <= tx <= tx_hi and ty_lo <= ty <= ty_hi:
-        return bytes(read(grid[corner + tx * dx + ty * dy:]))[:-1]
-    return None
+    def read(grid: bytes, tx: int, ty: int) -> Optional[bytes]:
+        if tx_lo <= tx <= tx_hi and ty_lo <= ty <= ty_hi:
+            return bytes(gather(grid[corner + tx * dx + ty * dy:]))[:-1]
+        return None
+    return read
 
 
 @lru_cache(maxsize=None)
@@ -655,7 +652,7 @@ def _special_match(config: Configuration, center: Face) -> Optional[_Match]:
             tx, ty = h.x - c_img.x, h.y - c_img.y
             if h.up != c_img.up or (tx - ty) % 3:
                 continue
-            if _read_moved(reader, grids[index - 1], tx, ty) == labels:
+            if reader(grids[index - 1], tx, ty) == labels:
                 pull_back = partial(_patch_marks, g=g._replace(tx=tx, ty=ty), index=index)
                 return {"kind": "special", "index": index}, pull_back
     return None
@@ -721,7 +718,7 @@ def _continue_word(height: int, word: StackingWord, first: int, count: int) -> L
         rows.append(below[rows[-1]][0])
     for _ in range(-first):
         rows.insert(0, above[rows[0]])
-    return rows[:count]
+    return rows[max(first, 0):][:count]
 
 
 def _stack_marks(window: frozenset, g: Isometry, height: int, word: StackingWord) -> bytes:
@@ -747,8 +744,8 @@ def _patch_marks(window: frozenset, g: Isometry, index: int) -> Optional[bytes]:
     window, in sorted face order, or None when the image leaves the patch:
     the image under g's point-group part, moved by g's translation and read
     off the patch's grid, which reads UNSET off the patch."""
-    reader = _image_reader(window, g._replace(tx=0, ty=0))
-    labels = _read_moved(reader, _special_grids()[1][index - 1], g.tx, g.ty)
+    read = _image_reader(window, g._replace(tx=0, ty=0))
+    labels = read(_special_grids()[1][index - 1], g.tx, g.ty)
     return None if labels is None or UNSET in labels else labels
 
 

@@ -292,6 +292,8 @@ def classification_report(r: int, probe: int) -> dict:
     checks Valid there (`catalog.survivor_certificate`); the rest, those
     that embed nowhere and those whose special-puzzle patch does not cover
     the probe ball's image, are probed with `have_completions` (`_sweep`)."""
+    if probe < r:
+        raise ValueError(f"probe radius {probe} is below the base radius {r}")
     swept = _sweep(make_config({up(0, 0): 0}), r, (probe,))
     survivors = [kind for kind, depth in swept if depth is None]
     return {

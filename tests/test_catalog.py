@@ -126,6 +126,20 @@ def test_transfer_graph_counts_the_stacking_words(height, degree, tops):
         paths = nxt
 
 
+# SHA-256 of the JSON list, per height 1 then 2 and rows 1 to 5, of
+# `compatible_words(height, rows)` in the order it lists them (4,278 words)
+COMPATIBLE_WORDS_SHA256 = "8a42d00b6db942df8ac0850830ddef727d35644500131bbc1db0b8fbfcf1638f"
+
+
+def test_compatible_words_keep_their_order():
+    """`ringlab strip` and criterion 5 take the first word, `assemble`'s
+    callers index the list: the whole depth-first order is frozen."""
+    words = [[list(map(list, w)) for w in compatible_words(h, n)]
+             for h in (1, 2) for n in range(1, 6)]
+    assert sum(map(len, words)) == 4278
+    assert hashlib.sha256(json.dumps(words).encode()).hexdigest() == COMPATIBLE_WORDS_SHA256
+
+
 def test_four_row_words_give_48_distinct_markings():
     # Height 2: distinct words give distinct markings.  Height 1: at each
     # row's shifts, a and c (and d and e) label their faces alike 3 columns
@@ -172,6 +186,13 @@ def test_label_rows_merge_the_choices_that_label_a_row_alike(height, choices, la
         phase_choices = [c for c in rows if c[1] % 3 == phase]
         assert len(phase_choices) == choices
         assert len({rows[c] for c in phase_choices}) == label_rows
+
+
+def test_height1_f_rows_are_b_rows_one_shift_phase_over():
+    """`f` at s labels its row as `b` at s + 1 does, a choice of the next
+    shift phase, so the two never label one stack row alike."""
+    rows = catalog._label_rows(1)
+    assert all(rows["f", s] == ("b", (s + 1) % 3) for s in range(6))
 
 
 def test_stack_period_memo_is_bounded():
@@ -480,16 +501,6 @@ def test_survivor_certificates_are_byte_stable(r, probe, certified):
     assert digest == CERTIFICATE_SHA256[r, probe]
 
 
-def test_classification_one_ring_further_out():
-    assert classification_report(3, 5) == {
-        "completions": 736,
-        "survivors": 652,
-        "dead_ends": 84,
-        "embedded": {"special": 196, "strip-h1": 384, "strip-h2": 72},
-        "exceptions": 0,
-    }
-
-
 def test_a_seed_of_0_on_up00_loses_no_generality():
     """Every valid marking of the radius-1 ball marks some face 0, and the
     label-preserving point-group moves carry Up(0,0) into all six face
@@ -544,6 +555,7 @@ def test_only_uncertified_completions_are_probed(monkeypatch, r, probe, certifie
 # at each probe radius, and the depth histogram (the first probe radius at
 # which a completion has no completion).
 DEAD_END_ROWS = {
+    (1, 3): (28, {"2": 28, "3": 28}, {}),
     (2, 4): (196, {"3": 184, "4": 184}, {3: 12}),
     (3, 5): (736, {"4": 664, "5": 652}, {4: 72, 5: 12}),
     (4, 7): (2416, {"5": 2188, "6": 2116, "7": 2104}, {5: 228, 6: 72, 7: 12}),
@@ -560,6 +572,32 @@ def test_dead_end_rows_are_frozen(r, probe):
     assert {rho: a - b for rho, a, b in zip(range(r + 1, probe + 1), alive, alive[1:])
             if a > b} == depths
     assert rep["dead_ends"] == {rho: completions - n for rho, n in survivors.items()}
+
+
+@pytest.mark.parametrize("r, probe", sorted(DEAD_END_ROWS))
+def test_classification_fits_the_closed_forms(r, probe):
+    """The survivors per kind follow ROADMAP item 14's closed forms: strip-h1
+    6 * 4^r, strip-h2 24 * (2^(r - 1) - 1), and special plus exceptions
+    (6r - 4)^2.  The radius-7 special patches miss 108 special survivors at
+    (4, 7); exact special embedding (ROADMAP item 1) should bring them to 0."""
+    rep = classification_report(r, probe)
+    completions, survivors, _ = DEAD_END_ROWS[r, probe]
+    embedded = rep["embedded"]
+    assert embedded["strip-h1"] == 6 * 4 ** r
+    assert embedded.get("strip-h2", 0) == 24 * (2 ** (r - 1) - 1)
+    assert embedded["special"] + rep["exceptions"] == (6 * r - 4) ** 2
+    assert rep["exceptions"] == (108 if r == 4 else 0)
+    assert rep["survivors"] == sum(embedded.values()) + rep["exceptions"]
+    assert (rep["completions"], rep["dead_ends"]) == (
+        completions, completions - survivors[str(probe)])
+
+
+def test_classification_needs_a_probe_at_least_the_base_radius():
+    with pytest.raises(ValueError, match="probe radius 2 is below the base radius 3"):
+        classification_report(3, 2)
+    # at probe = r every completion is a completion of the probe ball
+    rep = classification_report(2, 2)
+    assert (rep["completions"], rep["survivors"], rep["dead_ends"]) == (196, 196, 0)
 
 
 _INITIAL_WINDOW = frozenset({up(0, 0), down(0, -1), down(-1, 0), down(0, 0)})
@@ -706,6 +744,18 @@ def test_strip_matches_span_a_thousand_rows(height, rows):
     below = catalog._below(height)
     assert all(b in below[a] for a, b in zip(evidence["word"], evidence["word"][1:]))
     assert pull_back(config.window) == config.labels
+
+
+def test_stack_marks_read_rows_below_the_word():
+    """A window that starts below the word's top row reads its own rows of
+    the continued stack, as the same faces read in a window from row 0."""
+    for height in (1, 2):
+        word = compatible_words(height, 2)[0]
+        full = catalog._stack_window(height, 3, 6)
+        marks = dict(zip(sorted(full), catalog._stack_marks(full, catalog._IDENTITY, height, word)))
+        lower = sorted(f for f in full if f.y <= -height)
+        assert catalog._stack_marks(frozenset(lower), catalog._IDENTITY, height, word) == bytes(
+            marks[f] for f in lower)
 
 
 def test_stacks_of_one_shape_share_their_window():
