@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .lattice import (
     A0,
@@ -89,21 +89,31 @@ def hex_window(radius: int) -> frozenset:
 
 
 def interior_faces(vertices: Iterable[Vertex]) -> List[Face]:
-    """Faces all three of whose corners lie in the vertex set, sorted.
+    """Faces all three of whose corners lie in the vertex set, sorted."""
+    return _interior(sorted(set(vertices)))[1]
 
-    Each face is found once, at its first corner in `face_vertices` order:
-    at (x, y), Up(x, y) is interior iff (x+1, y) and (x, y+1) are in the
-    set, and Down(x-1, y) iff (x-1, y+1) and (x, y+1) are."""
-    vs = set(vertices)
-    faces = []
-    for x, y in vs:
-        if (x, y + 1) in vs:
-            if (x + 1, y) in vs:
-                faces.append(Face(x, y, True))
-            if (x - 1, y + 1) in vs:
-                faces.append(Face(x - 1, y, False))
-    faces.sort()
-    return faces
+
+def _interior(vertices: Sequence[Vertex]) -> Tuple[Dict[Vertex, int], List[Face], List[tuple]]:
+    """The sorted vertices' numbers, the faces all three of whose corners are
+    among them, sorted, and each face's corner numbers in `face_vertices`
+    order.  Down(x, y) and Up(x, y) share the corners (x+1, y) and (x, y+1),
+    so both are found at (x+1, y), Down first, and sorted vertices give
+    sorted faces."""
+    index = {v: g for g, v in enumerate(vertices)}
+    faces, corners = [], []
+    for a, (x, y) in enumerate(vertices):
+        b = index.get((x - 1, y + 1))
+        if b is None:
+            continue
+        c = index.get((x, y + 1))
+        if c is not None:
+            faces.append(Face(x - 1, y, False))
+            corners.append((a, b, c))
+        c = index.get((x - 1, y))
+        if c is not None:
+            faces.append(Face(x - 1, y, True))
+            corners.append((c, a, b))
+    return index, faces, corners
 
 
 @lru_cache(maxsize=None)
@@ -148,11 +158,12 @@ def induced_distribution(config) -> Distribution:
 
 def _parity_plan(window: Iterable[Vertex]) -> Tuple[List[Vertex], List[Face], Plan]:
     """The window's vertices sorted, its interior faces, and the kernel plan
-    of the vertices under the faces' parity constraints."""
+    of the vertices, numbered in sorted order, under the faces' parity
+    constraints, each face's corners read off that numbering (`_interior`)."""
     vertices = sorted(window)
-    faces = interior_faces(vertices)
-    plan = Plan(vertices, ((face_vertices(f), _parity_table(f.up)) for f in faces))
-    return vertices, faces, plan
+    index, faces, corners = _interior(vertices)
+    tables = _parity_table(False), _parity_table(True)
+    return vertices, faces, Plan(index, zip(corners, (tables[f.up] for f in faces)))
 
 
 def dist_propagate(
@@ -255,24 +266,26 @@ def _is_family2(dist: Distribution) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _d0_reference(radius: int) -> Distribution:
-    return build_D0(hex_window(radius))
+def _d0_reference(radius: int) -> Tuple[Distribution, Tuple[List[Vertex], ...]]:
+    d0 = build_D0(hex_window(radius))  # returned with its vertices by axis
+    return d0, tuple(sorted(v for v, a in d0.axis.items() if a == axis) for axis in AXES)
 
 
 def matches_d0(dist: Distribution) -> bool:
     """Whether some lattice isometry carries dist into D0 on the hexagon of
     radius 9 or, if larger, dist's hex diameter: the largest range of a, b
     or a + b over its vertices.  D0 on a hexagon of radius r has diameter
-    2r, so it always fits."""
+    2r, so it always fits.  The moved dist's least vertex, the anchor, is
+    tried only on the D0 vertices with its axis."""
     items = sorted(dist.axis.items())
     if not items:
         return False
     coords = zip(*((a, b, a + b) for (a, b), _ in items))
-    ref = _d0_reference(max(9, *(max(c) - min(c) for c in coords)))
+    ref, by_axis = _d0_reference(max(9, *(max(c) - min(c) for c in coords)))
     for g in POINT_GROUP:
         moved = [(g.apply_vertex(v), g.apply_axis(a)) for v, a in items]
-        anchor = min(m[0] for m in moved)
-        for w in ref.window:
+        anchor, axis = min(moved)
+        for w in by_axis[axis]:
             tx, ty = w[0] - anchor[0], w[1] - anchor[1]
             for (vx, vy), a in moved:
                 # ref is total and no axis is None, so a vertex outside fails here

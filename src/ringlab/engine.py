@@ -46,7 +46,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import (
-    Face, Vertex, face_vertices, link_faces, window_vertices)
+    LINK_FACE_STEPS, Face, Vertex, face_vertices, link_faces, window_vertices)
 from .kernel import UNSET, Kernel, Plan, Table
 from .labeling import vertex_s
 from .rings import DEFAULT_MODE, legal_words
@@ -323,10 +323,13 @@ def _plan(window: frozenset, mode: str) -> Plan:
     """The window's kernel plan: the faces in sorted order are the
     variables, numbered by the window's own position map and searched in
     `_search_order`, and the link of each vertex, in the window's sorted
-    vertex order, is one ring constraint."""
+    vertex order, is one ring constraint, its faces looked up as plain
+    (x, y, up) tuples, which equal and hash as their Faces."""
     _, index, vertices = window_order(window)
-    links = ((link_faces(v), _ring_table(mode, vertex_s(v))) for v in vertices)
-    return Plan(index, links, _search_order(window))
+    get, tables = index.get, [_ring_table(mode, s) for s in range(3)]
+    links = (([get((x + dx, y + dy, u)) for dx, dy, u in LINK_FACE_STEPS], tables[vertex_s((x, y))])
+             for x, y in vertices)
+    return Plan(index, links, map(index.__getitem__, _search_order(window)))
 
 
 def propagate(config: Configuration, mode: str = DEFAULT_MODE) -> Configuration:

@@ -10,12 +10,13 @@ The package's three local-constraint systems all run on `Kernel`:
   labels around a vertex alternate between two values (which makes every
   face see all three labels; that is checked on the result).
 
-A client builds a `Plan` from its variables' names, each constraint's
-names by position with its `Table`, and a search order by name; the plan
-numbers the variables in the order given, so a client reads `Kernel.label`
-(UNSET for a free variable, as in a code) in its own order and keeps no
-map.  A plan is read-only, so many kernels may share one (`engine` keeps
-one per window).  A kernel holds state:
+A client numbers its variables and states a problem by number: a `Plan`
+takes the name-to-number dict (0, 1, ... in its order), each constraint's
+variable numbers by position (None for a free position) with its `Table`,
+and a search order by number.  A client reads `Kernel.label` (UNSET for a
+free variable, as in a code) in its own numbering; a kernel reads given
+labels by name through the dict.  A plan is read-only, so kernels may share
+one (`engine` keeps one per window).  A kernel holds state:
 
 - each constraint keeps its labels as a base-4 code (position k in bits 2k
   and 2k+1, `UNSET` = 3 for a free position), updated in place, and the
@@ -106,49 +107,46 @@ def Table(arity: int, words: Iterable[Sequence[int]]) -> Tuple[Optional[Tuple[in
 
 
 class Plan:
-    """One problem over named variables, numbered in the order given (a
-    dict numbering 0, 1, ... in its order is kept as the numbering); a
-    repeated name keeps its first number.  Each constraint is a pair: its
-    names by position, each at most once, and its `Table`; a name that is
-    None or no variable leaves its position free.  `order` is the search
-    order by name, by default the numbering; it lists every variable once,
-    since a search node is a leaf when every variable is labelled.  `index`
-    and `names` map names to numbers and back; per variable, `sites` holds
-    its (constraint, position) pairs flat in one tuple, so a large window
-    costs no object per site; `around` lists each constraint's variables by
-    position, None for none; `free` its UNSET positions by code, and `held`
-    the code mask (digits 3) of its positions that have a variable."""
+    """One problem over numbered variables: `index` maps each name to its
+    number, 0, 1, ... in the dict's order, and `names` lists the names by
+    number.  Each constraint is a pair: its variable numbers by position,
+    each at most once, None for a free position, and its `Table`.  `order`
+    is the search order by number, by default the numbering; it lists every
+    variable once, since a search node is a leaf when every variable is
+    labelled.  Per variable, `sites` holds its (constraint, position) pairs
+    flat in one tuple, so a large window costs no object per site; `around`
+    lists each constraint's variables by position, None for none; `free`
+    its UNSET positions by code, and `held` the code mask (digits 3) of its
+    positions that have a variable."""
 
     __slots__ = ("index", "names", "order", "sites", "around", "tables", "free", "held")
 
-    def __init__(self, variables: Iterable[Hashable],
-                 constraints: Iterable[Tuple[Sequence[Optional[Hashable]], Table]],
-                 order: Optional[Iterable[Hashable]] = None):
-        self.names = names = tuple(dict.fromkeys(variables))
-        self.index = index = variables if isinstance(variables, dict) else {
-            name: g for g, name in enumerate(names)}
-        sites: List[Tuple[int, ...]] = [()] * len(names)
-        around, tables, held, last = [], [], [], [-1] * len(names)
+    def __init__(self, index: Dict[Hashable, int],
+                 constraints: Iterable[Tuple[Sequence[Optional[int]], Table]],
+                 order: Optional[Iterable[int]] = None):
+        self.index, self.names = index, tuple(index)
+        sites: List[Tuple[int, ...]] = [()] * len(index)
+        around, tables, held, last = [], [], [], [-1] * len(index)
         shared: Dict[int, int] = {}  # one int object per distinct mask
-        for c, (scope_names, table) in enumerate(constraints):
-            scope = tuple(map(index.get, scope_names))
+        for c, (scope, table) in enumerate(constraints):
+            scope = tuple(scope)
             mask = len(table) - 1  # every position free
             for k, g in enumerate(scope):
                 if g is None:
                     mask -= UNSET << 2 * k
                     continue
                 if last[g] == c:  # a pop visits each free position once
-                    raise ValueError(f"{names[g]!r} twice in constraint {c}")
+                    raise ValueError(f"{self.names[g]!r} twice in constraint {c}")
                 last[g] = c
                 sites[g] += (c, k)
             around.append(scope)
             tables.append(table)
             held.append(shared.setdefault(mask, mask))
         if order is None:  # a range: a tuple would hold one int per variable
-            self.order = range(len(names))
+            self.order = range(len(index))
         else:
-            self.order = tuple(map(index.get, order))
-            if len(self.order) != len(names) or set(self.order) != set(range(len(names))):
+            self.order = tuple(order)
+            if len(self.order) != len(index) or set(self.order) != set(range(len(index))):
                 raise ValueError("the search order must list every variable once")
         self.sites, self.around, self.tables = tuple(sites), tuple(around), tuple(tables)
         # a table of arity n holds 4^n codes

@@ -8,8 +8,9 @@ edge labels alternate between exactly two values s and s+1.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .kernel import UNSET, Kernel, Plan, Table
 from .lattice import (
@@ -22,7 +23,6 @@ from .lattice import (
     Face,
     Vertex,
     up,
-    window_vertices,
 )
 
 ANCHOR_FACE = up(0, 0)
@@ -62,31 +62,39 @@ def _vertex_rule() -> Table:
     return Table(6, ((a, b) * 3 for a in range(3) for b in range(3) if a != b))
 
 
+# Per axis a, the two (dx, dy, k) with an edge (x, y, a) at position k of
+# `incident_edges((x - dx, y - dy))`: its end vertices and its slots there.
+_EDGE_ENDS = tuple(tuple((dx, dy, k) for k, (dx, dy, b) in enumerate(INCIDENT_EDGE_STEPS) if b == a)
+                   for a in (A0, A1, A2))
+
+
 def _edge_plan(faces: Sequence[Face]) -> Tuple[List[Vertex], List[int], Plan]:
     """The faces' vertices sorted, each face's three edge variables flat in
     face order, and the kernel plan of the faces' edges under the vertex
     rule, one constraint per vertex.
 
     The edges are numbered in face order, each face's as `face_edges` lists
-    them.  Each edge is looked up as a plain (x, y, axis) tuple, which
-    equals and hashes as its Edge, so only the plan's names are Edges, one
-    per edge; a vertex's scope is its six edges as plain tuples, in
-    `incident_edges` order.
+    them, in one walk.  Each edge is looked up as a plain (x, y, axis)
+    tuple, which equals and hashes as its Edge, so only the plan's names are
+    Edges, one per edge; a new edge's number fills its slot (`_EDGE_ENDS`)
+    in the six-slot scope of each of its two vertices, in `incident_edges`
+    order, None left for an edge outside the faces.
     """
     index: Dict[Edge, int] = {}
     face_vars: List[int] = []
+    scopes: Dict[Vertex, List[Optional[int]]] = defaultdict(lambda: [None] * 6)
     for x, y, u in faces:
         for dx, dy, a in FACE_EDGE_STEPS[u]:
-            e = (x + dx, y + dy, a)
-            g = index.get(e)
+            ex, ey = x + dx, y + dy
+            g = index.get((ex, ey, a))
             if g is None:
-                g = index[Edge(*e)] = len(index)
+                g = index[Edge(ex, ey, a)] = len(index)
+                for vx, vy, k in _EDGE_ENDS[a]:
+                    scopes[ex - vx, ey - vy][k] = g
             face_vars.append(g)
-    vertices = sorted(window_vertices(faces))
+    vertices = sorted(scopes)
     rule = _vertex_rule()
-    plan = Plan(index, (([(x + dx, y + dy, a) for dx, dy, a in INCIDENT_EDGE_STEPS], rule)
-                        for x, y in vertices))
-    return vertices, face_vars, plan
+    return vertices, face_vars, Plan(index, ((scopes[v], rule) for v in vertices))
 
 
 def derive_edge_labels(window: Iterable[Face]) -> Dict[Edge, int]:

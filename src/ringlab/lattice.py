@@ -105,17 +105,14 @@ def face_neighbors(f: Face) -> Tuple[Face, Face, Face]:
     return (Face(x, y, True), Face(x + 1, y, True), Face(x, y + 1, True))
 
 
+# The faces of `link_faces`, in its order, as (dx, dy, up) steps from v.
+LINK_FACE_STEPS = ((0, 0, True), (-1, 0, False), (-1, 0, True),
+                   (-1, -1, False), (0, -1, True), (0, -1, False))
+
+
 def link_faces(v: Vertex) -> Tuple[Face, ...]:
     """The six faces around v, counterclockwise from the (0, 60)-degree sector."""
-    x, y = v
-    return (
-        Face(x, y, True),
-        Face(x - 1, y, False),
-        Face(x - 1, y, True),
-        Face(x - 1, y - 1, False),
-        Face(x, y - 1, True),
-        Face(x, y - 1, False),
-    )
+    return tuple(Face(v[0] + dx, v[1] + dy, u) for dx, dy, u in LINK_FACE_STEPS)
 
 
 def incident_edges(v: Vertex) -> Tuple[Edge, ...]:

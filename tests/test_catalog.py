@@ -715,13 +715,37 @@ def _match_stack_by_recursion(labels, slots, height):
     return walk(())
 
 
+class _CountedSuccessors(dict):
+    """A transfer graph that counts the successor lists a walk reads and
+    fails the walk past its budget, so a walk that retries dead ends fails
+    rather than running for exponential time."""
+
+    def __init__(self, graph, budget):
+        super().__init__(graph)
+        self.budget, self.lookups = budget, 0
+
+    def __getitem__(self, choice):
+        self.lookups += 1
+        if self.lookups > self.budget:
+            pytest.fail(f"more than {self.budget} successor lookups")
+        return super().__getitem__(choice)
+
+
+def _budget_strip_walks(monkeypatch, rows):
+    """Give each strip match's walk at most 4 lookups a face row, plus 100."""
+    below_sorted = catalog._below_sorted
+    monkeypatch.setattr(catalog, "_below_sorted", lambda height: _CountedSuccessors(
+        below_sorted(height), 4 * rows + 100))
+
+
 @pytest.mark.parametrize("height", [1, 2])
-def test_stack_matches_are_the_first_words_a_recursive_walk_finds(height):
+def test_stack_matches_are_the_first_words_a_recursive_walk_finds(height, monkeypatch):
     """Two marks up to 30 face rows apart, every label pair and column
     offset, every strip placement: the explicit stack finds the first word
-    of the recursive walk, or none when it finds none."""
+    of the recursive walk, or none when it finds none, within its budget."""
     words = 0
     for rows in range(31):
+        _budget_strip_walks(monkeypatch, rows)
         for a, b, dx in ((0, 0, 0), (0, 1, 0), (1, 2, 1), (2, 2, 3)):
             faces, labels = catalog._marked(make_config({up(0, 0): a, up(dx, -rows): b}))
             for _, slots in catalog._strip_placements(faces, height):
@@ -733,10 +757,12 @@ def test_stack_matches_are_the_first_words_a_recursive_walk_finds(height):
 
 @pytest.mark.parametrize("height", [1, 2])
 @pytest.mark.parametrize("rows", [46, 1000])
-def test_strip_matches_span_a_thousand_rows(height, rows):
+def test_strip_matches_span_a_thousand_rows(height, rows, monkeypatch):
     """Marks 1,000 face rows apart need no Python frame per row, and marks
     46 rows apart at height 2 (17 s for the walk that does not keep its dead
-    (row, choice) pairs) answer at once; the stack carries both marks."""
+    (row, choice) pairs) answer at once, within a budget of successor
+    lookups linear in the rows; the stack carries both marks."""
+    _budget_strip_walks(monkeypatch, rows)
     config = make_config({up(0, 0): 0, up(0, -rows): 0})
     evidence, pull_back = catalog._strip_match(config, height)
     assert evidence["kind"] == f"strip-h{height}"

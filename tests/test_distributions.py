@@ -1,6 +1,7 @@
 """Rank-axis distributions: parity, propagation, D0, classification."""
 
 import hashlib
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from ringlab.distributions import (
     induced_distribution,
     interior_faces,
     make_distribution,
+    matches_d0,
     verify_lemma_L3,
 )
 from ringlab.engine import enumerate_completions, link_word, make_config
@@ -30,6 +32,7 @@ from ringlab.labeling import vertex_s
 from ringlab.lattice import (
     AXES,
     LABEL_POINT_GROUP,
+    POINT_GROUP,
     ball,
     face_vertices,
     link_faces,
@@ -180,6 +183,39 @@ def test_special_puzzles_induce_d0():
     for index in (2, 9):
         dist = induced_distribution(special_puzzle(index, 4))
         assert classify_distribution(dist) == "SpecialD0"
+
+
+@lru_cache(maxsize=None)
+def _d0_axes(radius):
+    return build_D0(hex_window(radius)).axis
+
+
+def _matches_d0_at_every_anchor(dist):
+    """`matches_d0` with the moved anchor tried on every vertex of D0."""
+    items = sorted(dist.axis.items())
+    coords = list(zip(*((a, b, a + b) for (a, b), _ in items)))
+    ref = _d0_axes(max(9, *(max(c) - min(c) for c in coords)))
+    for g in POINT_GROUP:
+        moved = [(g.apply_vertex(v), g.apply_axis(a)) for v, a in items]
+        ax, ay = min(v for v, _ in moved)
+        for wx, wy in ref:
+            if all(ref.get((vx + wx - ax, vy + wy - ay)) == a for (vx, vy), a in moved):
+                return True
+    return False
+
+
+def test_d0_matches_try_the_anchors_every_anchor_would():
+    """The twelve special puzzles' distributions on the radius-4 ball match,
+    and one-vertex changes of them (at every third vertex, to either other
+    axis in turn) answer as with every anchor tried."""
+    inner = ball(up(0, 0), 4)
+    for i in range(1, 13):
+        marks = special_puzzle(i, 9).marks
+        dist = induced_distribution(make_config({f: marks[f] for f in inner}, window=inner))
+        assert matches_d0(dist) and _matches_d0_at_every_anchor(dist)
+        for k, (v, a) in enumerate(sorted(dist.axis.items())[::3]):
+            changed = Distribution(dist.window, {**dist.axis, v: (a + 1 + k % 2) % 3})
+            assert matches_d0(changed) == _matches_d0_at_every_anchor(changed), (i, v)
 
 
 def test_dist_propagate_restores_cleared_axes():

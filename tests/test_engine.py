@@ -49,6 +49,7 @@ from ringlab.lattice import (
     face_neighbors,
     face_vertices,
     incident_edges,
+    link_faces,
     opposite_axis_at_vertex,
     up,
     window_vertices,
@@ -894,16 +895,65 @@ def test_edge_propagation_steps_as_the_generic_loop_does(problem):
     # border edge at one; the plan is the one the Edge-keyed build gives
     faces, given_labels = problem
     vertices, face_vars, plan = labeling._edge_plan(faces)
-    by_edges = kernel.Plan((e for f in faces for e in face_edges(f)),
-                           ((incident_edges(v), labeling._vertex_rule()) for v in vertices))
+    # the reference numbers the edges in face order and looks each vertex's
+    # six edges up by name
+    edges = dict.fromkeys(e for f in faces for e in face_edges(f))
+    edges = {e: g for g, e in enumerate(edges)}
+    by_edges = kernel.Plan(edges, (([edges.get(e) for e in incident_edges(v)],
+                                    labeling._vertex_rule()) for v in vertices))
     assert vertices == sorted(window_vertices(faces))
-    assert (plan.names, plan.sites, plan.around) == (
-        by_edges.names, by_edges.sites, by_edges.around)
+    assert _plan_fields(plan) == _plan_fields(by_edges)
     assert all(type(e) is Edge for e in plan.names)
     assert [plan.names[g] for g in face_vars] == [e for f in faces for e in face_edges(f)]
     if len(faces) > 1:
         assert 4 in {len(s) for s in plan.sites}
     _assert_same_steps(plan, given_labels)
+
+
+def test_mode_rot_marks_no_small_ball_in_full():
+    """Rotations alone leave no total marking of the radius-1 or radius-2
+    ball about Up(0,0); rotations with reflections leave 84 and 588."""
+    for r, total in ((1, 84), (2, 588)):
+        cfg = make_config({}, window=ball(up(0, 0), r))
+        assert enumerate_completions(cfg, mode=MODE_ROT) == []
+        assert len(enumerate_completions(cfg, mode=MODE_ROT_REF)) == total
+
+
+def _plan_fields(plan):
+    return (plan.index, plan.names, plan.sites, plan.around, plan.tables, plan.free,
+            plan.held, tuple(plan.order))
+
+
+# a radius-4 ball with every face of one residue class cut out: a window with
+# holes, whose vertex links stick out of it
+SPARSE = frozenset(f for f in ball(up(0, 0), 4) if (f.x + 2 * f.y + f.up) % 3)
+
+
+@pytest.mark.parametrize("mode", [MODE_ROT, MODE_ROT_REF])
+@pytest.mark.parametrize("window", [BALL2, SPARSE], ids=["ball", "sparse"])
+def test_an_engine_plan_is_the_one_a_lookup_by_name_gives(window, mode):
+    """Faces numbered in sorted order, each vertex's link looked up by Face
+    in the sorted vertex order, and the search order by Face."""
+    faces = sorted(window)
+    index = {f: g for g, f in enumerate(faces)}
+    links = (([index.get(f) for f in link_faces(v)], engine._ring_table(mode, vertex_s(v)))
+             for v in sorted(window_vertices(faces)))
+    by_faces = kernel.Plan(index, links, [index[f] for f in engine._search_order(window)])
+    assert _plan_fields(engine._plan(window, mode)) == _plan_fields(by_faces)
+
+
+@pytest.mark.parametrize("window", [hex_window(3), frozenset(
+    v for v in hex_window(4) if (3 * v[0] + v[1]) % 5)], ids=["hexagon", "sparse"])
+def test_a_parity_plan_is_the_one_a_lookup_by_name_gives(window):
+    """Vertices numbered in sorted order, and each interior face's corners
+    looked up by vertex in `face_vertices` order."""
+    index = {v: g for g, v in enumerate(sorted(window))}
+    faces = distributions.interior_faces(window)
+    by_vertices = kernel.Plan(index, (([index[v] for v in face_vertices(f)],
+                                       distributions._parity_table(f.up)) for f in faces))
+    vertices, plan_faces, plan = distributions._parity_plan(window)
+    assert (vertices, plan_faces) == (sorted(window), faces) and faces
+    assert _plan_fields(plan) == _plan_fields(by_vertices)
 
 
 def test_every_table_is_an_exact_tuple_of_its_codes():
@@ -920,20 +970,22 @@ def test_every_table_is_an_exact_tuple_of_its_codes():
 
 def test_a_plan_numbers_its_names_in_the_order_given():
     differ = kernel.Table(2, [(a, b) for a in range(3) for b in range(3) if a != b])
-    # "a" repeats, "z" and None are no variables, the search runs c, b, a
-    plan = kernel.Plan("abca", [("ab", differ), ("cz", differ), ((None, "a"), differ)], "cba")
-    assert plan.index == {"a": 0, "b": 1, "c": 2} and plan.names == ("a", "b", "c")
+    # the dict numbers a, b, c; None is a free position; the search runs c, b, a
+    index = {"a": 0, "b": 1, "c": 2}
+    plan = kernel.Plan(index, [((0, 1), differ), ((2, None), differ), ((None, 0), differ)],
+                       (2, 1, 0))
+    assert plan.index is index and plan.names == ("a", "b", "c")
     assert plan.around == ((0, 1), (2, None), (None, 0)) and plan.order == (2, 1, 0)
     assert plan.sites == ((0, 0, 2, 1), (0, 1), (1, 0))
     assert plan.free[0][len(plan.tables[0]) - 1] == (0, 1)  # the all-free code
     assert plan.held == (0b1111, 0b0011, 0b1100)  # digits 3 where a variable is
-    with pytest.raises(ValueError):
-        kernel.Plan("ab", [("aba", kernel.Table(3, ()))])
-    assert kernel.Plan("ab", []).order == range(2)
+    with pytest.raises(ValueError):  # a variable twice in one scope
+        kernel.Plan({"a": 0, "b": 1}, [((0, 1, 0), kernel.Table(3, ()))])
+    assert kernel.Plan({"a": 0, "b": 1}, []).order == range(2)
     # an order must list every variable once: none missing, repeated or unknown
-    for order in ("ab", "cbaa", "cbz", ""):
+    for order in ((0, 1), (2, 1, 0, 0), (2, 1, 3), (2, 1, None), ()):
         with pytest.raises(ValueError):
-            kernel.Plan("abc", [], order)
+            kernel.Plan(index, [], order)
     k = kernel.Kernel(plan, [("a", 0), ("b", kernel.UNSET)])
     assert k.label == [0, kernel.UNSET, kernel.UNSET]
     # labels listed by number as bytes, found with c varying slowest
